@@ -1,6 +1,6 @@
 // Command neuserve runs the NeuMMU simulator as a long-lived HTTP
 // service: many clients submit simulation and sweep requests over JSON,
-// a sharded scheduler runs them on a bounded worker budget, and a
+// one work-conserving queue runs them on a bounded worker budget, and a
 // content-addressed cache answers repeated or overlapping design-space
 // cells without re-simulating (see internal/serve for the API and its
 // determinism guarantee).
@@ -9,8 +9,11 @@
 //
 //	neuserve                          # listen on :8077, all CPUs
 //	neuserve -addr 127.0.0.1:9000     # explicit listen address
-//	neuserve -workers 4 -shards 2     # bound scheduler parallelism
+//	neuserve -workers 4               # bound scheduler parallelism
 //	neuserve -queue 64 -cache-mb 128  # admission + cache bounds
+//
+// -shards is accepted and ignored (with a warning): the scheduler was once
+// hash-sharded, and is now one queue that every worker drains.
 //
 // Scale-out: a fleet of neuserve processes can serve one sweep. Workers
 // are plain neuserve instances (-role worker is an explicit alias for the
@@ -86,8 +89,7 @@ func main() {
 		addr    = flag.String("addr", ":8077", "listen address")
 		role    = flag.String("role", "", "process role: '' or 'worker' (serve simulations), 'coordinator' (shard sweeps across -peers)")
 		workers = flag.Int("workers", 0, "total simulation workers (0 = all CPUs)")
-		shards  = flag.Int("shards", 0, "scheduler shards (0 = default, capped at workers)")
-		queue   = flag.Int("queue", 0, "per-shard job-queue bound; full queues answer 429 (0 = 256)")
+		queue   = flag.Int("queue", 0, "scheduler job-queue bound; a full queue answers 429 (0 = -max-cells)")
 		cacheMB = flag.Int("cache-mb", 0, "cell result-cache bound in MiB (0 = 64)")
 		figMB   = flag.Int("fig-cache-mb", 0, "rendered-figure cache bound in MiB (0 = 16)")
 		cells   = flag.Int("max-cells", 0, "per-request sweep cell bound (0 = 4096)")
@@ -113,6 +115,7 @@ func main() {
 		slowCell  = flag.Duration("slow-cell-threshold", 0, "cells whose compute stage exceeds this land in the slow-cell log (0 = 100ms, negative disables)")
 		slowCount = flag.Int("slow-cells", 0, "slow-cell log capacity, slowest kept (0 = 32)")
 	)
+	flag.Int("shards", 0, "deprecated and ignored: the scheduler is one queue drained by every worker")
 	flag.Parse()
 
 	var logH slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -141,6 +144,9 @@ func main() {
 	} else {
 		misuse(coordOnly, fmt.Sprintf("requires -role coordinator (role is %q)", *role))
 	}
+	if set["shards"] {
+		logger.Warn("-shards is deprecated and ignored: the scheduler is one queue drained by every worker")
+	}
 
 	traceCfg := trace.Config{
 		RingSize:      *traceRing,
@@ -164,7 +170,6 @@ func main() {
 		}
 		s := serve.New(serve.Config{
 			Workers:            *workers,
-			Shards:             *shards,
 			QueueDepth:         *queue,
 			CacheBytes:         int64(*cacheMB) << 20,
 			FigureCacheBytes:   int64(*figMB) << 20,

@@ -466,18 +466,20 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		resolved[line.I] = true
 		n++
 		sl := slots[idxs[line.I]]
+		// Each cell's span is recorded before its slot resolves, so a
+		// sweep's response never completes ahead of its own cell spans.
 		if line.Err != "" {
 			w.cellErrs.Add(1)
-			sl.fail(errors.New(line.Err))
 			cellSpan(idxs[line.I], sl, line.Err)
+			sl.fail(errors.New(line.Err))
 			continue
 		}
 		w.completed.Add(1)
 		sl.cycles, sl.translations, sl.perf, sl.hit = line.Cycles, line.Translations, line.Perf, line.Hit
 		sl.counters = line.Counters
 		sl.sampled = line.Sampled
-		close(sl.done)
 		cellSpan(idxs[line.I], sl, "")
+		close(sl.done)
 		if jr != nil {
 			// Checkpoint after resolving the slot: the append is dispatch-
 			// goroutine work, never on the client-stream path. I is
@@ -521,12 +523,12 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 		if slots[i].attempts > c.cfg.MaxRetries {
 			err := fmt.Errorf("%s: worker %s failed (%v) and retry budget is spent",
 				points[i].Label(), w.url, cause)
-			slots[i].fail(err)
 			c.tracer.Record(trace.Span{
 				TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 				Start: slots[i].firstDispatch, Worker: w.url,
 				Attempts: slots[i].attempts, Err: err.Error(),
 			})
+			slots[i].fail(err)
 			continue
 		}
 		slots[i].attempts++

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"neummu/internal/exp"
 	"neummu/internal/serve"
@@ -102,14 +103,22 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 
 	workerCells := 0
 	for _, w := range workers {
-		wtr := fetchTrace(t, w.url(), id1)
+		// The coordinator stops reading a worker's stream at its last cell
+		// line, and the worker records its request span only after writing
+		// that line, so the span may land just after the sweep returns.
 		var cells, requests int
-		for _, sp := range wtr.Spans {
-			switch sp.Kind {
-			case "cell":
-				cells++
-			case "request":
-				requests++
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			cells, requests = 0, 0
+			for _, sp := range fetchTrace(t, w.url(), id1).Spans {
+				switch sp.Kind {
+				case "cell":
+					cells++
+				case "request":
+					requests++
+				}
+			}
+			if cells == 0 || requests > 0 || time.Now().After(deadline) {
+				break
 			}
 		}
 		if cells != split[w.url()] {

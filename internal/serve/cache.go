@@ -30,7 +30,7 @@ var ErrComputePanic = errors.New("serve: compute panicked")
 //   - join: another caller is already computing it; the returned Flight
 //     shares that computation's result.
 //   - miss: this caller owns the computation; the schedule callback is
-//     invoked to run it (on the sharded scheduler, in practice).
+//     invoked to run it (on the scheduler, in practice).
 //
 // The hit/join/miss counters are the service's "overlapping cells are
 // simulated exactly once" evidence: misses equals the number of compute

@@ -170,7 +170,7 @@ type CellLine struct {
 }
 
 // CellHash64 content-addresses one cell for cross-process routing: unlike
-// the per-process maphash key the cache uses, it is a pure function of the
+// the per-process map hashing the cache keys on, it is a pure function of the
 // point and the normalized effort, so every coordinator (and every
 // restart) routes the same cell to the same worker. FNV-1a over the
 // canonical field encoding. Efforts the monolithic exact engine serves

@@ -8,7 +8,7 @@ import (
 // (internal/store). The store speaks bytes; this file fixes the byte
 // formats. A cell's durable identity is CellHash64 — a pure function of
 // point and effort caps, stable across processes and restarts, unlike the
-// per-process maphash the RAM cache keys on — plus canonical JSON key
+// per-process map hashing the RAM cache keys on — plus canonical JSON key
 // bytes as collision defense. The value bytes are the cellValue's JSON,
 // which round-trips bit-exactly (ints exactly, float64 via shortest-form
 // encoding), so a disk-warm sweep body is byte-identical to a cold one.

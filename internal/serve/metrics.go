@@ -93,7 +93,6 @@ type Metrics struct {
 
 	QueueDepth int `json:"queue_depth"`
 	Workers    int `json:"workers"`
-	Shards     int `json:"shards"`
 
 	CellsServed     int64   `json:"cells_served"`
 	CellsSimulated  int64   `json:"cells_simulated"`
@@ -134,7 +133,6 @@ func (s *Server) snapshot() Metrics {
 
 		QueueDepth: s.sched.QueueDepth(),
 		Workers:    s.sched.Workers(),
-		Shards:     s.sched.Shards(),
 
 		CellsServed:    cells,
 		CellsSimulated: simulated,

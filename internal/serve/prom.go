@@ -30,12 +30,10 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter) {
 	p.Family("neuserve_overloads_total", "counter", "Requests rejected with 429 (job queue full).")
 	p.Sample(float64(m.Overloads))
 
-	p.Family("neuserve_queue_depth", "gauge", "Jobs waiting in the scheduler queues.")
+	p.Family("neuserve_queue_depth", "gauge", "Jobs waiting in the scheduler queue.")
 	p.Sample(float64(m.QueueDepth))
 	p.Family("neuserve_workers", "gauge", "Simulation worker budget.")
 	p.Sample(float64(m.Workers))
-	p.Family("neuserve_shards", "gauge", "Scheduler shard count.")
-	p.Sample(float64(m.Shards))
 
 	p.Family("neuserve_cells_served_total", "counter", "Sweep/sim cells streamed to clients.")
 	p.Sample(float64(m.CellsServed))

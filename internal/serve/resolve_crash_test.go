@@ -84,15 +84,15 @@ func TestCacheComputePanicResolvesJoiners(t *testing.T) {
 }
 
 // TestCacheComputePanicUnderScheduler runs the same death through a real
-// sharded scheduler: the worker goroutine survives and keeps draining
+// scheduler: the worker goroutine survives and keeps draining
 // jobs for other keys.
 func TestCacheComputePanicUnderScheduler(t *testing.T) {
 	c := NewCache[int, int](1<<20, func(int) int64 { return 64 })
-	s := NewScheduler(1, 1, 8)
+	s := NewScheduler(1, 8)
 	defer s.Close()
 
 	fl, err := c.Resolve(context.Background(), 1,
-		func(run func()) error { return s.Submit(1, run) },
+		s.Submit,
 		func() (int, error) { panic("boom") })
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCacheComputePanicUnderScheduler(t *testing.T) {
 
 	// The single worker must still be alive to run this.
 	fl, err = c.Resolve(context.Background(), 2,
-		func(run func()) error { return s.Submit(2, run) },
+		s.Submit,
 		func() (int, error) { return 11, nil })
 	if err != nil {
 		t.Fatal(err)

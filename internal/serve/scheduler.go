@@ -6,18 +6,19 @@ import (
 	"sync"
 )
 
-// ErrOverloaded is returned by Scheduler.Submit when the target shard's
-// queue is full. The HTTP layer maps it to 429 Too Many Requests: the
-// service sheds load at admission instead of queueing without bound.
+// ErrOverloaded is returned by Scheduler.Submit when the queue is full.
+// The HTTP layer maps it to 429 Too Many Requests: the service sheds load
+// at admission instead of queueing without bound.
 var ErrOverloaded = errors.New("serve: scheduler queue full")
 
-// Scheduler is the sharded job scheduler of the serving layer. Jobs are
-// hashed by their cache key onto a shard; each shard is a bounded FIFO
-// queue drained by its own long-lived workers. Sharding by cache key
-// keeps all work for one key on one queue (affinity with the
-// content-addressed cache that deduplicates it), and the per-shard bound
-// is the service's admission control: a full queue rejects immediately
-// rather than growing.
+// ErrClosed is returned by Submit after Close.
+var ErrClosed = errors.New("serve: scheduler closed")
+
+// Scheduler is the job scheduler of the serving layer: one bounded FIFO
+// queue drained by every worker, so no worker idles while a job waits.
+// The bound is the service's admission control: a full queue rejects
+// immediately rather than growing. Jobs need no key affinity — the cache
+// deduplicates work for one key before it is ever submitted.
 //
 // The scheduler is the cross-request complement of sim.WorkerPool: the
 // pool fans one study's grid out and joins it (batch semantics, used
@@ -26,7 +27,7 @@ var ErrOverloaded = errors.New("serve: scheduler queue full")
 // Neither ever threads a simulation — a job is one single-goroutine
 // simulation or one figure study, exactly as in the batch engine.
 type Scheduler struct {
-	shards  []chan func()
+	queue   chan func()
 	workers int
 
 	mu     sync.RWMutex // guards closed vs. in-flight Submit sends
@@ -34,38 +35,21 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 }
 
-// NewScheduler returns a scheduler with the given shard count, total
-// worker count, and per-shard queue bound. workers <= 0 selects
-// GOMAXPROCS; shards <= 0 selects 4; queueDepth <= 0 selects 256. Shards
-// never exceed workers, so every shard owns at least one worker and a
-// queued job can always make progress.
-func NewScheduler(shards, workers, queueDepth int) *Scheduler {
+// NewScheduler returns a scheduler with the given worker count and queue
+// bound. workers <= 0 selects GOMAXPROCS; queueDepth <= 0 selects 256.
+func NewScheduler(workers, queueDepth int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards <= 0 {
-		shards = 4
-	}
-	if shards > workers {
-		shards = workers
 	}
 	if queueDepth <= 0 {
 		queueDepth = 256
 	}
-	s := &Scheduler{
-		shards:  make([]chan func(), shards),
-		workers: workers,
-	}
-	for i := range s.shards {
-		s.shards[i] = make(chan func(), queueDepth)
-	}
-	// Distribute workers round-robin so the counts differ by at most one.
+	s := &Scheduler{queue: make(chan func(), queueDepth), workers: workers}
+	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		ch := s.shards[w%shards]
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for job := range ch {
+			for job := range s.queue {
 				job()
 			}
 		}()
@@ -73,54 +57,36 @@ func NewScheduler(shards, workers, queueDepth int) *Scheduler {
 	return s
 }
 
-// Submit enqueues job on the shard selected by hash. It never blocks:
-// a full queue returns ErrOverloaded, a closed scheduler returns
-// ErrClosed.
-func (s *Scheduler) Submit(hash uint64, job func()) error {
+// Submit enqueues job. It never blocks: a full queue returns
+// ErrOverloaded, a closed scheduler returns ErrClosed.
+func (s *Scheduler) Submit(job func()) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
 	select {
-	case s.shards[hash%uint64(len(s.shards))] <- job:
+	case s.queue <- job:
 		return nil
 	default:
 		return ErrOverloaded
 	}
 }
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("serve: scheduler closed")
+// QueueDepth reports the number of queued (not yet running) jobs.
+func (s *Scheduler) QueueDepth() int { return len(s.queue) }
 
-// QueueDepth reports the total number of queued (not yet running) jobs.
-func (s *Scheduler) QueueDepth() int {
-	n := 0
-	for _, ch := range s.shards {
-		n += len(ch)
-	}
-	return n
-}
-
-// Workers reports the total worker count.
+// Workers reports the worker count.
 func (s *Scheduler) Workers() int { return s.workers }
-
-// Shards reports the shard count.
-func (s *Scheduler) Shards() int { return len(s.shards) }
 
 // Close stops admission, lets already-queued jobs drain, and waits for
 // every worker to exit. The write lock excludes in-flight Submit sends,
-// so closing the channels cannot race a send.
+// so closing the channel cannot race a send.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	for _, ch := range s.shards {
-		close(ch)
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

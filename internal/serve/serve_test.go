@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"neummu/internal/core"
 	"neummu/internal/exp"
@@ -19,13 +21,13 @@ import (
 // --- scheduler ---
 
 func TestSchedulerRunsJobs(t *testing.T) {
-	s := NewScheduler(2, 4, 32)
+	s := NewScheduler(4, 32)
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
-		if err := s.Submit(uint64(i), func() {
+		if err := s.Submit(func() {
 			defer wg.Done()
 			mu.Lock()
 			seen[i] = true
@@ -39,19 +41,19 @@ func TestSchedulerRunsJobs(t *testing.T) {
 		t.Errorf("ran %d jobs, want 32", len(seen))
 	}
 	s.Close()
-	if err := s.Submit(0, func() {}); err != ErrClosed {
+	if err := s.Submit(func() {}); err != ErrClosed {
 		t.Errorf("submit after close = %v, want ErrClosed", err)
 	}
 }
 
 func TestSchedulerOverload(t *testing.T) {
-	s := NewScheduler(1, 1, 1)
+	s := NewScheduler(1, 1)
 	block := make(chan struct{})
 	// Saturate: the worker parks on the first job, the queue holds one
 	// more, and the next submit must be rejected.
 	n := 0
 	for {
-		err := s.Submit(0, func() { <-block })
+		err := s.Submit(func() { <-block })
 		if err == ErrOverloaded {
 			break
 		}
@@ -68,11 +70,44 @@ func TestSchedulerOverload(t *testing.T) {
 }
 
 func TestSchedulerNormalization(t *testing.T) {
-	s := NewScheduler(8, 2, 0) // shards capped at workers
-	if s.Shards() != 2 || s.Workers() != 2 {
-		t.Errorf("shards=%d workers=%d, want 2/2", s.Shards(), s.Workers())
+	s := NewScheduler(2, 0)
+	if s.Workers() != 2 || cap(s.queue) != 256 {
+		t.Errorf("workers=%d queue cap=%d, want 2/256", s.Workers(), cap(s.queue))
 	}
 	s.Close()
+	s = NewScheduler(0, 1)
+	if s.Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("workers=%d, want GOMAXPROCS=%d", s.Workers(), runtime.GOMAXPROCS(0))
+	}
+	s.Close()
+}
+
+// TestSchedulerWorkConserving: with two workers, two jobs that each wait
+// for the other to start must both run. A scheduler that pins jobs to a
+// worker by key (the old hash-sharded design) can park both behind one
+// worker and deadlock while the other worker idles.
+func TestSchedulerWorkConserving(t *testing.T) {
+	s := NewScheduler(2, 8)
+	defer s.Close()
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	done := make(chan struct{}, 2)
+	for i := 0; i < 2; i++ {
+		if err := s.Submit(func() {
+			barrier.Done()
+			barrier.Wait()
+			done <- struct{}{}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a queued job waited while a worker idled: the scheduler is not work-conserving")
+		}
+	}
 }
 
 // --- cache ---
@@ -408,7 +443,7 @@ func TestSweepMatchesSerialReference(t *testing.T) {
 // (run under -race in CI), every unique cell simulates exactly once, and
 // equal requests get byte-identical bodies.
 func TestConcurrentOverlappingSweeps(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, Shards: 4, QueueDepth: 1024})
+	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 1024})
 	reqs := []string{
 		quickSweep,
 		`{"quick":true,"models":["CNN-1"],"batches":[4],"mmus":["neummu","iommu"]}`,
@@ -462,11 +497,11 @@ func TestConcurrentOverlappingSweeps(t *testing.T) {
 // TestOverloadReturns429: with the scheduler saturated, a sweep must be
 // rejected with 429 at admission — never queued without bound.
 func TestOverloadReturns429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	block := make(chan struct{})
 	defer close(block)
 	for {
-		if err := s.sched.Submit(0, func() { <-block }); err != nil {
+		if err := s.sched.Submit(func() { <-block }); err != nil {
 			break // worker parked + queue full
 		}
 	}
@@ -479,6 +514,31 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 	if s.Metrics().Overloads == 0 {
 		t.Error("overload not counted")
+	}
+}
+
+// TestLargeSweepAdmittedOnIdleServer: a sweep within MaxCellsPerRequest
+// must be admitted by an idle server at the default queue bound. A bound
+// below the request cap would answer 429 + Retry-After to a sweep that no
+// retry can ever get through.
+func TestLargeSweepAdmittedOnIdleServer(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const body = `{"models":["CNN-1","CNN-2","CNN-3","RNN-1","RNN-2","RNN-3"],` +
+		`"batches":[1,2,4,8],"mmus":["custom"],` +
+		`"ptws":[8,16,32,64,128,256,512,1024],"prmb_slots":[1,4,8,16,32],` +
+		`"effort":{"repeat_cap":1,"tile_cap":1}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Admission is decided before the first row streams; hanging up then
+	// drops the still-queued cells instead of simulating all 960.
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Neuserve-Cells"); got != "960" {
+		t.Errorf("cells = %s, want 960", got)
 	}
 }
 
@@ -643,9 +703,9 @@ func TestCacheLiveJoinerKeepsCompute(t *testing.T) {
 // drives the handler's resolve path directly with a cancelled context —
 // exactly what net/http hands handleSweep when the client hangs up.
 func TestSweepCancelledClientNeverSimulates(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 64})
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
 	block := make(chan struct{})
-	if err := s.sched.Submit(0, func() { <-block }); err != nil {
+	if err := s.sched.Submit(func() { <-block }); err != nil {
 		t.Fatal(err)
 	}
 	h, points, err := s.expand(SweepRequest{

@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service layer: an HTTP/JSON front
 // end over the experiment harness (internal/exp) and the shared figure
-// registry (internal/figures), with a sharded job scheduler and a
+// registry (internal/figures), with a work-conserving job scheduler and a
 // content-addressed result cache between the two.
 //
 // Endpoints:
@@ -23,9 +23,9 @@
 // byte-identical across repetitions, cache hits, cache misses, worker
 // counts, and concurrent load — rows stream in the same deterministic
 // grid order as the offline CLI, and cache state can only change timing
-// (and the X-Neuserve-Cache header), never bytes. Admission control is a
-// bounded per-shard queue: when it is full the service answers 429 rather
-// than queueing without bound.
+// (and the X-Neuserve-Cache header), never bytes. Admission control is one
+// bounded queue: when it is full the service answers 429 rather than
+// queueing without bound.
 package serve
 
 import (
@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -52,13 +51,12 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the total simulation-worker budget across all scheduler
-	// shards (0 = GOMAXPROCS).
+	// Workers is the simulation-worker budget draining the scheduler
+	// queue (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the scheduler shard count (0 = 4, capped at Workers).
-	Shards int
-	// QueueDepth bounds each shard's pending-job queue (0 = 256). A full
-	// queue rejects new requests with 429.
+	// QueueDepth bounds the scheduler's pending-job queue (0 =
+	// MaxCellsPerRequest, so one request's misses always fit on an idle
+	// server). A full queue rejects new requests with 429.
 	QueueDepth int
 	// CacheBytes bounds the per-cell result cache (0 = 64 MiB).
 	CacheBytes int64
@@ -86,6 +84,9 @@ type Config struct {
 func (c Config) normalized() Config {
 	if c.MaxCellsPerRequest <= 0 {
 		c.MaxCellsPerRequest = 4096
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = c.MaxCellsPerRequest
 	}
 	if c.FigureCacheBytes <= 0 {
 		c.FigureCacheBytes = 16 << 20
@@ -209,7 +210,6 @@ type Server struct {
 	cells   *Cache[cellKey, cellValue]
 	figs    *Cache[figKey, []byte]
 	store   *store.Store // nil = RAM-only
-	seed    maphash.Seed
 	metrics *metrics
 	tracer  *trace.Tracer
 	logger  *slog.Logger
@@ -231,13 +231,12 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		sched: NewScheduler(cfg.Shards, cfg.Workers, cfg.QueueDepth),
+		sched: NewScheduler(cfg.Workers, cfg.QueueDepth),
 		cells: NewCache[cellKey, cellValue](cfg.CacheBytes,
 			func(cellValue) int64 { return cellEntryCost }),
 		figs: NewCache[figKey, []byte](cfg.FigureCacheBytes,
 			func(b []byte) int64 { return int64(len(b)) + 128 }),
 		store:     cfg.Store,
-		seed:      maphash.MakeSeed(),
 		metrics:   newMetrics(),
 		tracer:    trace.NewTracer(traceCfg),
 		logger:    logger,
@@ -404,9 +403,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
 		epoched: opts.Effort.Epoched(),
 	}
-	hash := maphash.Comparable(s.seed, key)
-	fl, err := s.figs.Resolve(r.Context(), key,
-		func(run func()) error { return s.sched.Submit(hash, run) },
+	fl, err := s.figs.Resolve(r.Context(), key, s.sched.Submit,
 		func() ([]byte, error) {
 			s.metrics.figsBuilt.Add(1)
 			var buf bytes.Buffer
@@ -583,14 +580,13 @@ func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.
 			sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
 			epoched: opts.Effort.Epoched(),
 		}
-		hash := maphash.Comparable(s.seed, key)
 		ct := &cellTiming{start: time.Now()}
 		timings[i] = ct
 		fl, err := s.cells.Resolve(ctx, key,
 			func(run func()) error {
 				ct.scheduled = true
 				submitted := time.Now()
-				return s.sched.Submit(hash, func() {
+				return s.sched.Submit(func() {
 					ct.queueNS = int64(time.Since(submitted))
 					run()
 				})

@@ -274,14 +274,14 @@ func Sweep(axes SweepAxes, opts HarnessOptions) ([]SweepResult, error) {
 
 // Server is the simulation-as-a-service layer behind cmd/neuserve: an
 // http.Handler exposing sweep, single-simulation, figure, and metrics
-// endpoints over a sharded scheduler and a content-addressed result
+// endpoints over a work-conserving scheduler and a content-addressed result
 // cache. Embed it to serve NeuMMU studies from your own process; see
 // internal/serve for the endpoint list and the determinism guarantee
 // (same request ⇒ byte-identical body, cache hit or miss).
 type Server = serve.Server
 
-// ServerConfig tunes a Server: worker budget, scheduler shards, queue
-// bounds (admission control), and cache byte bounds.
+// ServerConfig tunes a Server: worker budget, the scheduler queue bound
+// (admission control), and cache byte bounds.
 type ServerConfig = serve.Config
 
 // NewServer returns a simulation service ready to mount on any HTTP mux.
