@@ -464,7 +464,12 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 			return
 		}
 		resolved[line.I] = true
-		n++
+		if n++; n == len(idxs) {
+			// Read the stream's end before the last slot resolves: the
+			// sweep may answer its client, cancelling ctx, as soon as it
+			// does, and a cancelled read drops the connection.
+			drainBody(resp.Body)
+		}
 		sl := slots[idxs[line.I]]
 		// Each cell's span is recorded before its slot resolves, so a
 		// sweep's response never completes ahead of its own cell spans.
@@ -490,6 +495,15 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 			})
 		}
 	}
+}
+
+// drainBody reads what is left of a fully decoded stream — its trailing
+// newline and the chunked terminator — so the transport can return the
+// connection to its idle pool instead of closing it. The read is bounded
+// and its error ignored: a body that does not end soon is only a
+// connection that will not be reused.
+func drainBody(body io.Reader) {
+	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
 }
 
 // reroute handles a failed dispatch: mark the worker down, re-plan the

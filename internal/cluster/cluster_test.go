@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,10 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"neummu/internal/core"
 	"neummu/internal/counters"
 	"neummu/internal/exp"
 	"neummu/internal/figures"
 	"neummu/internal/serve"
+	"neummu/internal/vm"
 )
 
 // --- ring ---
@@ -213,6 +216,110 @@ func TestConsistentRoutingKeepsCacheAffinity(t *testing.T) {
 		if !wm.Healthy || wm.Failures != 0 {
 			t.Errorf("worker %s unexpectedly unhealthy: %+v", wm.URL, wm)
 		}
+	}
+}
+
+// connCountingWorker is a worker whose server counts the TCP connections
+// it accepts.
+func connCountingWorker(t *testing.T) (*testWorker, *atomic.Int64) {
+	t.Helper()
+	s := serve.New(serve.Config{Workers: 2})
+	ts := httptest.NewUnstartedServer(s)
+	conns := new(atomic.Int64)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	return &testWorker{srv: s, ts: ts}, conns
+}
+
+// closeNotifier is a client transport that reports the request path of
+// every response body the client closes.
+type closeNotifier struct {
+	base   http.RoundTripper
+	closed chan string
+}
+
+type notifyingBody struct {
+	io.ReadCloser
+	closed func()
+}
+
+func (b notifyingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.closed()
+	return err
+}
+
+func (n *closeNotifier) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := n.base.RoundTrip(r)
+	if err == nil {
+		path := r.URL.Path
+		resp.Body = notifyingBody{resp.Body, func() { n.closed <- path }}
+	}
+	return resp, err
+}
+
+// TestDispatchReusesWorkerConnection: the coordinator reads each shard's
+// stream to EOF, so sequential sweeps to one worker share one keep-alive
+// connection instead of opening a new one per dispatch. The remote
+// backend does the same against a single worker.
+func TestDispatchReusesWorkerConnection(t *testing.T) {
+	w, conns := connCountingWorker(t)
+	base := &http.Transport{}
+	t.Cleanup(base.CloseIdleConnections)
+	// Sized to the sends: one startup health probe, then two dispatches
+	// (the next probe is a minute away).
+	tr := &closeNotifier{base: base, closed: make(chan string, 3)}
+	_, ts := newCoordinator(t, Config{
+		Workers:        []string{w.ts.URL},
+		HealthInterval: time.Minute,
+		Client:         &http.Client{Transport: tr},
+	})
+	// The dispatch goroutine closes the body just after the sweep's last
+	// cell resolves; wait for it, so the next sweep's dispatch does not
+	// race it for the connection.
+	waitClosed := func(path string) {
+		t.Helper()
+		timeout := time.After(5 * time.Second)
+		for {
+			select {
+			case p := <-tr.closed:
+				if p == path {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("no %s response body was closed", path)
+			}
+		}
+	}
+	// The startup health probe closes its body unread, which drops its
+	// connection; count only what the sweeps open.
+	waitClosed("/healthz")
+	before := conns.Load()
+	for i := 0; i < 2; i++ {
+		if resp, body := post(t, ts.URL, "/v1/sweep", testSweep); resp.StatusCode != 200 {
+			t.Fatalf("sweep %d: status = %d: %s", i, resp.StatusCode, body)
+		}
+		waitClosed("/v1/cells")
+	}
+	if got := conns.Load() - before; got != 1 {
+		t.Errorf("two sequential sweeps opened %d worker connections, want 1", got)
+	}
+
+	rw, rconns := connCountingWorker(t)
+	remote := SweepFunc(rw.ts.URL, nil)
+	points := []exp.Point{{Model: "CNN-1", Batch: 1, Kind: core.NeuMMU, PageSize: vm.Page4K}}
+	for i := 0; i < 2; i++ {
+		if _, err := remote(points, exp.Options{Quick: true}); err != nil {
+			t.Fatalf("remote call %d: %v", i, err)
+		}
+	}
+	if got := rconns.Load(); got != 1 {
+		t.Errorf("two sequential remote calls opened %d connections, want 1", got)
 	}
 }
 

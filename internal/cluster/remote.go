@@ -102,5 +102,6 @@ func remoteCells(baseURL string, client *http.Client, points []exp.Point, opts e
 			Perf: line.Perf, Counters: line.Counters,
 		}
 	}
+	drainBody(resp.Body)
 	return out, nil
 }

@@ -12,8 +12,14 @@
 // The engine is allocation-free in steady state: the per-tile transaction
 // and segment buffers are reused across fetches, the active tile's state
 // lives in the engine (only one tile fetch is in flight at a time), and
-// issue/translate/complete all run on registered sim handlers instead of
+// issue/translate/end all run on registered sim handlers instead of
 // per-transaction closures.
+//
+// Memory arrivals are booked, not scheduled: each translated transaction
+// claims its channel bandwidth at translate time (memsys.Memory.Claim),
+// and the engine keeps only the tile's latest arrival. When the last
+// translation lands, one event at that arrival ends the tile. A tile of N
+// transactions therefore costs N issue events plus one, not 2N.
 package dma
 
 import (
@@ -97,10 +103,16 @@ func (ts TileStats) Duration() sim.Cycle { return ts.End - ts.Start }
 type tile struct {
 	txns       []Transaction
 	ts         TileStats
-	remaining  int
 	next       int
 	stallStart sim.Cycle
 	done       func(TileStats)
+
+	// untranslated counts transactions still awaiting translation;
+	// lastArrival is the latest booked data arrival so far, and lastTicket
+	// the firing-order position its completion event would have taken.
+	untranslated int
+	lastArrival  sim.Cycle
+	lastTicket   sim.Ticket
 }
 
 // Engine is the DMA unit. One Engine serves one NPU.
@@ -148,7 +160,7 @@ type Engine struct {
 	watchSet   map[uint64]struct{} // lazily built; reused across tiles
 	translated core.TranslateFn
 	hIssue     sim.HandlerID
-	hComplete  sim.HandlerID
+	hEnd       sim.HandlerID
 }
 
 // New builds a DMA engine over the given MMU and memory system, all
@@ -159,7 +171,7 @@ func New(q *sim.Queue, mmu *core.MMU, mem *memsys.Memory) *Engine {
 	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{})}
 	e.translated = e.translateDone
 	e.hIssue = q.Register(sim.HandlerFunc(e.fireIssue))
-	e.hComplete = q.Register(sim.HandlerFunc(e.fireComplete))
+	e.hEnd = q.Register(sim.HandlerFunc(e.fireEnd))
 	mmu.OnUnblocked = e.unblocked
 	return e
 }
@@ -247,29 +259,25 @@ func (e *Engine) fetch(txns []Transaction, ps vm.PageSize, done func(TileStats))
 	}
 
 	e.cur = tile{
-		txns:       txns,
-		ts:         ts,
-		remaining:  len(txns),
-		stallStart: -1,
-		done:       done,
+		txns:         txns,
+		ts:           ts,
+		stallStart:   -1,
+		done:         done,
+		untranslated: len(txns),
 	}
 	e.active = true
 	e.q.CallAfter(0, e.hIssue, 0)
 }
 
-// fireComplete retires one transaction's data arrival; the last one ends
-// the tile's memory phase.
-func (e *Engine) fireComplete(now sim.Cycle, _ int64) {
+// fireEnd ends the tile's memory phase at its last data arrival.
+func (e *Engine) fireEnd(now sim.Cycle, _ int64) {
 	c := &e.cur
-	c.remaining--
-	if c.remaining == 0 {
-		c.ts.End = now
-		e.totalStall += c.ts.StallCycles
-		e.active = false
-		done := c.done
-		c.done = nil
-		done(c.ts)
-	}
+	c.ts.End = now
+	e.totalStall += c.ts.StallCycles
+	e.active = false
+	done := c.done
+	c.done = nil
+	done(c.ts)
 }
 
 // fireIssue issues the next transaction's translation — one per cycle
@@ -300,11 +308,19 @@ func (e *Engine) fireIssue(now sim.Cycle, _ int64) {
 	}
 }
 
-// translateDone routes one translated transaction into the memory system.
+// translateDone books one translated transaction on the memory system.
 // It is installed once as e.translated; the tag identifies the
 // transaction, so no per-transaction closure is needed.
+//
+// Bookings happen in translation order at translation time, so each
+// arrival depends only on the channel state its claim finds. Only the
+// tile's end is observable, so only the latest arrival is scheduled, in
+// the firing-order position reserved when it was booked: where an event
+// scheduled by that booking would have fired. The latest booking wins
+// ties, as a later-scheduled event fires later.
 func (e *Engine) translateDone(entry vm.Entry, tag int64, _ sim.Cycle) {
-	t := e.cur.txns[tag]
+	c := &e.cur
+	t := c.txns[tag]
 	pa := entry.Frame + vm.PhysAddr(vm.PageOffset(t.VA, entry.Size))
 	mem := e.mem
 	if e.Router != nil {
@@ -312,7 +328,12 @@ func (e *Engine) translateDone(entry vm.Entry, tag int64, _ sim.Cycle) {
 			mem = m
 		}
 	}
-	mem.AccessCall(pa, t.Bytes, e.hComplete, tag)
+	if at := mem.Claim(pa, t.Bytes); at >= c.lastArrival {
+		c.lastArrival, c.lastTicket = at, e.q.Reserve()
+	}
+	if c.untranslated--; c.untranslated == 0 {
+		e.q.CallTicket(c.lastArrival, c.lastTicket, e.hEnd, 0)
+	}
 }
 
 // unblocked is the MMU's back-pressure release hook.

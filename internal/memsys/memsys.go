@@ -6,6 +6,12 @@
 //
 // Table I baseline: 8 channels, 600 GB/s aggregate, 100-cycle access
 // latency, 1 GHz clock (so 600 GB/s ≡ 600 bytes per cycle).
+//
+// An access is booked, not simulated: Claim reserves the transfer on its
+// channel at the current cycle and returns when the last byte arrives,
+// without scheduling an event. Callers that need a completion event
+// schedule the arrivals they care about themselves; the DMA engine
+// schedules only a tile's last one.
 package memsys
 
 import (
@@ -60,7 +66,8 @@ type Stats struct {
 	MaxOccupied sim.Cycle
 }
 
-// Memory is a bandwidth/latency memory model driven by a sim.Queue.
+// Memory is a bandwidth/latency memory model; it reads the current cycle
+// from a sim.Queue.
 type Memory struct {
 	cfg      Config
 	q        *sim.Queue
@@ -68,7 +75,7 @@ type Memory struct {
 	stats    Stats
 }
 
-// New builds a memory system scheduling on q.
+// New builds a memory system clocked by q.
 func New(cfg Config, q *sim.Queue) *Memory {
 	cfg = cfg.withDefaults()
 	m := &Memory{cfg: cfg, q: q}
@@ -90,27 +97,19 @@ func (m *Memory) channel(pa vm.PhysAddr) *sim.RateLimiter {
 	return m.channels[idx]
 }
 
-// Access issues a read or write of the given size at physical address pa,
-// invoking done when the last byte arrives. The transfer serializes behind
-// earlier traffic on its channel and then pays the fixed access latency.
-func (m *Memory) Access(pa vm.PhysAddr, bytes int64, done func(now sim.Cycle)) {
-	finish := m.claim(pa, bytes)
-	if done == nil {
-		return
-	}
-	m.q.At(finish, done)
-}
-
-// AccessCall is the zero-allocation variant of Access: completion is
-// delivered to a handler registered on the memory's queue (which must be
-// the same queue the caller registered on), with arg passed through. The
-// DMA engine uses this for its per-transaction completions.
+// AccessCall claims the transfer and delivers its completion to handler h,
+// registered on the memory's queue, with arg passed through: Claim plus
+// one event per access.
 func (m *Memory) AccessCall(pa vm.PhysAddr, bytes int64, h sim.HandlerID, arg int64) {
-	m.q.Call(m.claim(pa, bytes), h, arg)
+	m.q.Call(m.Claim(pa, bytes), h, arg)
 }
 
-// claim books the transfer on its channel and returns the completion time.
-func (m *Memory) claim(pa vm.PhysAddr, bytes int64) sim.Cycle {
+// Claim books a read or write of the given size at physical address pa,
+// issued at the current cycle, and returns the cycle its last byte
+// arrives. The transfer serializes behind earlier traffic on its channel
+// and then pays the fixed access latency. Claim schedules nothing, so a
+// booking costs no event; sizes below one byte count as one.
+func (m *Memory) Claim(pa vm.PhysAddr, bytes int64) sim.Cycle {
 	if bytes <= 0 {
 		bytes = 1
 	}

@@ -10,9 +10,7 @@ import (
 func TestSingleAccessLatency(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Config{Channels: 1, BytesPerCycle: 600, Latency: 100}, q)
-	var at sim.Cycle
-	m.Access(0, 600, func(now sim.Cycle) { at = now })
-	q.Run()
+	at := m.Claim(0, 600)
 	// 600 bytes at 600 B/cy = 1 cycle of occupancy + 100 cycles latency.
 	if at != 101 {
 		t.Fatalf("completion at %d, want 101", at)
@@ -24,9 +22,8 @@ func TestBandwidthSerialization(t *testing.T) {
 	m := New(Config{Channels: 1, BytesPerCycle: 100, Latency: 10}, q)
 	var done []sim.Cycle
 	for i := 0; i < 3; i++ {
-		m.Access(0, 1000, func(now sim.Cycle) { done = append(done, now) })
+		done = append(done, m.Claim(0, 1000))
 	}
-	q.Run()
 	// Each access occupies 10 cycles of channel time: 10, 20, 30 (+10 latency).
 	want := []sim.Cycle{20, 30, 40}
 	for i := range want {
@@ -42,11 +39,9 @@ func TestChannelParallelism(t *testing.T) {
 	q := &sim.Queue{}
 	cfg := Config{Channels: 2, BytesPerCycle: 200, Latency: 0, InterleaveBytes: 256}
 	m := New(cfg, q)
-	var a, b, c sim.Cycle
-	m.Access(0, 1000, func(now sim.Cycle) { a = now })   // channel 0
-	m.Access(256, 1000, func(now sim.Cycle) { b = now }) // channel 1
-	m.Access(512, 1000, func(now sim.Cycle) { c = now }) // channel 0 again
-	q.Run()
+	a := m.Claim(0, 1000)   // channel 0
+	b := m.Claim(256, 1000) // channel 1
+	c := m.Claim(512, 1000) // channel 0 again
 	if a != 10 || b != 10 {
 		t.Fatalf("parallel accesses done at %d, %d; want 10, 10", a, b)
 	}
@@ -67,13 +62,8 @@ func TestAggregateBandwidthSplitsAcrossChannels(t *testing.T) {
 	var last sim.Cycle
 	for i := 0; i < 64; i++ {
 		pa := vm.PhysAddr(i * 4096)
-		m.Access(pa, 750, func(now sim.Cycle) {
-			if now > last {
-				last = now
-			}
-		})
+		last = max(last, m.Claim(pa, 750))
 	}
-	q.Run()
 	want := sim.Cycle(48000/600 + 100)
 	if last < want-2 || last > want+2 {
 		t.Fatalf("interleaved drain at %d, want about %d", last, want)
@@ -83,10 +73,9 @@ func TestAggregateBandwidthSplitsAcrossChannels(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Baseline(), q)
-	m.Access(0, 64, nil)
-	m.Access(4096, 64, nil)
+	m.Claim(0, 64)
+	m.Claim(4096, 64)
 	m.CountWalkRead()
-	q.Run()
 	s := m.Stats()
 	if s.Accesses != 3 || s.Bytes != 136 || s.WalkReads != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -96,11 +85,8 @@ func TestStatsAccounting(t *testing.T) {
 func TestZeroByteAccessStillCounts(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Baseline(), q)
-	fired := false
-	m.Access(0, 0, func(sim.Cycle) { fired = true })
-	q.Run()
-	if !fired {
-		t.Fatal("zero-byte access never completed")
+	if at := m.Claim(0, 0); at != 101 {
+		t.Fatalf("zero-byte access arrives at %d, want one channel slot plus latency (101)", at)
 	}
 	if m.Stats().Bytes != 1 {
 		t.Fatalf("zero-byte access recorded %d bytes, want clamped to 1", m.Stats().Bytes)
@@ -110,7 +96,7 @@ func TestZeroByteAccessStillCounts(t *testing.T) {
 func TestReset(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Config{Channels: 1, BytesPerCycle: 1, Latency: 5}, q)
-	m.Access(0, 1000, nil)
+	m.Claim(0, 1000)
 	if m.DrainTime() < 1000 {
 		t.Fatal("channel should be backed up")
 	}
@@ -120,6 +106,26 @@ func TestReset(t *testing.T) {
 	}
 	if m.Stats().Accesses != 1 {
 		t.Fatal("Reset must preserve statistics")
+	}
+}
+
+// Claim books without scheduling; AccessCall is Claim plus one event at
+// the booked arrival, carrying its argument through.
+func TestClaimSchedulesNothing(t *testing.T) {
+	q := &sim.Queue{}
+	m := New(Baseline(), q)
+	// 4096 B at 75 B/cy per channel: 54.6 cycles of occupancy + 100.
+	if at := m.Claim(0, 4096); at != 154 || q.Len() != 0 {
+		t.Fatalf("Claim arrives at %d with %d events pending, want 154 and none", at, q.Len())
+	}
+	var firedAt sim.Cycle
+	var gotArg int64
+	h := q.Register(sim.HandlerFunc(func(now sim.Cycle, arg int64) { firedAt, gotArg = now, arg }))
+	m.AccessCall(8*4096, 4096, h, 7) // channel 0 again, behind the first
+	q.Run()
+	if firedAt != 209 || gotArg != 7 || q.Fired() != 1 {
+		t.Fatalf("AccessCall fired %d events, at %d with arg %d; want 1, at 209 with 7",
+			q.Fired(), firedAt, gotArg)
 	}
 }
 

@@ -5,10 +5,12 @@
 // higher layer builds on.
 //
 // All NeuMMU timing components (DMA issue, TLB lookups, page-table walks,
-// memory transactions, interconnect transfers) are expressed as events on a
-// single queue. Determinism matters for reproducibility: events scheduled
-// for the same cycle fire in insertion order, so repeated runs of a seeded
-// experiment produce bit-identical statistics.
+// interconnect transfers) are expressed as events on a single queue.
+// Memory transactions are booked on RateLimiters without events; only a
+// tile's last arrival is scheduled (see Reserve). Determinism matters for
+// reproducibility: events scheduled for the same cycle fire in insertion
+// order, so repeated runs of a seeded experiment produce bit-identical
+// statistics.
 //
 // A Queue is deliberately single-goroutine: one simulation owns one queue
 // and never shares it. Parallelism lives one level up — the experiment
@@ -79,6 +81,7 @@ type Queue struct {
 
 	handlers []Handler
 	fns      SlotPool[Event]
+	fired    int64
 }
 
 // Now returns the current simulation time: the cycle of the most recently
@@ -87,6 +90,9 @@ func (q *Queue) Now() Cycle { return q.now }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
+
+// Fired returns the number of events fired so far.
+func (q *Queue) Fired() int64 { return q.fired }
 
 // Grow reserves backing capacity for at least n simultaneously pending
 // events, so a simulation whose peak event population is known up front
@@ -125,6 +131,34 @@ func (q *Queue) CallAfter(delay Cycle, id HandlerID, arg int64) {
 	q.Call(q.now+delay, id, arg)
 }
 
+// Ticket is a position in the queue's firing order among events of the
+// same cycle, taken by Reserve.
+type Ticket uint64
+
+// Reserve takes the firing-order position a Call made now would get,
+// without scheduling anything. A component that books many completion
+// times but needs only the last one delivered takes a ticket for each
+// booking that becomes the new latest, then schedules that one with
+// CallTicket: the event fires exactly where the booking's own event would
+// have, relative to every other event, so dropping the others cannot
+// reorder anything.
+func (q *Queue) Reserve() Ticket {
+	t := Ticket(q.seq)
+	q.seq++
+	return t
+}
+
+// CallTicket schedules handler id to fire with arg at cycle at, in the
+// same-cycle position t reserved earlier. Like Call it clamps at to Now;
+// the caller must not pass an (at, t) that orders before an event that
+// has already fired.
+func (q *Queue) CallTicket(at Cycle, t Ticket, id HandlerID, arg int64) {
+	if at < q.now {
+		at = q.now
+	}
+	q.push(item{at: at, seq: uint64(t), hid: int32(id), arg: arg})
+}
+
 // At schedules fn to run at absolute cycle at. Scheduling in the past
 // (at < Now) clamps to the current cycle. The Event is parked in a free
 // slot of the queue's side table (reused across events), so scheduling a
@@ -153,6 +187,7 @@ func (q *Queue) Step() bool {
 	if it.at > q.now {
 		q.now = it.at
 	}
+	q.fired++
 	if it.hid >= 0 {
 		q.handlers[it.hid].Fire(q.now, it.arg)
 		return true

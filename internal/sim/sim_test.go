@@ -41,6 +41,34 @@ func TestQueueSameCycleFIFO(t *testing.T) {
 	}
 }
 
+// A ticket reserved before other same-cycle events were scheduled fires
+// before them, as a Call made at reservation time would have; Fired
+// counts every event, whichever path scheduled it.
+func TestQueueReservedTicketKeepsFiringOrder(t *testing.T) {
+	var q Queue
+	var order []int64
+	h := q.Register(HandlerFunc(func(_ Cycle, arg int64) { order = append(order, arg) }))
+	early := q.Reserve()
+	q.Call(42, h, 2)
+	late := q.Reserve()
+	q.At(42, func(Cycle) { order = append(order, 4) })
+	q.CallTicket(42, late, h, 3)
+	q.CallTicket(42, early, h, 1)
+	q.Run()
+	want := []int64{1, 2, 3, 4}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if q.Fired() != 4 {
+		t.Fatalf("Fired() = %d, want 4", q.Fired())
+	}
+}
+
 func TestQueueNowAdvancesMonotonically(t *testing.T) {
 	var q Queue
 	last := Cycle(-1)
