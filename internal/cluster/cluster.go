@@ -484,16 +484,17 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		sl.counters = line.Counters
 		sl.sampled = line.Sampled
 		cellSpan(idxs[line.I], sl, "")
-		close(sl.done)
 		if jr != nil {
-			// Checkpoint after resolving the slot: the append is dispatch-
-			// goroutine work, never on the client-stream path. I is
+			// Checkpoint before resolving the slot: once the last slot
+			// resolves, the sweep may answer its client and close the
+			// journal, and a later append would be dropped. I is
 			// rewritten to the global grid index the journal is keyed by.
 			jr.appendCell(serve.CellLine{
 				I: idxs[line.I], Cycles: line.Cycles, Translations: line.Translations,
 				Perf: line.Perf, Counters: line.Counters, Sampled: line.Sampled,
 			})
 		}
+		close(sl.done)
 	}
 }
 

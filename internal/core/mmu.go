@@ -17,6 +17,12 @@
 // The engine is event-driven (internal/sim) and applies back-pressure the
 // way the hardware does: when every walker is busy and every PRMB slot is
 // full, the requester (the DMA unit) stalls until capacity frees (§IV-A).
+//
+// Every TLB probe resolves a fixed hit latency after its lookup, hit or
+// miss, so probes resolve in the order they were made. The MMU parks each
+// probe's outcome in a FIFO ring and schedules one payload-free event on
+// a queue lane (sim.Queue.RegisterLane); the event takes the ring's
+// oldest probe. No probe needs a pooled slot or a heap entry.
 package core
 
 import (
@@ -120,13 +126,14 @@ type pending struct {
 	done   TranslateFn
 }
 
-// hitPayload parks a TLB hit between the probe and its latency-delayed
-// delivery. Payloads live in a free-listed pool so the hit path — the
-// most frequent event in every simulation — never allocates.
-type hitPayload struct {
+// probe parks a TLB probe's outcome between the lookup and its
+// HitLatency-delayed delivery: a hit's frame and device, or a miss to
+// route to the walkers.
+type probe struct {
 	p     pending
 	frame vm.PhysAddr
 	dev   int
+	hit   bool
 }
 
 // MMU is the translation engine.
@@ -147,12 +154,12 @@ type MMU struct {
 	flight     []pending
 	freeFlight []int32
 
-	// Pooled event state: hits/misses hold latency-delayed deliveries,
-	// addressed by slot index in the scheduled event's payload.
-	hHit   sim.HandlerID
-	hMiss  sim.HandlerID
-	hits   sim.SlotPool[hitPayload]
-	misses sim.SlotPool[pending]
+	// probes holds the outcomes of TLB probes whose hProbe event has not
+	// fired yet. Every probe is scheduled HitLatency after Now, a
+	// constant, so probes fire in the order they were scheduled and the
+	// event needs no payload: it takes the oldest probe.
+	hProbe sim.HandlerID
+	probes sim.FIFO[probe]
 
 	// OnUnblocked fires when back-pressure releases; the DMA engine
 	// resumes issuing. OnFault, when set, receives page faults; when nil
@@ -170,8 +177,7 @@ func New(cfg Config, pt *vm.PageTable, q *sim.Queue) *MMU {
 	if cfg.Kind == Oracle {
 		return m
 	}
-	m.hHit = q.Register(sim.HandlerFunc(m.fireHit))
-	m.hMiss = q.Register(sim.HandlerFunc(m.fireMiss))
+	m.hProbe = q.RegisterLane(sim.HandlerFunc(m.fireProbe))
 	tcfg := cfg.TLB
 	if tcfg.Entries == 0 {
 		tcfg = tlb.Baseline(cfg.PageSize)
@@ -283,34 +289,37 @@ func (m *MMU) TranslateTag(va vm.VirtAddr, tag int64, done TranslateFn) {
 	m.lookup(pending{va: va, tag: tag, issued: now, done: done})
 }
 
+// lookup probes the TLB. A hit is delivered, and a miss is routed to the
+// walker pool, after the probe latency.
 func (m *MMU) lookup(p pending) {
 	frame, dev, hit := m.tlb.Lookup(p.va)
-	lat := sim.Cycle(m.tlb.HitLatency())
 	if hit {
 		m.stats.TLBHits++
-		m.q.CallAfter(lat, m.hHit, int64(m.hits.Put(hitPayload{p: p, frame: frame, dev: dev})))
+	} else {
+		m.stats.TLBMisses++
+	}
+	pr := m.probes.Push()
+	pr.p, pr.frame, pr.dev, pr.hit = p, frame, dev, hit
+	m.q.CallAfter(sim.Cycle(m.tlb.HitLatency()), m.hProbe, 0)
+}
+
+func (m *MMU) fireProbe(now sim.Cycle, _ int64) {
+	if m.probes.Len() == 0 {
+		panic("core: TLB probe event fired with no probe pending (mis-wired model)")
+	}
+	pr := m.probes.Pop()
+	if !pr.hit {
+		m.submit(pr.p)
 		return
 	}
-	m.stats.TLBMisses++
-	// The miss is detected after the TLB probe; route to the walker pool
-	// after the probe latency.
-	m.q.CallAfter(lat, m.hMiss, int64(m.misses.Put(p)))
-}
-
-func (m *MMU) fireHit(now sim.Cycle, arg int64) {
-	hp := m.hits.Take(int32(arg))
-	m.stats.Latency.Add(float64(now - hp.p.issued))
-	hp.p.done(vm.Entry{Frame: hp.frame, Size: m.cfg.PageSize, Device: hp.dev}, hp.p.tag, now)
-}
-
-func (m *MMU) fireMiss(now sim.Cycle, arg int64) {
-	m.submit(m.misses.Take(int32(arg)))
+	m.stats.Latency.Add(float64(now - pr.p.issued))
+	pr.p.done(vm.Entry{Frame: pr.frame, Size: m.cfg.PageSize, Device: pr.dev}, pr.p.tag, now)
 }
 
 // allocFlight parks p in a free slot and returns the slot index used as
-// the walker request's Seq. Unlike the hit/miss sim.SlotPools, the flight
-// pool is hand-rolled because freed slots carry a tombstone (see
-// releaseFlight) that a generic Take would erase.
+// the walker request's Seq. The flight pool is hand-rolled rather than a
+// sim.SlotPool because freed slots carry a tombstone (see releaseFlight)
+// that a generic Take would erase.
 func (m *MMU) allocFlight(p pending) uint64 {
 	var slot int32
 	if n := len(m.freeFlight); n > 0 {

@@ -217,6 +217,19 @@ func TestUnhandledFaultPanics(t *testing.T) {
 	r.mmu.Translate(rigBase, func(vm.Entry, sim.Cycle) {})
 }
 
+// A probe event with no probe in the ring can only come from a mis-wired
+// model; it must panic rather than deliver a zero translation.
+func TestProbeEventWithoutProbePanics(t *testing.T) {
+	r := newMMURig(t, ConfigFor(IOMMU, vm.Page4K), 1)
+	r.q.Call(0, r.mmu.hProbe, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("probe event with an empty ring must panic")
+		}
+	}()
+	r.q.Run()
+}
+
 func TestInvalidateTLBForcesRewalk(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 1)
 	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})

@@ -1,6 +1,7 @@
 package dma
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,41 @@ func TestTileFiresOneEventPerIssuePlusOne(t *testing.T) {
 	// The tile ends at its last booked arrival, past the last issue.
 	if got.End != r.mem.DrainTime() || got.End <= sim.Cycle(n) {
 		t.Errorf("tile ended at %d, want the memory drain time %d", got.End, r.mem.DrainTime())
+	}
+}
+
+// countPages must equal a plain set count on any transaction list: lists
+// of ascending runs whose page ranges may or may not overlap (the exact
+// sum and the set fallback), random gathers, and with or without a
+// narrowing region.
+func TestCountPagesMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	e := &Engine{}
+	ps := vm.Page4K
+	for trial := 0; trial < 2000; trial++ {
+		var txns []Transaction
+		for r := rng.Intn(4); r >= 0; r-- {
+			va := vm.VirtAddr(rng.Intn(64)) << 12
+			for n := rng.Intn(40); n > 0; n-- {
+				txns = append(txns, Transaction{VA: va, Bytes: 512})
+				if trial%3 == 0 {
+					va = vm.VirtAddr(rng.Intn(64))<<12 + vm.VirtAddr(rng.Intn(4096))
+				} else {
+					va += vm.VirtAddr(rng.Intn(2048))
+				}
+			}
+		}
+		region := &vm.Region{Base: vm.VirtAddr(rng.Intn(32)) << 12, Size: uint64(rng.Intn(32)) << 12}
+		for _, in := range []*vm.Region{nil, region} {
+			want := map[uint64]bool{}
+			for _, tx := range txns {
+				if in == nil || in.Contains(tx.VA) {
+					want[vm.PageNumber(tx.VA, ps)] = true
+				}
+			}
+			if got := e.countPages(txns, ps, in); got != len(want) {
+				t.Fatalf("trial %d, region %v: countPages = %d, want %d", trial, in, got, len(want))
+			}
+		}
 	}
 }

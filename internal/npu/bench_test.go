@@ -1,0 +1,57 @@
+package npu
+
+import (
+	"testing"
+
+	"neummu/internal/core"
+	"neummu/internal/vm"
+	"neummu/internal/workloads"
+)
+
+// BenchmarkRunCell times one monolithic npu.Run cell: the host cost of
+// the simulator below the experiment harness, with the plan and the
+// translation snapshot built once outside the timer as the cell cache's
+// callers do. TF-2 decode is the translation-bound extreme (millions of
+// translations at a low TLB hit rate); CNN-2 is a dense conv network.
+// ns/xlat divides the time by the cell's DMA translations, so cells of
+// different sizes compare on one scale.
+func BenchmarkRunCell(b *testing.B) {
+	cells := []struct {
+		name      string
+		model     string
+		batch     int
+		repeatCap int
+		kind      core.Kind
+	}{
+		{"TF-2-b1-oracle", "TF-2", 1, 1, core.Oracle},
+		{"TF-2-b1-iommu", "TF-2", 1, 1, core.IOMMU},
+		{"TF-2-b1-neummu", "TF-2", 1, 1, core.NeuMMU},
+		{"CNN-2-b4-iommu", "CNN-2", 4, 3, core.IOMMU},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := workloads.ByName(c.model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := workloads.BuildPlan(m, c.batch, workloads.DefaultTiles())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := baseCfg(c.kind)
+			cfg.RepeatCap = c.repeatCap
+			cfg.Translations = BuildTranslations(plan, vm.Page4K)
+			var xlats int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(plan, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				xlats += res.Translations
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(xlats), "ns/xlat")
+		})
+	}
+}

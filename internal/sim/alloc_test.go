@@ -46,3 +46,31 @@ func TestQueueScheduleEventAllocFree(t *testing.T) {
 		t.Fatal("event never fired")
 	}
 }
+
+// Lanes keep the budget: once a lane's ring has grown to its working
+// size, scheduling on it and firing from it allocate nothing, also when
+// an out-of-order event falls back to the heap.
+func TestAllocLaneSteadyState(t *testing.T) {
+	q := &Queue{}
+	fired := 0
+	issue := q.RegisterLane(HandlerFunc(func(now Cycle, arg int64) { fired++ }))
+	probe := q.RegisterLane(HandlerFunc(func(now Cycle, arg int64) { fired++ }))
+	q.Grow(16)
+	step := func() {
+		q.CallAfter(1, issue, 0)
+		q.CallAfter(5, probe, 0)
+		q.CallAfter(0, issue, 0) // sorts before the lane's tail: heap
+		for q.Len() > 4 {
+			q.Step()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("lane schedule/fire allocates %v objects per op, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Fatal("lane handlers never fired")
+	}
+}

@@ -29,10 +29,28 @@
 // barriers and the steady-state schedule/fire cycle performs zero heap
 // allocations (see BenchmarkQueueScheduleCall).
 //
+// # Lanes
+//
+// Most events of a translation-bound simulation have a fixed delay: the
+// DMA issues one translation per cycle, and every TLB probe resolves a
+// constant hit latency later. Such events are scheduled in the order
+// they fire, so a heap push and pop buys them nothing. A handler
+// registered with RegisterLane gets its own FIFO lane: an event for it
+// joins the lane when it sorts after the lane's newest event, and goes
+// to the heap otherwise. Each lane is therefore sorted, and Step fires
+// the least of the heap's top and the lane heads under the same
+// (cycle, sequence) order the heap uses. That order is strict and total,
+// so the event fired is the one an all-heap queue would fire: lanes
+// change the host cost of an event, never which event fires next. A
+// lane's ring grows to its working size once and then schedules and
+// fires without allocating (TestAllocLaneSteadyState).
+//
 // docs/ARCHITECTURE.md describes how this queue composes with the rest
 // of the simulator: the handler-vs-closure contract, the worker model,
 // and the determinism guarantee the sweep engine builds on top.
 package sim
+
+import "math"
 
 // Cycle is a point in simulated time, measured in NPU clock cycles
 // (1 GHz in the baseline configuration, so one cycle is 1 ns).
@@ -71,15 +89,33 @@ type item struct {
 	hid int32
 }
 
-// Queue is a deterministic min-heap event queue.
+// handler is one registered Handler and the lane its events may take.
+type handler struct {
+	fire func(now Cycle, arg int64)
+	lane int32 // index into Queue.lanes; -1 for a heap-only handler
+}
+
+// fireFunc returns the function Step calls for h. A HandlerFunc is called
+// directly, which spares every event the indirect call through the
+// interface's Fire method.
+func fireFunc(h Handler) func(now Cycle, arg int64) {
+	if f, ok := h.(HandlerFunc); ok {
+		return f
+	}
+	return h.Fire
+}
+
+// Queue is a deterministic min-heap event queue with FIFO lanes for
+// handlers whose events arrive in firing order (see RegisterLane).
 //
 // The zero value is ready to use.
 type Queue struct {
-	heap []item
-	seq  uint64
-	now  Cycle
+	heap  []item
+	lanes []FIFO[item]
+	seq   uint64
+	now   Cycle
 
-	handlers []Handler
+	handlers []handler
 	fns      SlotPool[Event]
 	fired    int64
 }
@@ -88,8 +124,14 @@ type Queue struct {
 // fired event (0 before any event fires).
 func (q *Queue) Now() Cycle { return q.now }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+// Len returns the number of pending events, on the heap and in lanes.
+func (q *Queue) Len() int {
+	n := len(q.heap)
+	for i := range q.lanes {
+		n += q.lanes[i].Len()
+	}
+	return n
+}
 
 // Fired returns the number of events fired so far.
 func (q *Queue) Fired() int64 { return q.fired }
@@ -109,7 +151,19 @@ func (q *Queue) Grow(n int) {
 // Registration is a setup-time operation (one append per component); the
 // scheduling fast path never touches the handler table's shape.
 func (q *Queue) Register(h Handler) HandlerID {
-	q.handlers = append(q.handlers, h)
+	q.handlers = append(q.handlers, handler{fire: fireFunc(h), lane: -1})
+	return HandlerID(len(q.handlers) - 1)
+}
+
+// RegisterLane installs h like Register and gives it a FIFO lane. Use it
+// for a handler whose events are almost always scheduled in the order
+// they fire, such as a fixed-delay chain: those events skip the heap. An
+// event that would fire before the lane's newest one (an older reserved
+// ticket, a second chain) goes to the heap instead, so the lane is an
+// optimization only and firing order is the same as under Register.
+func (q *Queue) RegisterLane(h Handler) HandlerID {
+	q.handlers = append(q.handlers, handler{fire: fireFunc(h), lane: int32(len(q.lanes))})
+	q.lanes = append(q.lanes, FIFO[item]{})
 	return HandlerID(len(q.handlers) - 1)
 }
 
@@ -122,7 +176,7 @@ func (q *Queue) Call(at Cycle, id HandlerID, arg int64) {
 	if at < q.now {
 		at = q.now
 	}
-	q.push(item{at: at, seq: q.seq, hid: int32(id), arg: arg})
+	q.schedule(item{at: at, seq: q.seq, hid: int32(id), arg: arg})
 	q.seq++
 }
 
@@ -156,7 +210,21 @@ func (q *Queue) CallTicket(at Cycle, t Ticket, id HandlerID, arg int64) {
 	if at < q.now {
 		at = q.now
 	}
-	q.push(item{at: at, seq: uint64(t), hid: int32(id), arg: arg})
+	q.schedule(item{at: at, seq: uint64(t), hid: int32(id), arg: arg})
+}
+
+// schedule queues a handler event: on its handler's lane when it sorts
+// after the lane's newest event, which keeps every lane sorted, and on
+// the heap otherwise.
+func (q *Queue) schedule(it item) {
+	if l := q.handlers[it.hid].lane; l >= 0 {
+		ln := &q.lanes[l]
+		if ln.n == 0 || less(ln.Back(), it) {
+			*ln.Push() = it
+			return
+		}
+	}
+	q.push(it)
 }
 
 // At schedules fn to run at absolute cycle at. Scheduling in the past
@@ -179,17 +247,42 @@ func (q *Queue) After(delay Cycle, fn Event) {
 }
 
 // Step fires the earliest pending event and reports whether one existed.
-func (q *Queue) Step() bool {
-	if len(q.heap) == 0 {
+func (q *Queue) Step() bool { return q.step(maxCycle) }
+
+// maxCycle is later than any event: step(maxCycle) fires whatever is next.
+const maxCycle = Cycle(math.MaxInt64)
+
+// step fires the earliest pending event if it is due by limit, and reports
+// whether it fired one. Every lane is sorted and the heap's top is its
+// minimum, so the least of the heap's top and the lane heads is the
+// earliest pending event.
+func (q *Queue) step(limit Cycle) bool {
+	lane, ok := -1, len(q.heap) > 0
+	var it item
+	if ok {
+		it = q.heap[0]
+	}
+	for i := range q.lanes {
+		if ln := &q.lanes[i]; ln.Len() > 0 {
+			if head := ln.Front(); !ok || less(head, it) {
+				it, lane, ok = head, i, true
+			}
+		}
+	}
+	if !ok || it.at > limit {
 		return false
 	}
-	it := q.pop()
+	if lane < 0 {
+		q.pop()
+	} else {
+		q.lanes[lane].Pop()
+	}
 	if it.at > q.now {
 		q.now = it.at
 	}
 	q.fired++
 	if it.hid >= 0 {
-		q.handlers[it.hid].Fire(q.now, it.arg)
+		q.handlers[it.hid].fire(q.now, it.arg)
 		return true
 	}
 	fn := q.fns.Take(-it.hid - 1)
@@ -210,13 +303,9 @@ func (q *Queue) Run() Cycle {
 // RunUntil fires events up to and including cycle limit, returning true if
 // the queue drained before the limit was reached.
 func (q *Queue) RunUntil(limit Cycle) bool {
-	for len(q.heap) > 0 {
-		if q.heap[0].at > limit {
-			return false
-		}
-		q.Step()
+	for q.step(limit) {
 	}
-	return true
+	return q.Len() == 0
 }
 
 // The heap is 4-ary with hole-style sifting: half the levels of a binary

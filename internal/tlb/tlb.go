@@ -140,7 +140,10 @@ func (t *TLB) Fill(va vm.VirtAddr, frame vm.PhysAddr, device int) {
 	t.tick++
 	t.stats.Fills++
 	set := t.set(vpn)
-	victim := 0
+	// A resident copy may sit in any way, also past an invalidated hole,
+	// so the whole set is checked before a victim is chosen: a second
+	// copy would survive the next Invalidate and keep serving a stale
+	// frame.
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			// Refill of a resident page just refreshes it.
@@ -149,6 +152,9 @@ func (t *TLB) Fill(va vm.VirtAddr, frame vm.PhysAddr, device int) {
 			set[i].lru = t.tick
 			return
 		}
+	}
+	victim := 0
+	for i := range set {
 		if !set[i].valid {
 			victim = i
 			break

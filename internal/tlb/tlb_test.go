@@ -80,6 +80,66 @@ func TestInvalidate(t *testing.T) {
 	tl.Invalidate(va) // idempotent
 }
 
+// A refill must find a resident copy past an invalidated hole: installing
+// a second copy in the hole let the next Invalidate remove only the first,
+// and the stale one kept hitting.
+func TestRefillPastHoleThenInvalidate(t *testing.T) {
+	tl := New(Config{Entries: 4, Ways: 4, HitLatency: 5, PageSize: vm.Page4K})
+	for p := 0; p < 4; p++ {
+		tl.Fill(vm.VirtAddr(p)<<12, vm.PhysAddr(p)<<12, 0)
+	}
+	tl.Invalidate(0)
+	tl.Fill(2<<12, 2<<12, 0) // redundant walk refills a resident page
+	tl.Invalidate(2 << 12)
+	if _, _, hit := tl.Lookup(2 << 12); hit {
+		t.Fatal("page 2 still hits after Invalidate")
+	}
+	if n := tl.Occupancy(); n != 2 {
+		t.Fatalf("occupancy = %d, want 2 (pages 1 and 3)", n)
+	}
+}
+
+// Property: under any mix of Fill, Invalidate and Lookup, a VPN has at
+// most one valid entry, an invalidated page misses, and a hit returns the
+// frame of the page's latest fill.
+func TestOneEntryPerVPNUnderInvalidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		tl := New(Config{Entries: 8, Ways: 4, HitLatency: 5, PageSize: vm.Page4K})
+		frames := map[uint64]vm.PhysAddr{} // latest fill of each page
+		for op := 0; op < 200; op++ {
+			vpn := uint64(rng.Intn(12))
+			va := vm.VirtAddr(vpn) << 12
+			switch rng.Intn(3) {
+			case 0:
+				f := vm.PhysAddr(rng.Intn(1<<20)) << 12
+				tl.Fill(va, f, 0)
+				frames[vpn] = f
+			case 1:
+				tl.Invalidate(va)
+				if tl.Contains(va) {
+					t.Fatalf("trial %d op %d: page %d resident after Invalidate", trial, op, vpn)
+				}
+			default:
+				if f, _, hit := tl.Lookup(va); hit && f != frames[vpn] {
+					t.Fatalf("trial %d op %d: page %d hit frame %#x, latest fill %#x", trial, op, vpn, f, frames[vpn])
+				}
+			}
+			seen := map[uint64]bool{}
+			for _, set := range tl.sets {
+				for _, e := range set {
+					if e.valid {
+						if seen[e.vpn] {
+							t.Fatalf("trial %d op %d: page %d has two valid entries", trial, op, e.vpn)
+						}
+						seen[e.vpn] = true
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFlush(t *testing.T) {
 	tl := small()
 	for i := 0; i < 8; i++ {
