@@ -16,8 +16,8 @@
 // per-transaction closures. The issue chain fires once per cycle in the
 // order it is scheduled, so its handler rides a queue lane
 // (sim.Queue.RegisterLane) instead of the event heap. A tile's distinct
-// pages are counted from its runs of ascending pages, without hashing,
-// whenever those runs do not overlap (see countPages).
+// pages are counted with one set insert per page change, not one per
+// transaction (see countPages).
 //
 // Memory arrivals are booked, not scheduled: each translated transaction
 // claims its channel bandwidth at translate time (memsys.Memory.Claim),
@@ -27,9 +27,6 @@
 package dma
 
 import (
-	"cmp"
-	"slices"
-
 	"neummu/internal/core"
 	"neummu/internal/memsys"
 	"neummu/internal/sim"
@@ -159,13 +156,11 @@ type Engine struct {
 	active bool
 
 	// Reused scratch: transaction/segment buffers and the distinct-page
-	// runs and set survive across tiles, and translated is the one
-	// persistent TranslateFn serving every transaction (tagged with its
-	// index).
+	// set survive across tiles, and translated is the one persistent
+	// TranslateFn serving every transaction (tagged with its index).
 	txnBuf     []Transaction
 	segBuf     []tensor.Segment
-	pageRuns   []pageRun
-	pageSet    map[uint64]struct{} // lazily built by countPagesSet
+	pageSet    map[uint64]struct{}
 	translated core.TranslateFn
 	hIssue     sim.HandlerID
 	hEnd       sim.HandlerID
@@ -176,7 +171,7 @@ type Engine struct {
 // back-pressure listener; only one tile fetch may be in flight at a time
 // (the DMA serializes tile fetches, §II-A).
 func New(q *sim.Queue, mmu *core.MMU, mem *memsys.Memory) *Engine {
-	e := &Engine{q: q, mmu: mmu, mem: mem}
+	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{})}
 	e.translated = e.translateDone
 	e.hIssue = q.RegisterLane(sim.HandlerFunc(e.fireIssue))
 	e.hEnd = q.Register(sim.HandlerFunc(e.fireEnd))
@@ -270,52 +265,12 @@ func (e *Engine) fetch(txns []Transaction, ps vm.PageSize, done func(TileStats))
 	e.q.CallAfter(0, e.hIssue, 0)
 }
 
-// pageRun is a run of transactions whose pages never descend: the pages
-// from lo to hi.
-type pageRun struct{ lo, hi uint64 }
-
 // countPages returns the number of distinct pages among txns, counting
-// only transactions inside region when it is non-nil.
-//
-// Transactions are page-confined and come in runs of ascending pages, one
-// per tensor view, so it splits the pages into such runs and counts each
-// run's page changes. When no two runs' page ranges overlap, no page can
-// appear in two runs, and the sum is the distinct count with no hashing;
-// every dense and decode tile takes this path. Overlapping runs, as a
-// random gather makes, fall back to a set.
+// only transactions inside region when it is non-nil. Transactions are
+// page-confined and mostly consecutive within a page, so a page equal to
+// the previous counted transaction's is already in the set and skips the
+// hash.
 func (e *Engine) countPages(txns []Transaction, ps vm.PageSize, region *vm.Region) int {
-	runs, n := e.pageRuns[:0], 0
-	for _, t := range txns {
-		if region != nil && !region.Contains(t.VA) {
-			continue
-		}
-		pn := vm.PageNumber(t.VA, ps)
-		if k := len(runs); k > 0 && pn >= runs[k-1].hi {
-			if pn > runs[k-1].hi {
-				runs[k-1].hi = pn
-				n++
-			}
-			continue
-		}
-		runs = append(runs, pageRun{lo: pn, hi: pn})
-		n++
-	}
-	e.pageRuns = runs
-	slices.SortFunc(runs, func(a, b pageRun) int { return cmp.Compare(a.lo, b.lo) })
-	for i := 1; i < len(runs); i++ {
-		if runs[i].lo <= runs[i-1].hi {
-			return e.countPagesSet(txns, ps, region)
-		}
-	}
-	return n
-}
-
-// countPagesSet is countPages by a set. A page equal to the previous
-// transaction's is already in the set and skips the hash.
-func (e *Engine) countPagesSet(txns []Transaction, ps vm.PageSize, region *vm.Region) int {
-	if e.pageSet == nil {
-		e.pageSet = make(map[uint64]struct{})
-	}
 	clear(e.pageSet)
 	prev := ^uint64(0)
 	for _, t := range txns {

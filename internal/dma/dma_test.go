@@ -290,13 +290,12 @@ func TestTileFiresOneEventPerIssuePlusOne(t *testing.T) {
 	}
 }
 
-// countPages must equal a plain set count on any transaction list: lists
-// of ascending runs whose page ranges may or may not overlap (the exact
-// sum and the set fallback), random gathers, and with or without a
-// narrowing region.
+// countPages must equal a plain set count on any transaction list: runs of
+// consecutive transactions, revisited pages, random gathers, and with or
+// without a narrowing region.
 func TestCountPagesMatchesSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	e := &Engine{}
+	e := &Engine{pageSet: map[uint64]struct{}{}}
 	ps := vm.Page4K
 	for trial := 0; trial < 2000; trial++ {
 		var txns []Transaction

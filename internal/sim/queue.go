@@ -91,18 +91,8 @@ type item struct {
 
 // handler is one registered Handler and the lane its events may take.
 type handler struct {
-	fire func(now Cycle, arg int64)
+	h    Handler
 	lane int32 // index into Queue.lanes; -1 for a heap-only handler
-}
-
-// fireFunc returns the function Step calls for h. A HandlerFunc is called
-// directly, which spares every event the indirect call through the
-// interface's Fire method.
-func fireFunc(h Handler) func(now Cycle, arg int64) {
-	if f, ok := h.(HandlerFunc); ok {
-		return f
-	}
-	return h.Fire
 }
 
 // Queue is a deterministic min-heap event queue with FIFO lanes for
@@ -151,7 +141,7 @@ func (q *Queue) Grow(n int) {
 // Registration is a setup-time operation (one append per component); the
 // scheduling fast path never touches the handler table's shape.
 func (q *Queue) Register(h Handler) HandlerID {
-	q.handlers = append(q.handlers, handler{fire: fireFunc(h), lane: -1})
+	q.handlers = append(q.handlers, handler{h: h, lane: -1})
 	return HandlerID(len(q.handlers) - 1)
 }
 
@@ -162,7 +152,7 @@ func (q *Queue) Register(h Handler) HandlerID {
 // ticket, a second chain) goes to the heap instead, so the lane is an
 // optimization only and firing order is the same as under Register.
 func (q *Queue) RegisterLane(h Handler) HandlerID {
-	q.handlers = append(q.handlers, handler{fire: fireFunc(h), lane: int32(len(q.lanes))})
+	q.handlers = append(q.handlers, handler{h: h, lane: int32(len(q.lanes))})
 	q.lanes = append(q.lanes, FIFO[item]{})
 	return HandlerID(len(q.handlers) - 1)
 }
@@ -282,7 +272,7 @@ func (q *Queue) step(limit Cycle) bool {
 	}
 	q.fired++
 	if it.hid >= 0 {
-		q.handlers[it.hid].fire(q.now, it.arg)
+		q.handlers[it.hid].h.Fire(q.now, it.arg)
 		return true
 	}
 	fn := q.fns.Take(-it.hid - 1)

@@ -43,17 +43,8 @@ func (s PageSize) OffsetBits() uint {
 	case Page2M:
 		return 21
 	default:
-		panic(unsupportedPageSize(s))
+		panic(fmt.Sprintf("vm: unsupported page size %d", s))
 	}
-}
-
-// unsupportedPageSize is OffsetBits' panic value. Formatting the message
-// only when it is printed keeps OffsetBits, and with it PageNumber on
-// every TLB lookup, cheap enough to inline.
-type unsupportedPageSize PageSize
-
-func (s unsupportedPageSize) Error() string {
-	return fmt.Sprintf("vm: unsupported page size %d", PageSize(s))
 }
 
 // Levels returns the number of page-table levels a walk traverses for this

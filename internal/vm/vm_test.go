@@ -21,16 +21,6 @@ func TestPageGeometry(t *testing.T) {
 	}
 }
 
-func TestUnsupportedPageSizePanics(t *testing.T) {
-	defer func() {
-		err, ok := recover().(error)
-		if !ok || err.Error() != "vm: unsupported page size 8192" {
-			t.Fatalf("panic value = %v, want the unsupported-size error", err)
-		}
-	}()
-	PageSize(8192).OffsetBits()
-}
-
 func TestPageNumberAndBase(t *testing.T) {
 	va := VirtAddr(0x12345)
 	if PageNumber(va, Page4K) != 0x12 {
