@@ -30,10 +30,6 @@ func (f *FIFO[T]) Push() *T {
 	return slot
 }
 
-// Front returns the oldest value without removing it. The FIFO must not
-// be empty.
-func (f *FIFO[T]) Front() T { return f.buf[f.head] }
-
 // Back returns the newest value. The FIFO must not be empty.
 func (f *FIFO[T]) Back() T { return f.buf[(f.head+f.n-1)&(len(f.buf)-1)] }
 

@@ -206,11 +206,18 @@ func (q *Queue) CallTicket(at Cycle, t Ticket, id HandlerID, arg int64) {
 // schedule queues a handler event: on its handler's lane when it sorts
 // after the lane's newest event, which keeps every lane sorted, and on
 // the heap otherwise.
+//
+// Lane pushes and pops work on the ring's fields in place: FIFO's generic
+// methods are not inlined here, and these run once per event.
 func (q *Queue) schedule(it item) {
 	if l := q.handlers[it.hid].lane; l >= 0 {
 		ln := &q.lanes[l]
 		if ln.n == 0 || less(ln.Back(), it) {
-			*ln.Push() = it
+			if ln.n == len(ln.buf) {
+				ln.grow()
+			}
+			ln.buf[(ln.head+ln.n)&(len(ln.buf)-1)] = it
+			ln.n++
 			return
 		}
 	}
@@ -247,25 +254,27 @@ const maxCycle = Cycle(math.MaxInt64)
 // minimum, so the least of the heap's top and the lane heads is the
 // earliest pending event.
 func (q *Queue) step(limit Cycle) bool {
-	lane, ok := -1, len(q.heap) > 0
-	var it item
-	if ok {
-		it = q.heap[0]
+	var next *item
+	if len(q.heap) > 0 {
+		next = &q.heap[0]
 	}
+	var from *FIFO[item]
 	for i := range q.lanes {
-		if ln := &q.lanes[i]; ln.Len() > 0 {
-			if head := ln.Front(); !ok || less(head, it) {
-				it, lane, ok = head, i, true
+		if ln := &q.lanes[i]; ln.n > 0 {
+			if head := &ln.buf[ln.head]; next == nil || less(*head, *next) {
+				next, from = head, ln
 			}
 		}
 	}
-	if !ok || it.at > limit {
+	if next == nil || next.at > limit {
 		return false
 	}
-	if lane < 0 {
+	it := *next
+	if from == nil {
 		q.pop()
 	} else {
-		q.lanes[lane].Pop()
+		from.head = (from.head + 1) & (len(from.buf) - 1)
+		from.n--
 	}
 	if it.at > q.now {
 		q.now = it.at
