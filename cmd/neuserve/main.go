@@ -38,13 +38,15 @@
 //	curl localhost:8077/metrics?format=prometheus        # same, for scrapers
 //	curl localhost:8077/debug/traces                     # recent traces + slow cells
 //
-// Durability: -store-dir gives the process a disk tier. A worker keeps a
-// content-addressed result store behind its RAM cache (bounded by
-// -store-bytes, GC'd coldest-first), so a restarted worker answers
-// previously simulated cells from disk without re-simulating; a
-// coordinator journals each sweep's per-cell completion there, so a
-// restarted coordinator — or a client retrying the same request — resumes
-// from the last durable cell:
+// Durability: -store-dir gives the process a content-addressed cell store
+// (bounded by -store-bytes, GC'd coldest-first), in one file format for
+// both roles. A worker keeps it behind its RAM cache, so a restarted
+// worker answers previously simulated cells from disk without
+// re-simulating. A coordinator saves every cell its workers answer, so a
+// restarted coordinator, a retried request or an overlapping sweep
+// answers the cells already stored without dispatching them. Each
+// process needs its own directory; a coordinator and a worker must not
+// share one:
 //
 //	neuserve -addr :8081 -store-dir /var/cache/neuserve/w1 &
 //	neuserve -role coordinator -addr :8080 -store-dir /var/cache/neuserve/coord \
@@ -95,11 +97,10 @@ func main() {
 		cells   = flag.Int("max-cells", 0, "per-request sweep cell bound (0 = 4096)")
 		drain   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
 
-		// Durability flags. -store-dir is meaningful for both roles: a
-		// worker keeps its disk result tier there, a coordinator its sweep
-		// journals.
-		storeDir   = flag.String("store-dir", "", "durable state directory: worker result store / coordinator sweep journals ('' = RAM-only)")
-		storeBytes = flag.Int64("store-bytes", 0, "worker disk result-store byte budget, coldest cells evicted first (0 = 256 MiB)")
+		// Durability flags, meaningful for both roles: each keeps its
+		// cell store there.
+		storeDir   = flag.String("store-dir", "", "durable cell-store directory, one per process ('' = RAM-only)")
+		storeBytes = flag.Int64("store-bytes", 0, "cell-store byte budget, coldest cells evicted first (0 = 256 MiB)")
 
 		// Coordinator-role flags.
 		peers    = flag.String("peers", "", "coordinator: comma-separated worker base URLs")
@@ -130,7 +131,7 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	coordOnly := []string{"peers", "replicas", "retries", "shard-timeout", "health-interval"}
-	workerOnly := []string{"workers", "shards", "queue", "cache-mb", "fig-cache-mb", "store-bytes"}
+	workerOnly := []string{"workers", "shards", "queue", "cache-mb", "fig-cache-mb"}
 	misuse := func(names []string, why string) {
 		for _, n := range names {
 			if set[n] {
@@ -155,19 +156,20 @@ func main() {
 		Logger:        logger,
 	}
 
+	var st *store.Store
+	if *storeDir != "" {
+		var err error
+		st, err = store.Open(store.Config{Dir: *storeDir, MaxBytes: *storeBytes})
+		if err != nil {
+			logger.Error("opening -store-dir", "dir", *storeDir, "err", err)
+			os.Exit(1)
+		}
+	}
+
 	var handler http.Handler
 	var closeFn func()
 	switch *role {
 	case "", "worker":
-		var st *store.Store
-		if *storeDir != "" {
-			var err error
-			st, err = store.Open(store.Config{Dir: *storeDir, MaxBytes: *storeBytes})
-			if err != nil {
-				logger.Error("opening -store-dir", "dir", *storeDir, "err", err)
-				os.Exit(1)
-			}
-		}
 		s := serve.New(serve.Config{
 			Workers:            *workers,
 			QueueDepth:         *queue,
@@ -178,14 +180,7 @@ func main() {
 			Trace:              traceCfg,
 			Logger:             logger,
 		})
-		handler, closeFn = s, func() {
-			// Drain-to-disk: the server flushes queued scheduler jobs and
-			// pending store writes, then the store itself closes.
-			s.Close()
-			if st != nil {
-				st.Close()
-			}
-		}
+		handler, closeFn = s, s.Close
 	case "coordinator":
 		if *peers == "" {
 			logger.Error("-role coordinator requires -peers")
@@ -198,7 +193,7 @@ func main() {
 			ShardTimeout:       *shardTO,
 			HealthInterval:     *healthIv,
 			MaxCellsPerRequest: *cells,
-			JournalDir:         *storeDir,
+			Store:              st,
 			Trace:              traceCfg,
 			Logger:             logger,
 		})
@@ -210,6 +205,16 @@ func main() {
 	default:
 		logger.Error("unknown -role (have worker, coordinator)", "flag", *role)
 		os.Exit(2)
+	}
+	if st != nil {
+		// Drain-to-disk: the server or coordinator stops first (a worker
+		// also finishes its queued jobs), then the store writes what is
+		// still pending and closes.
+		stop := closeFn
+		closeFn = func() {
+			stop()
+			st.Close()
+		}
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 

@@ -32,12 +32,13 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// TestShardsFlagIsDeprecatedNoOp: -shards predates the one-queue
-// scheduler. Existing launch scripts pass it, so it must still boot a
-// serving process — with one warning — rather than fail flag parsing.
-func TestShardsFlagIsDeprecatedNoOp(t *testing.T) {
+// serveUntilHealthy runs neuserve with args until it answers /healthz,
+// then interrupts it, failing the test unless it served and exited
+// cleanly. It returns the process's stderr.
+func serveUntilHealthy(t *testing.T, args ...string) string {
+	t.Helper()
 	addr := freeAddr(t)
-	cmd := exec.Command(os.Args[0], "-addr", addr, "-workers", "1", "-shards", "1")
+	cmd := exec.Command(os.Args[0], append([]string{"-addr", addr}, args...)...)
 	cmd.Env = append(os.Environ(), "NEUSERVE_TEST_MAIN=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -55,14 +56,30 @@ func TestShardsFlagIsDeprecatedNoOp(t *testing.T) {
 	}
 	cmd.Process.Signal(os.Interrupt)
 	if err := cmd.Wait(); err != nil {
-		t.Errorf("neuserve exit: %v\n%s", err, stderr.String())
+		t.Errorf("neuserve %v exit: %v\n%s", args, err, stderr.String())
 	}
 	if !healthy {
-		t.Fatalf("neuserve -shards 1 never served /healthz 200\n%s", stderr.String())
+		t.Fatalf("neuserve %v never served /healthz 200\n%s", args, stderr.String())
 	}
-	if n := strings.Count(stderr.String(), "-shards is deprecated"); n != 1 {
-		t.Errorf("deprecation warnings = %d, want 1\n%s", n, stderr.String())
+	return stderr.String()
+}
+
+// TestShardsFlagIsDeprecatedNoOp: -shards predates the one-queue
+// scheduler. Existing launch scripts pass it, so it must still boot a
+// serving process — with one warning — rather than fail flag parsing.
+func TestShardsFlagIsDeprecatedNoOp(t *testing.T) {
+	stderr := serveUntilHealthy(t, "-workers", "1", "-shards", "1")
+	if n := strings.Count(stderr, "-shards is deprecated"); n != 1 {
+		t.Errorf("deprecation warnings = %d, want 1\n%s", n, stderr)
 	}
+}
+
+// TestCoordinatorAcceptsStoreBytes: the coordinator keeps the same cell
+// store as a worker, so -store-bytes bounds its -store-dir too and must
+// not be refused as a worker-only flag.
+func TestCoordinatorAcceptsStoreBytes(t *testing.T) {
+	serveUntilHealthy(t, "-role", "coordinator", "-peers", "http://127.0.0.1:1",
+		"-store-dir", t.TempDir(), "-store-bytes", "1048576")
 }
 
 // TestShardsFlagRefusedOnCoordinator: -shards stays a worker-only flag, so

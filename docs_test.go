@@ -146,7 +146,7 @@ func TestDocsCrossLinked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, section := range []string{
-		"handlers vs closures",
+		"The event queue: registered handlers",
 		"Freeze, snapshot sharing",
 		"worker model and determinism",
 		"transformer data path",

@@ -41,6 +41,7 @@ import (
 	"neummu/internal/exp"
 	"neummu/internal/serve"
 	"neummu/internal/stats"
+	"neummu/internal/store"
 	"neummu/internal/trace"
 )
 
@@ -81,15 +82,18 @@ type Config struct {
 	HealthInterval time.Duration
 	// MaxCellsPerRequest bounds one sweep request's grid (0 = 4096).
 	MaxCellsPerRequest int
-	// JournalDir enables sweep checkpointing when non-empty: every sweep's
-	// completed cells are journaled there (one file per request hash), a
-	// restarted coordinator — or a retry of the same request — resumes from
-	// the last durable cell, and a journal-complete sweep is answerable
-	// with zero healthy workers. See journal.go for format and policy.
-	JournalDir string
-	// JournalKeep bounds how many sweep journals the directory retains,
-	// oldest evicted first (0 = 64).
-	JournalKeep int
+	// Store is the coordinator's optional durable cell tier (nil = none):
+	// the same store.Store, key bytes and value bytes a worker keeps
+	// behind its cache (see serve.LoadCell). Every cell a worker answers
+	// is saved there, and every request answers the cells the store
+	// already holds without dispatching them — so a restarted
+	// coordinator, a retried request however it spells its effort, or an
+	// overlapping sweep resumes from earlier work, and a request whose
+	// cells are all stored succeeds with zero healthy workers. Writes,
+	// GC and corruption handling are the store's policy. The caller owns
+	// the store's lifecycle (open it before New, close it after Close). A
+	// coordinator and a worker must not share a store directory.
+	Store *store.Store
 	// Client optionally overrides the HTTP client used for worker traffic
 	// and health probes (tests inject httptest clients; nil = a client
 	// suited to long streaming responses).
@@ -120,9 +124,6 @@ func (c Config) normalized() Config {
 	if c.MaxCellsPerRequest <= 0 {
 		c.MaxCellsPerRequest = 4096
 	}
-	if c.JournalKeep <= 0 {
-		c.JournalKeep = 64
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{} // no global timeout: shard ctx bounds each call
 	}
@@ -147,8 +148,8 @@ type Coordinator struct {
 	cellsServed  atomic.Int64
 	reroutes     atomic.Int64
 	noWorkers    atomic.Int64
-	journalCells atomic.Int64 // cells answered from a sweep journal
-	resumes      atomic.Int64 // sweeps that found journaled progress
+	storedCells  atomic.Int64 // cells answered from cfg.Store
+	resumes      atomic.Int64 // requests with at least one such cell
 	sweepLatency *stats.Latency
 	tracer       *trace.Tracer
 	logger       *slog.Logger
@@ -232,13 +233,10 @@ func (c *Coordinator) Close() { c.pool.close() }
 // after the failed one has stopped touching them), so done is closed
 // exactly once and the fields are published by that close.
 type slot struct {
-	done                 chan struct{}
-	cycles, translations int64
-	perf                 float64
-	counters             counters.Bundle
-	sampled              *serve.SampleJSON
-	hit                  bool
-	err                  error
+	done chan struct{}
+	v    serve.CellValue
+	hit  bool
+	err  error
 	// attempts counts dispatches that have carried this cell; bounded by
 	// MaxRetries. Only the owning dispatch chain touches it.
 	attempts int
@@ -253,36 +251,37 @@ func (s *slot) fail(err error) {
 	close(s.done)
 }
 
-// runCells shards the points across healthy workers by consistent hash
-// and dispatches each shard; slots resolve as worker lines stream back.
-// Cells present in journaled (a previous run's checkpoint, keyed by grid
-// index) resolve immediately and are never dispatched — a sweep whose
-// journal is complete succeeds with zero healthy workers. jr, when
-// non-nil, receives every newly completed cell. traceID propagates to
-// every worker dispatch over the X-Trace-Id header.
-func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	journaled map[int]serve.CellLine, jr *journal) ([]*slot, error) {
+// runCells answers every point the coordinator's store holds at once and
+// shards the rest across healthy workers by consistent hash; slots
+// resolve as worker lines stream back. A request whose cells are all
+// stored succeeds with zero healthy workers. traceID propagates to every
+// worker dispatch over the X-Trace-Id header.
+func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point) ([]*slot, error) {
 	slots := make([]*slot, len(points))
 	remaining := make([]int, 0, len(points))
 	now := time.Now()
 	for i := range slots {
-		slots[i] = &slot{done: make(chan struct{}), attempts: 1, firstDispatch: now}
-		if cl, ok := journaled[i]; ok {
-			sl := slots[i]
-			sl.cycles, sl.translations, sl.perf = cl.Cycles, cl.Translations, cl.Perf
-			sl.counters = cl.Counters
-			sl.sampled = cl.Sampled
-			sl.hit = true
-			close(sl.done)
-			c.tracer.Record(trace.Span{
-				TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
-				Start: now, Hit: true,
-			})
+		sl := &slot{done: make(chan struct{}), attempts: 1, firstDispatch: now}
+		slots[i] = sl
+		t0 := time.Now()
+		v, ok := serve.LoadCell(c.cfg.Store, h, points[i])
+		if !ok {
+			remaining = append(remaining, i)
 			continue
 		}
-		remaining = append(remaining, i)
+		sl.v, sl.hit = v, true
+		close(sl.done)
+		var st trace.Stages
+		st[trace.StageDisk] = int64(time.Since(t0))
+		c.tracer.Record(trace.Span{
+			TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
+			Start: t0, TotalNS: st.Sum(), Stages: st, DiskHit: true,
+		})
 	}
-	c.journalCells.Add(int64(len(points) - len(remaining)))
+	if stored := len(points) - len(remaining); stored > 0 {
+		c.storedCells.Add(int64(stored))
+		c.resumes.Add(1)
+	}
 	if len(remaining) == 0 {
 		return slots, nil
 	}
@@ -297,7 +296,7 @@ func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harne
 	}
 	eff := effortOf(h)
 	for url, idxs := range groups {
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff, jr)
+		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff)
 	}
 	return slots, nil
 }
@@ -362,7 +361,7 @@ func effortOf(h *exp.Harness) serve.CellsRequest {
 // worker already answered keep their results. The trace ID rides the
 // X-Trace-Id header, so the worker's own spans land under the same trace.
 func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, url string, idxs []int, eff serve.CellsRequest, jr *journal) {
+	slots []*slot, url string, idxs []int, eff serve.CellsRequest) {
 	dispatchStart := time.Now()
 	w := c.pool.byURL[url]
 	w.shards.Add(1)
@@ -419,7 +418,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 				missing = append(missing, i)
 			}
 		}
-		c.reroute(ctx, traceID, h, points, slots, w, missing, cause, eff, jr)
+		c.reroute(ctx, traceID, h, points, slots, w, missing, cause, eff)
 	}
 
 	httpReq, err := http.NewRequestWithContext(shardCtx, "POST", url+"/v1/cells", bytes.NewReader(body))
@@ -480,20 +479,16 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 			continue
 		}
 		w.completed.Add(1)
-		sl.cycles, sl.translations, sl.perf, sl.hit = line.Cycles, line.Translations, line.Perf, line.Hit
-		sl.counters = line.Counters
-		sl.sampled = line.Sampled
-		cellSpan(idxs[line.I], sl, "")
-		if jr != nil {
-			// Checkpoint before resolving the slot: once the last slot
-			// resolves, the sweep may answer its client and close the
-			// journal, and a later append would be dropped. I is
-			// rewritten to the global grid index the journal is keyed by.
-			jr.appendCell(serve.CellLine{
-				I: idxs[line.I], Cycles: line.Cycles, Translations: line.Translations,
-				Perf: line.Perf, Counters: line.Counters, Sampled: line.Sampled,
-			})
+		sl.v = serve.CellValue{
+			Cycles: line.Cycles, Translations: line.Translations, Perf: line.Perf,
+			Counters: line.Counters, Sampled: line.Sampled,
 		}
+		sl.hit = line.Hit
+		cellSpan(idxs[line.I], sl, "")
+		// Save before resolving the slot: once the last slot resolves, the
+		// request may answer its client and the process may close the
+		// store, and a later save would be dropped.
+		serve.SaveCell(c.cfg.Store, h, points[idxs[line.I]], sl.v)
 		close(sl.done)
 	}
 }
@@ -516,7 +511,7 @@ func drainBody(body io.Reader) {
 // it over, so a fleet dashboard can attribute re-route load to both sides
 // of the move.
 func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, w *workerState, missing []int, cause error, eff serve.CellsRequest, jr *journal) {
+	slots []*slot, w *workerState, missing []int, cause error, eff serve.CellsRequest) {
 	if len(missing) == 0 {
 		return
 	}
@@ -562,7 +557,7 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 	}
 	for url, idxs := range groups {
 		c.pool.byURL[url].adopted.Add(int64(len(idxs)))
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff, jr)
+		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff)
 	}
 }
 
@@ -614,21 +609,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
 		return
 	}
-	// Checkpointing: resume from (and append to) this request's journal.
-	// Journaling is best-effort — an unwritable journal directory degrades
-	// to a journal-less sweep, never to a failed one.
-	var jr *journal
-	var journaled map[int]serve.CellLine
-	if c.cfg.JournalDir != "" {
-		if j, done, err := openJournal(c.cfg.JournalDir, c.cfg.JournalKeep, req, len(points)); err == nil {
-			jr, journaled = j, done
-			defer jr.close()
-			if len(done) > 0 {
-				c.resumes.Add(1)
-			}
-		}
-	}
-	slots, err := c.runCells(r.Context(), traceID, h, points, journaled, jr)
+	slots, err := c.runCells(r.Context(), traceID, h, points)
 	if err != nil {
 		c.reject(w, traceID, err)
 		c.finishRequest(traceID, r, startT, len(points), 0, err)
@@ -665,10 +646,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
 			return
 		}
-		sum += sl.perf
-		agg = agg.Add(sl.counters)
+		sum += sl.v.Perf
+		agg = agg.Add(sl.v.Counters)
 		te := time.Now()
-		enc.Encode(serve.PointRow(points[i], sl.cycles, sl.translations, sl.perf, sl.counters, sl.sampled))
+		enc.Encode(serve.PointRow(points[i], sl.v))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -739,7 +720,7 @@ func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 				len(points)), traceID)
 		return
 	}
-	slots, err := c.runCells(r.Context(), traceID, h, points, nil, nil)
+	slots, err := c.runCells(r.Context(), traceID, h, points)
 	if err != nil {
 		c.reject(w, traceID, err)
 		c.finishRequest(traceID, r, startT, 1, 0, err)
@@ -768,7 +749,7 @@ func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	te := time.Now()
-	enc.Encode(serve.PointRow(points[0], sl.cycles, sl.translations, sl.perf, sl.counters, sl.sampled))
+	enc.Encode(serve.PointRow(points[0], sl.v))
 	c.cellsServed.Add(1)
 	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
 	c.finishRequest(traceID, r, startT, 1, int64(time.Since(te)), nil)
@@ -791,7 +772,7 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := c.harnesses.Get(eff)
-	slots, err := c.runCells(r.Context(), traceID, h, points, nil, nil)
+	slots, err := c.runCells(r.Context(), traceID, h, points)
 	if err != nil {
 		c.reject(w, traceID, err)
 		c.finishRequest(traceID, r, startT, len(points), 0, err)
@@ -822,9 +803,9 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 		if sl.err != nil {
 			line.Err = sl.err.Error()
 		} else {
-			line.Cycles, line.Translations, line.Perf = sl.cycles, sl.translations, sl.perf
-			line.Counters = sl.counters
-			line.Sampled = sl.sampled
+			line.Cycles, line.Translations, line.Perf = sl.v.Cycles, sl.v.Translations, sl.v.Perf
+			line.Counters = sl.v.Counters
+			line.Sampled = sl.v.Sampled
 		}
 		te := time.Now()
 		enc.Encode(line)
@@ -847,9 +828,10 @@ type Metrics struct {
 	CellsServed    int64   `json:"cells_served"`
 	CellsRerouted  int64   `json:"cells_rerouted"`
 	NoWorkerErrors int64   `json:"no_worker_errors"`
-	// JournalEnabled reports sweep checkpointing is on; CellsFromJournal
-	// counts cells answered from a previous run's checkpoint without any
-	// dispatch; SweepsResumed counts sweeps that found journaled progress.
+	// JournalEnabled reports a coordinator store is configured;
+	// CellsFromJournal counts cells answered from that store without any
+	// dispatch; SweepsResumed counts requests with at least one such cell.
+	// (The names predate the store; the wire names are kept.)
 	JournalEnabled   bool  `json:"journal_enabled"`
 	CellsFromJournal int64 `json:"cells_from_journal"`
 	SweepsResumed    int64 `json:"sweeps_resumed"`
@@ -870,8 +852,8 @@ func (c *Coordinator) Metrics() Metrics {
 		CellsServed:      c.cellsServed.Load(),
 		CellsRerouted:    c.reroutes.Load(),
 		NoWorkerErrors:   c.noWorkers.Load(),
-		JournalEnabled:   c.cfg.JournalDir != "",
-		CellsFromJournal: c.journalCells.Load(),
+		JournalEnabled:   c.cfg.Store != nil,
+		CellsFromJournal: c.storedCells.Load(),
 		SweepsResumed:    c.resumes.Load(),
 		WorkersTotal:     len(c.pool.workers),
 		WorkersHealthy:   c.pool.healthyCount(),

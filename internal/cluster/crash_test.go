@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -19,8 +18,8 @@ import (
 )
 
 // Crash/restart end-to-end test over real processes and real sockets:
-// a three-worker fleet with per-worker disk stores, a coordinator with a
-// sweep journal, SIGKILL delivered to the coordinator AND one worker in
+// a three-worker fleet with per-worker disk stores, a coordinator with its
+// own store, SIGKILL delivered to the coordinator AND one worker in
 // the middle of a streaming sweep, both restarted on the same addresses
 // and directories, and the retried sweep's merged NDJSON must be
 // byte-identical to an uninterrupted single-process run.
@@ -133,19 +132,18 @@ func TestCrashRestartResumesByteIdentical(t *testing.T) {
 			t.Fatalf("reading streamed row %d: %v", i, err)
 		}
 	}
-	// Wait for durable progress: the journal must hold its header and at
-	// least two checkpointed cells before the crash, so the restart has
-	// something real to resume from.
-	path := journalPath(coordDir, SweepHash64(parseSweep(t, crashSweep)))
-	waitJournalLines(t, path, 3)
+	// Wait for durable progress: the coordinator's store must hold at
+	// least two cell files before the crash, so the restart has something
+	// real to resume from.
+	waitCellFiles(t, coordDir, 2)
 
 	// SIGKILL coordinator and one worker mid-sweep. No drain runs.
 	coord.kill()
 	workers[0].kill()
 	resp.Body.Close()
 
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("journal did not survive the crash: %v", err)
+	if n := len(cellFiles(t, coordDir)); n < 2 {
+		t.Fatalf("coordinator store did not survive the crash: %d cell files", n)
 	}
 
 	// Restart both on the same addresses and directories.
@@ -153,7 +151,7 @@ func TestCrashRestartResumesByteIdentical(t *testing.T) {
 		"-workers", "2", "-store-dir", workerDirs[0])
 	coord = startNeuserve(t, bin, coordAddr, coordArgs...)
 
-	// The retried request resumes from the journal and completes; the
+	// The retried request resumes from the store and completes; the
 	// merged body is byte-identical to the uninterrupted single process.
 	resp2, err := http.Post(coord.url()+"/v1/sweep", "application/json",
 		strings.NewReader(crashSweep))
@@ -173,7 +171,7 @@ func TestCrashRestartResumesByteIdentical(t *testing.T) {
 	}
 
 	// The coordinator must report a real resume: at least the two cells
-	// that were durable before the kill came from the journal.
+	// that were durable before the kill came from the store.
 	mresp, err := http.Get(coord.url() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

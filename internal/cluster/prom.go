@@ -32,12 +32,13 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
 	p.Family("neucoord_no_worker_errors_total", "counter", "Requests refused with no healthy workers.")
 	p.Sample(float64(m.NoWorkerErrors))
 
-	p.Family("neucoord_journal_enabled", "gauge", "1 when sweep checkpointing is configured.")
+	p.Family("neucoord_journal_enabled", "gauge", "1 when the coordinator's cell store is configured.")
 	p.Sample(boolGauge(m.JournalEnabled))
 	p.Family("neucoord_cells_from_journal_total", "counter",
-		"Cells answered from a sweep journal without any dispatch.")
+		"Cells answered from the coordinator's store without any dispatch.")
 	p.Sample(float64(m.CellsFromJournal))
-	p.Family("neucoord_sweeps_resumed_total", "counter", "Sweeps that found journaled progress.")
+	p.Family("neucoord_sweeps_resumed_total", "counter",
+		"Requests with at least one cell answered from the coordinator's store.")
 	p.Sample(float64(m.SweepsResumed))
 
 	p.Family("neucoord_workers", "gauge", "Configured worker count.")

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -19,6 +20,16 @@ import (
 // dispatches so that every worker's own /debug/traces holds spans for
 // exactly the cells it served under that ID — including cells that moved
 // between workers after a mid-stream SIGKILL.
+
+// parseSweep decodes a JSON test sweep into its request struct.
+func parseSweep(t *testing.T, body string) serve.SweepRequest {
+	t.Helper()
+	var req serve.SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
 
 // fetchTrace reads one process's /debug/traces/{id}.
 func fetchTrace(t *testing.T, baseURL, id string) trace.Trace {

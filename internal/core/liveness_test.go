@@ -83,16 +83,25 @@ func TestFaultStormLiveness(t *testing.T) {
 	m := New(ConfigFor(NeuMMU, vm.Page4K), pt, q)
 	rng := rand.New(rand.NewSource(42))
 	resolved := map[vm.VirtAddr]bool{}
+	// Each fault parks its page and resolver; the landing event's payload
+	// indexes them.
+	type fault struct {
+		page    vm.VirtAddr
+		resolve func()
+	}
+	var faults []fault
+	landed := q.Register(sim.HandlerFunc(func(_ sim.Cycle, arg int64) {
+		f := faults[arg]
+		if !resolved[f.page] {
+			pt.Map(f.page, vm.PhysAddr(f.page), vm.Page4K, 0)
+			resolved[f.page] = true
+		}
+		f.resolve()
+	}))
 	m.OnFault = func(va vm.VirtAddr, now sim.Cycle, resolve func()) {
-		page := vm.PageBase(va, vm.Page4K)
+		faults = append(faults, fault{vm.PageBase(va, vm.Page4K), resolve})
 		delay := sim.Cycle(rng.Intn(5000) + 1)
-		q.After(delay, func(sim.Cycle) {
-			if !resolved[page] {
-				pt.Map(page, vm.PhysAddr(page), vm.Page4K, 0)
-				resolved[page] = true
-			}
-			resolve()
-		})
+		q.CallAfter(delay, landed, int64(len(faults)-1))
 	}
 	done := 0
 	const want = 300

@@ -317,9 +317,8 @@ func (m *MMU) fireProbe(now sim.Cycle, _ int64) {
 }
 
 // allocFlight parks p in a free slot and returns the slot index used as
-// the walker request's Seq. The flight pool is hand-rolled rather than a
-// sim.SlotPool because freed slots carry a tombstone (see releaseFlight)
-// that a generic Take would erase.
+// the walker request's Seq. Freed slots carry a tombstone that catches a
+// duplicate walker delivery (see releaseFlight).
 func (m *MMU) allocFlight(p pending) uint64 {
 	var slot int32
 	if n := len(m.freeFlight); n > 0 {

@@ -156,16 +156,19 @@ func TestFaultHandlerResolvesAndRetries(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 0) // nothing mapped
 	va := rigBase
 	faults := 0
+	var resolveFault func()
+	landed := r.q.Register(sim.HandlerFunc(func(sim.Cycle, int64) {
+		r.pt.Map(va, 0x7000, vm.Page4K, 0)
+		resolveFault()
+	}))
 	r.mmu.OnFault = func(fva vm.VirtAddr, now sim.Cycle, resolve func()) {
 		faults++
 		if fva != va {
 			t.Fatalf("fault VA %#x, want %#x", fva, va)
 		}
 		// Model a 1000-cycle migration, then map and resolve.
-		r.q.After(1000, func(sim.Cycle) {
-			r.pt.Map(va, 0x7000, vm.Page4K, 0)
-			resolve()
-		})
+		resolveFault = resolve
+		r.q.CallAfter(1000, landed, 0)
 	}
 	var got vm.Entry
 	var at sim.Cycle

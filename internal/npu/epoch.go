@@ -141,6 +141,7 @@ func runEpochLocal(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, ep epoch
 	mmu := core.New(cfg.MMU, pt, q)
 	mem := memsys.New(cfg.Memory, q)
 	eng := dma.New(q, mmu, mem)
+	wait := q.Register(noop)
 
 	r := &epochRun{
 		d:  make([]sim.Cycle, 0, len(ep.tiles)),
@@ -150,7 +151,7 @@ func runEpochLocal(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, ep epoch
 	for i, t := range ep.tiles {
 		if i >= 2 {
 			if ready := computeDone[i-2]; ready > q.Now() {
-				q.At(ready, noop)
+				q.Call(ready, wait, 0)
 				q.Run()
 			}
 		}

@@ -25,9 +25,9 @@ import (
 	"neummu/internal/workloads"
 )
 
-// noop advances simulated time without doing work (the double-buffering
-// waits); a single static Event value keeps the wait allocation-free.
-var noop = sim.Event(func(sim.Cycle) {})
+// noop advances simulated time without doing work: each run registers
+// it once and schedules it for the double-buffering waits.
+var noop = sim.HandlerFunc(func(sim.Cycle, int64) {})
 
 // ComputeModel abstracts the compute-phase timing model so the systolic
 // baseline (§II-C) and the spatial alternative (§VI-B) plug in
@@ -206,6 +206,7 @@ func Run(plan *workloads.Plan, cfg Config) (*Result, error) {
 	mmu := core.New(cfg.MMU, pt, q)
 	mem := memsys.New(cfg.Memory, q)
 	eng := dma.New(q, mmu, mem)
+	wait := q.Register(noop)
 	if cfg.TimelineWindow > 0 {
 		eng.Timeline = stats.NewTimeSeries(cfg.TimelineWindow)
 	}
@@ -249,7 +250,7 @@ func Run(plan *workloads.Plan, cfg Config) (*Result, error) {
 		// Buffer dependency: wait for tile (index-2)'s compute phase.
 		if tileIndex >= 2 {
 			if ready := computeDone[tileIndex-2]; ready > q.Now() {
-				q.At(ready, noop)
+				q.Call(ready, wait, 0)
 				q.Run()
 			}
 		}

@@ -23,6 +23,10 @@ type pager struct {
 	mosaic bool
 	res    *Result
 
+	// Migration-landed handlers, one per install kind; each event's
+	// payload is the faulting VA.
+	smallLanded, hugeLanded sim.HandlerID
+
 	pending map[vm.VirtAddr][]func()
 	// pendingRegion coalesces faults landing in a 2 MB region whose
 	// promotion is already in flight: they resolve when the large page
@@ -59,7 +63,7 @@ func newPager(q *sim.Queue, pt *vm.PageTable, mmu *core.MMU, link *sim.RateLimit
 		// enough that lukewarm regions do not trigger 2 MB migrations.
 		thr = 64
 	}
-	return &pager{
+	pg := &pager{
 		q: q, pt: pt, mmu: mmu, link: link, sys: sys, ps: ps, mosaic: mosaic, res: res,
 		frames:           vm.NewFrameAllocator(1<<40, ps, 0),
 		huge:             vm.NewFrameAllocator(1<<40, vm.Page2M, 0),
@@ -70,6 +74,9 @@ func newPager(q *sim.Queue, pt *vm.PageTable, mmu *core.MMU, link *sim.RateLimit
 		promoted:         make(map[vm.VirtAddr]bool),
 		promoteThreshold: thr,
 	}
+	pg.smallLanded = q.Register(sim.HandlerFunc(pg.landSmall))
+	pg.hugeLanded = q.Register(sim.HandlerFunc(pg.landHuge))
+	return pg
 }
 
 // fault is installed as the MMU's fault handler.
@@ -106,21 +113,37 @@ func (pg *pager) fault(va vm.VirtAddr, now sim.Cycle, resolve func()) {
 	pg.res.MigratedBytes += bytes
 
 	transferDone := pg.link.Claim(now+sim.Cycle(pg.sys.FaultOverhead), bytes)
-	pg.q.At(transferDone+sim.Cycle(pg.sys.NUMALatency), func(sim.Cycle) {
-		var waiters []func()
-		if promote {
-			pg.installHuge(region, va)
-			waiters = pg.pendingRegion[region]
-			delete(pg.pendingRegion, region)
-		} else {
-			pg.installSmall(page, va)
-			waiters = pg.pending[page]
-			delete(pg.pending, page)
-		}
-		for _, w := range waiters {
-			w()
-		}
-	})
+	landed := pg.smallLanded
+	if promote {
+		landed = pg.hugeLanded
+	}
+	pg.q.Call(transferDone+sim.Cycle(pg.sys.NUMALatency), landed, int64(va))
+}
+
+// landSmall installs the small page holding va once its migration lands
+// and resolves the faults parked on it.
+func (pg *pager) landSmall(_ sim.Cycle, arg int64) {
+	va := vm.VirtAddr(arg)
+	page := vm.PageBase(va, pg.ps)
+	pg.installSmall(page, va)
+	waiters := pg.pending[page]
+	delete(pg.pending, page)
+	for _, w := range waiters {
+		w()
+	}
+}
+
+// landHuge installs the promoted 2 MB region holding va once its
+// migration lands and resolves the faults parked on it.
+func (pg *pager) landHuge(_ sim.Cycle, arg int64) {
+	va := vm.VirtAddr(arg)
+	region := vm.PageBase(va, vm.Page2M)
+	pg.installHuge(region, va)
+	waiters := pg.pendingRegion[region]
+	delete(pg.pendingRegion, region)
+	for _, w := range waiters {
+		w()
+	}
 }
 
 func (pg *pager) installSmall(page, va vm.VirtAddr) {

@@ -143,8 +143,7 @@ type CellsRequest struct {
 	TileCap   int  `json:"tile_cap,omitempty"`
 
 	// Effort is the unified effort object; nil marshals to nothing so
-	// legacy-shaped payload bytes — and the cluster journal headers and
-	// sweep hashes derived from them — are unchanged by the redesign.
+	// legacy-shaped payload bytes are unchanged by the redesign.
 	Effort *WireEffort `json:"effort,omitempty"`
 }
 
@@ -197,12 +196,12 @@ func CellHash64(p exp.Point, e Effort) uint64 {
 // single rendering path shared by the in-process sweep handler and the
 // cluster coordinator's merge, which is what makes a merged cluster sweep
 // byte-identical to a single-process one.
-func PointRow(p exp.Point, cycles, translations int64, perf float64, c counters.Bundle, sampled *SampleJSON) CellRow {
+func PointRow(p exp.Point, v CellValue) CellRow {
 	return CellRow{
 		Model: p.Model, Batch: p.Batch,
 		MMU: p.Kind.String(), PageSize: p.PageSize.String(),
-		Cycles: cycles, Translations: translations, NormalizedPerf: perf,
-		Counters: c, Sampled: sampled,
+		Cycles: v.Cycles, Translations: v.Translations, NormalizedPerf: v.Perf,
+		Counters: v.Counters, Sampled: v.Sampled,
 	}
 }
 

@@ -2,16 +2,23 @@ package serve
 
 import (
 	"encoding/json"
+
+	"neummu/internal/exp"
+	"neummu/internal/store"
 )
 
-// This file is the glue between the cell cache and the durable tier
+// This file is the glue between a cell and the durable tier
 // (internal/store). The store speaks bytes; this file fixes the byte
 // formats. A cell's durable identity is CellHash64 — a pure function of
 // point and effort caps, stable across processes and restarts, unlike the
 // per-process map hashing the RAM cache keys on — plus canonical JSON key
-// bytes as collision defense. The value bytes are the cellValue's JSON,
+// bytes as collision defense. The value bytes are the CellValue's JSON,
 // which round-trips bit-exactly (ints exactly, float64 via shortest-form
 // encoding), so a disk-warm sweep body is byte-identical to a cold one.
+//
+// LoadCell and SaveCell are the whole codec, shared by a worker's cache
+// miss path and the cluster coordinator's store, so both write the same
+// file for the same cell.
 
 // storeKey is the canonical durable identity of one cell, serialized as
 // the store entry's key bytes. It reuses WirePoint — the same stable,
@@ -27,6 +34,16 @@ type storeKey struct {
 	Sampled  bool    `json:"sampled,omitempty"`
 	TargetCI float64 `json:"target_ci,omitempty"`
 	Epoched  bool    `json:"epoched,omitempty"`
+}
+
+// newCellKey keys point p under a harness's normalized options: the one
+// place a cellKey is built, for the RAM cache and the durable tier alike.
+func newCellKey(opts exp.Options, p exp.Point) cellKey {
+	return cellKey{
+		point: p, repeatCap: opts.RepeatCap, tileCap: opts.TileCap,
+		sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
+		epoched: opts.Effort.Epoched(),
+	}
 }
 
 // effort reconstructs the canonical routing effort from a cache key: the
@@ -53,40 +70,46 @@ func storeKeyBytes(k cellKey) []byte {
 	return b
 }
 
-// diskGet consults the durable tier for a cell. It runs inside the cache
-// compute path (after a RAM miss, before simulating), so its cost — one
-// small file read — replaces a full simulation, never adds to a hit.
-// Every false return means "fall through and simulate": not present,
-// evicted, quarantined as corrupt, or a stale value schema.
-func (s *Server) diskGet(k cellKey) (cellValue, bool) {
-	if s.store == nil {
-		return cellValue{}, false
+// LoadCell reads point p's result under h's effort from st. Every false
+// return means "not stored, compute it": a nil store, absent, evicted,
+// quarantined as corrupt, or a stale value schema.
+func LoadCell(st *store.Store, h *exp.Harness, p exp.Point) (CellValue, bool) {
+	return loadCell(st, newCellKey(h.Options(), p))
+}
+
+// SaveCell persists point p's result under h's effort to st (a no-op for
+// a nil store). The store's write-behind queue makes this a non-blocking
+// enqueue, and a full queue drops the write: the cell is simply computed
+// again the next time it is asked for.
+func SaveCell(st *store.Store, h *exp.Harness, p exp.Point, v CellValue) {
+	saveCell(st, newCellKey(h.Options(), p), v)
+}
+
+func loadCell(st *store.Store, k cellKey) (CellValue, bool) {
+	if st == nil {
+		return CellValue{}, false
 	}
-	raw, ok := s.store.Get(CellHash64(k.point, k.effort()), storeKeyBytes(k))
+	raw, ok := st.Get(CellHash64(k.point, k.effort()), storeKeyBytes(k))
 	if !ok {
-		return cellValue{}, false
+		return CellValue{}, false
 	}
-	var v cellValue
+	var v CellValue
 	if err := json.Unmarshal(raw, &v); err != nil {
-		// Checksum-valid bytes that no longer decode as a cellValue (an
-		// older schema, say) are treated as a miss: re-simulate and let the
+		// Checksum-valid bytes that no longer decode as a CellValue (an
+		// older schema, say) are treated as a miss: recompute and let the
 		// write-behind Put overwrite the stale entry.
-		return cellValue{}, false
+		return CellValue{}, false
 	}
 	return v, true
 }
 
-// diskPut persists a freshly simulated cell. The store's write-behind
-// queue makes this a non-blocking enqueue — file I/O never sits on the
-// request critical path — and a full queue drops the write (the cell
-// simply stays RAM-only until simulated again).
-func (s *Server) diskPut(k cellKey, v cellValue) {
-	if s.store == nil {
+func saveCell(st *store.Store, k cellKey, v CellValue) {
+	if st == nil {
 		return
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		panic("serve: encoding store value: " + err.Error())
 	}
-	s.store.Put(CellHash64(k.point, k.effort()), storeKeyBytes(k), raw)
+	st.Put(CellHash64(k.point, k.effort()), storeKeyBytes(k), raw)
 }

@@ -14,8 +14,7 @@ import (
 // requests still using them are answered with an X-Neuserve-Deprecated
 // header. Every field is omitempty so requests that do not set an effort
 // object — including every pre-redesign payload — marshal to exactly the
-// bytes they always did, which is what keeps cluster sweep hashes and
-// journal headers stable across the redesign.
+// bytes they always did.
 type WireEffort struct {
 	// Mode is "exact" (the default), "sampled", or "quick". Unknown modes
 	// are rejected with a bad_request envelope, never silently defaulted.
@@ -127,9 +126,8 @@ func (e Effort) expEffort() exp.Effort {
 func (e Effort) Epoched() bool { return e.Sampled || e.IntraCellWorkers > 0 }
 
 // ToWireEffort renders the effort's wire form, or nil when the effort is
-// expressible by the legacy flat fields alone — which keeps request
-// payloads (and therefore cluster sweep hashes and journal headers) for
-// legacy-shaped work byte-identical to pre-redesign ones.
+// expressible by the legacy flat fields alone — which keeps worker
+// payloads for legacy-shaped work byte-identical to pre-redesign ones.
 func (e Effort) ToWireEffort() *WireEffort {
 	if !e.Epoched() {
 		return nil

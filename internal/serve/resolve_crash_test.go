@@ -10,7 +10,7 @@ import (
 
 // Regression tests for the flight contract when the winning compute dies
 // partway — the shape the disk tier made real: the owner's closure now
-// does file-backed work (diskGet, then simulate, then diskPut), so "the
+// does file-backed work (loadCell, then simulate, then saveCell), so "the
 // compute panics mid-write" must strand neither the joiners parked on the
 // same flight nor the key itself.
 

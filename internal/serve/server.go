@@ -168,13 +168,15 @@ type cellKey struct {
 	epoched   bool
 }
 
-// cellValue is the cached result of one cell — the scalars the wire rows
-// need plus the flat counter bundle, so a cache entry costs hundreds of
-// bytes, not a full npu.Result. The JSON tags are the disk-tier value
-// format: a persisted cell decodes bit-exactly (ints are exact, float64
+// CellValue is the result of one cell — the scalars the wire rows need
+// plus the flat counter bundle, so a cache entry costs hundreds of bytes,
+// not a full npu.Result. It is what a worker's RAM cache holds and what
+// LoadCell/SaveCell move to and from a store, on workers and the cluster
+// coordinator alike. The JSON tags are the disk-tier value format: a
+// persisted cell decodes bit-exactly (ints are exact, float64
 // survives JSON's shortest-form round trip), which is what keeps
 // disk-warm sweep bodies byte-identical to cold ones.
-type cellValue struct {
+type CellValue struct {
 	Cycles       int64           `json:"cycles"`
 	Translations int64           `json:"translations"`
 	Perf         float64         `json:"perf"`
@@ -207,7 +209,7 @@ type figKey struct {
 type Server struct {
 	cfg     Config
 	sched   *Scheduler
-	cells   *Cache[cellKey, cellValue]
+	cells   *Cache[cellKey, CellValue]
 	figs    *Cache[figKey, []byte]
 	store   *store.Store // nil = RAM-only
 	metrics *metrics
@@ -232,8 +234,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		sched: NewScheduler(cfg.Workers, cfg.QueueDepth),
-		cells: NewCache[cellKey, cellValue](cfg.CacheBytes,
-			func(cellValue) int64 { return cellEntryCost }),
+		cells: NewCache[cellKey, CellValue](cfg.CacheBytes,
+			func(CellValue) int64 { return cellEntryCost }),
 		figs: NewCache[figKey, []byte](cfg.FigureCacheBytes,
 			func(b []byte) int64 { return int64(len(b)) + 128 }),
 		store:     cfg.Store,
@@ -569,17 +571,13 @@ type cellTiming struct {
 // cells answered straight from cache. ctx is the requesting client's
 // context: a cell still queued when every client interested in it
 // disconnects is dropped at dequeue, never simulated (see Cache.Resolve).
-func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.Point) (flights []*Flight[cellValue], timings []*cellTiming, hits int, err error) {
+func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.Point) (flights []*Flight[CellValue], timings []*cellTiming, hits int, err error) {
 	opts := h.Options()
-	flights = make([]*Flight[cellValue], len(points))
+	flights = make([]*Flight[CellValue], len(points))
 	timings = make([]*cellTiming, len(points))
 	for i, p := range points {
 		p := p
-		key := cellKey{
-			point: p, repeatCap: opts.RepeatCap, tileCap: opts.TileCap,
-			sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
-			epoched: opts.Effort.Epoched(),
-		}
+		key := newCellKey(opts, p)
 		ct := &cellTiming{start: time.Now()}
 		timings[i] = ct
 		fl, err := s.cells.Resolve(ctx, key,
@@ -591,13 +589,13 @@ func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.
 					run()
 				})
 			},
-			func() (cellValue, error) {
+			func() (CellValue, error) {
 				// RAM miss: the durable tier answers before a simulation is
 				// spent. Disk hits bypass the simulated counter and the
 				// counter aggregate — both book only work this process did.
 				if s.store != nil {
 					t0 := time.Now()
-					v, ok := s.diskGet(key)
+					v, ok := loadCell(s.store, key)
 					ct.diskNS = int64(time.Since(t0))
 					if ok {
 						ct.diskHit = true
@@ -609,17 +607,17 @@ func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.
 				perf, res, err := h.NormPerf(p.Model, p.Batch, p.MMU())
 				ct.computeNS = int64(time.Since(t0))
 				if err != nil {
-					return cellValue{}, fmt.Errorf("%s: %w", p.Label(), err)
+					return CellValue{}, fmt.Errorf("%s: %w", p.Label(), err)
 				}
 				s.metrics.addCounters(res.Counters)
-				v := cellValue{
+				v := CellValue{
 					Cycles:       int64(res.Cycles),
 					Translations: res.Translations,
 					Perf:         perf,
 					Counters:     res.Counters,
 					Sampled:      sampleJSON(res.Sampled),
 				}
-				s.diskPut(key, v)
+				saveCell(s.store, key, v)
 				return v, nil
 			})
 		ct.cacheNS = int64(time.Since(ct.start))
@@ -639,7 +637,7 @@ func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.
 // another request's in-flight computation it is the only wait this request
 // saw, attributed to the queue stage. The span's total is the sum of its
 // stages, so per-stage durations always account for the whole span.
-func (s *Server) recordCellSpan(traceID string, i int, p exp.Point, fl *Flight[cellValue], ct *cellTiming, waitNS int64, v cellValue, err error) {
+func (s *Server) recordCellSpan(traceID string, i int, p exp.Point, fl *Flight[CellValue], ct *cellTiming, waitNS int64, v CellValue, err error) {
 	var st trace.Stages
 	st[trace.StageCache] = ct.cacheNS
 	switch {
@@ -733,10 +731,6 @@ func DecodeSweepRequest(w http.ResponseWriter, r *http.Request, req *SweepReques
 	return true
 }
 
-func rowFor(p exp.Point, v cellValue) CellRow {
-	return PointRow(p, v.Cycles, v.Translations, v.Perf, v.Counters, v.Sampled)
-}
-
 // handleSweep streams one NDJSON row per cell, in grid order, then a
 // summary line. Rows are written as their cells resolve in order, so a
 // client consumes early cells while later ones still simulate; the bytes
@@ -784,7 +778,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sum += v.Perf
 		agg = agg.Add(v.Counters)
 		te := time.Now()
-		enc.Encode(rowFor(points[i], v))
+		enc.Encode(PointRow(points[i], v))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -844,7 +838,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	te := time.Now()
-	enc.Encode(rowFor(points[0], v))
+	enc.Encode(PointRow(points[0], v))
 	s.metrics.cellsServed.Add(1)
 	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
 	s.finishRequest(traceID, r, start, 1, hits, int64(time.Since(te)), nil)

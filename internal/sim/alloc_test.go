@@ -2,11 +2,10 @@ package sim
 
 import "testing"
 
-// The simulation core's scheduling contract: once warm, the handler-path
-// schedule/fire cycle performs zero heap allocations, and the closure
-// path allocates nothing for pre-built (non-capturing) Events. These
-// budgets are what keep long simulations out of the garbage collector;
-// they run in CI under -race so the property cannot silently regress.
+// The simulation core's scheduling contract: once warm, the
+// schedule/fire cycle performs zero heap allocations. These budgets are
+// what keep long simulations out of the garbage collector; they run in CI
+// under -race so the property cannot silently regress.
 
 func TestQueueScheduleCallAllocFree(t *testing.T) {
 	q := &Queue{}
@@ -27,20 +26,25 @@ func TestQueueScheduleCallAllocFree(t *testing.T) {
 	}
 }
 
+// An event that schedules its own follow-on from inside its handler — the
+// shape every timing-model cascade takes — allocates nothing either.
 func TestQueueScheduleEventAllocFree(t *testing.T) {
 	q := &Queue{}
 	fired := 0
-	fn := Event(func(now Cycle) { fired++ })
+	var h HandlerID
+	h = q.Register(HandlerFunc(func(now Cycle, arg int64) {
+		fired++
+		if arg > 0 {
+			q.CallAfter(1, h, arg-1)
+		}
+	}))
 	q.Grow(16)
-	// Warm the closure side table to its steady-state size.
-	q.After(1, fn)
-	q.Step()
 	allocs := testing.AllocsPerRun(1000, func() {
-		q.After(1, fn)
-		q.Step()
+		q.CallAfter(1, h, 3)
+		q.Run()
 	})
 	if allocs != 0 {
-		t.Errorf("pre-built Event schedule/fire allocates %v objects per op, want 0", allocs)
+		t.Errorf("cascading schedule/fire allocates %v objects per op, want 0", allocs)
 	}
 	if fired == 0 {
 		t.Fatal("event never fired")

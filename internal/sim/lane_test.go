@@ -6,7 +6,7 @@ import (
 )
 
 // firing is one fired event as a test observes it: the cycle, the index
-// of the handler in the harness (-1 for a closure event) and the payload.
+// of the handler in the harness and the payload.
 type firing struct {
 	now Cycle
 	h   int
@@ -60,7 +60,7 @@ func (h *laneHarness) schedule(now Cycle) {
 	r := h.rng
 	i := r.Intn(len(h.ids))
 	arg := r.Int63n(1000)
-	switch r.Intn(7) {
+	switch r.Intn(6) {
 	case 0, 1:
 		h.q.CallAfter(Cycle(1+2*i), h.ids[i], arg)
 	case 2:
@@ -69,7 +69,7 @@ func (h *laneHarness) schedule(now Cycle) {
 		h.q.Call(now+Cycle(r.Intn(10))-3, h.ids[i], arg)
 	case 4:
 		h.tickets = append(h.tickets, h.q.Reserve())
-	case 5:
+	default:
 		// An old ticket at a later cycle never orders before a fired
 		// event, as CallTicket requires.
 		if len(h.tickets) > 0 {
@@ -77,8 +77,6 @@ func (h *laneHarness) schedule(now Cycle) {
 			h.tickets = h.tickets[1:]
 			h.q.CallTicket(now+Cycle(1+r.Intn(4)), t, h.ids[i], arg)
 		}
-	default:
-		h.q.At(now+Cycle(r.Intn(6)), func(n Cycle) { h.record(n, -1, arg) })
 	}
 }
 
@@ -121,7 +119,7 @@ func TestLanesMatchHeapOnlyQueue(t *testing.T) {
 				laneEvents += lq.q.lanes[i].Len()
 			}
 			for _, it := range lq.q.heap {
-				if it.hid >= 0 && lq.q.handlers[it.hid].lane >= 0 {
+				if lq.q.handlers[it.hid].lane >= 0 {
 					fallbacks++
 				}
 			}

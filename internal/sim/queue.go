@@ -20,14 +20,12 @@
 //
 // # Zero-allocation scheduling
 //
-// The queue offers two scheduling paths. The closure path (At/After) is
-// convenient for setup code, tests, and cold paths, but every capturing
-// closure is a heap object. The handler path (Register + Call/CallAfter)
-// is the hot-path contract: a component registers a Handler once, then
-// schedules (handler ID, payload) pairs. Heap items are scalar-only — no
-// pointers — so the sift operations of push/pop incur no GC write
-// barriers and the steady-state schedule/fire cycle performs zero heap
-// allocations (see BenchmarkQueueScheduleCall).
+// The queue has one scheduling contract: a component registers a Handler
+// once (Register), then schedules (handler ID, payload) pairs with
+// Call/CallAfter. Heap items are scalar-only — no pointers — so the sift
+// operations of push/pop incur no GC write barriers and the steady-state
+// schedule/fire cycle performs zero heap allocations (see
+// BenchmarkQueueScheduleCall).
 //
 // # Lanes
 //
@@ -46,7 +44,7 @@
 // fires without allocating (TestAllocLaneSteadyState).
 //
 // docs/ARCHITECTURE.md describes how this queue composes with the rest
-// of the simulator: the handler-vs-closure contract, the worker model,
+// of the simulator: the handler contract, the worker model,
 // and the determinism guarantee the sweep engine builds on top.
 package sim
 
@@ -55,9 +53,6 @@ import "math"
 // Cycle is a point in simulated time, measured in NPU clock cycles
 // (1 GHz in the baseline configuration, so one cycle is 1 ns).
 type Cycle int64
-
-// Event is a callback scheduled to fire at a particular cycle.
-type Event func(now Cycle)
 
 // Handler is the zero-allocation event target: components register one
 // Handler per event kind and dispatch on the scalar payload.
@@ -78,10 +73,8 @@ func (f HandlerFunc) Fire(now Cycle, arg int64) { f(now, arg) }
 // portable across queues.
 type HandlerID int32
 
-// item is one pending event. It holds no pointers: handler events carry
-// (hid >= 0, arg); closure events park the Event in the queue's side table
-// and encode its slot as hid = -(slot+1). Keeping the heap scalar-only is
-// what makes push/pop write-barrier-free.
+// item is one pending event: the handler to fire and its payload. It
+// holds no pointers, which is what makes push/pop write-barrier-free.
 type item struct {
 	at  Cycle
 	seq uint64
@@ -106,7 +99,6 @@ type Queue struct {
 	now   Cycle
 
 	handlers []handler
-	fns      SlotPool[Event]
 	fired    int64
 }
 
@@ -224,25 +216,6 @@ func (q *Queue) schedule(it item) {
 	q.push(it)
 }
 
-// At schedules fn to run at absolute cycle at. Scheduling in the past
-// (at < Now) clamps to the current cycle. The Event is parked in a free
-// slot of the queue's side table (reused across events), so scheduling a
-// pre-built func value does not allocate; a capturing closure costs its
-// own one-time allocation at the call site, which is why hot paths use
-// Register/Call instead.
-func (q *Queue) At(at Cycle, fn Event) {
-	if at < q.now {
-		at = q.now
-	}
-	q.push(item{at: at, seq: q.seq, hid: -(q.fns.Put(fn) + 1)})
-	q.seq++
-}
-
-// After schedules fn to run delay cycles after the current time.
-func (q *Queue) After(delay Cycle, fn Event) {
-	q.At(q.now+delay, fn)
-}
-
 // Step fires the earliest pending event and reports whether one existed.
 func (q *Queue) Step() bool { return q.step(maxCycle) }
 
@@ -280,12 +253,7 @@ func (q *Queue) step(limit Cycle) bool {
 		q.now = it.at
 	}
 	q.fired++
-	if it.hid >= 0 {
-		q.handlers[it.hid].h.Fire(q.now, it.arg)
-		return true
-	}
-	fn := q.fns.Take(-it.hid - 1)
-	fn(q.now)
+	q.handlers[it.hid].h.Fire(q.now, it.arg)
 	return true
 }
 

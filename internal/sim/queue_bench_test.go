@@ -2,30 +2,12 @@ package sim
 
 import "testing"
 
-// BenchmarkQueueScheduleFire measures the steady-state cost of the
+// BenchmarkQueueScheduleCall measures the steady-state cost of the
 // schedule/fire cycle the way the timing models drive it: each fired event
-// schedules a follow-on for the next cycle. The interesting number is
-// allocs/op — the simulation core's hot loop must not touch the heap once
-// the queue's backing array has grown to its working size.
-func BenchmarkQueueScheduleFire(b *testing.B) {
-	q := &Queue{}
-	n := 0
-	var fn Event
-	fn = func(now Cycle) {
-		if n < b.N {
-			n++
-			q.After(1, fn)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	q.After(1, fn)
-	q.Run()
-}
-
-// BenchmarkQueueScheduleCall measures the handler path the timing models
-// now schedule on: a registered Handler plus a scalar payload. Heap items
-// are pointer-free, so the cycle is allocation- and write-barrier-free.
+// schedules a follow-on for the next cycle on a registered Handler with a
+// scalar payload. Heap items are pointer-free, so the cycle is
+// allocation- and write-barrier-free; the interesting number is
+// allocs/op.
 func BenchmarkQueueScheduleCall(b *testing.B) {
 	q := &Queue{}
 	n := 0
@@ -40,21 +22,4 @@ func BenchmarkQueueScheduleCall(b *testing.B) {
 	b.ResetTimer()
 	q.CallAfter(1, h, 0)
 	q.Run()
-}
-
-// BenchmarkQueueCapturingEvents mimics the pre-refactor call-site idiom:
-// every scheduled event is a fresh closure capturing per-request state (the
-// MMU hit path, the walker completion path). This is the allocation
-// behaviour the pooled event nodes replace.
-func BenchmarkQueueCapturingEvents(b *testing.B) {
-	q := &Queue{}
-	var sink Cycle
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := Cycle(i)
-		q.After(1, func(now Cycle) { sink = now + v })
-		q.Step()
-	}
-	_ = sink
 }

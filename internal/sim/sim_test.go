@@ -10,9 +10,9 @@ import (
 func TestQueueFiresInTimeOrder(t *testing.T) {
 	var q Queue
 	var got []Cycle
+	h := q.Register(HandlerFunc(func(now Cycle, _ int64) { got = append(got, now) }))
 	for _, c := range []Cycle{30, 10, 20, 10, 5} {
-		c := c
-		q.At(c, func(now Cycle) { got = append(got, now) })
+		q.Call(c, h, 0)
 	}
 	q.Run()
 	want := []Cycle{5, 10, 10, 20, 30}
@@ -28,14 +28,14 @@ func TestQueueFiresInTimeOrder(t *testing.T) {
 
 func TestQueueSameCycleFIFO(t *testing.T) {
 	var q Queue
-	var order []int
+	var order []int64
+	h := q.Register(HandlerFunc(func(_ Cycle, arg int64) { order = append(order, arg) }))
 	for i := 0; i < 10; i++ {
-		i := i
-		q.At(42, func(Cycle) { order = append(order, i) })
+		q.Call(42, h, int64(i))
 	}
 	q.Run()
 	for i, v := range order {
-		if v != i {
+		if v != int64(i) {
 			t.Fatalf("same-cycle events out of insertion order: %v", order)
 		}
 	}
@@ -43,7 +43,7 @@ func TestQueueSameCycleFIFO(t *testing.T) {
 
 // A ticket reserved before other same-cycle events were scheduled fires
 // before them, as a Call made at reservation time would have; Fired
-// counts every event, whichever path scheduled it.
+// counts every event, whichever call scheduled it.
 func TestQueueReservedTicketKeepsFiringOrder(t *testing.T) {
 	var q Queue
 	var order []int64
@@ -51,7 +51,7 @@ func TestQueueReservedTicketKeepsFiringOrder(t *testing.T) {
 	early := q.Reserve()
 	q.Call(42, h, 2)
 	late := q.Reserve()
-	q.At(42, func(Cycle) { order = append(order, 4) })
+	q.Call(42, h, 4)
 	q.CallTicket(42, late, h, 3)
 	q.CallTicket(42, early, h, 1)
 	q.Run()
@@ -72,14 +72,15 @@ func TestQueueReservedTicketKeepsFiringOrder(t *testing.T) {
 func TestQueueNowAdvancesMonotonically(t *testing.T) {
 	var q Queue
 	last := Cycle(-1)
+	h := q.Register(HandlerFunc(func(now Cycle, _ int64) {
+		if now < last {
+			t.Fatalf("time went backwards: %d after %d", now, last)
+		}
+		last = now
+	}))
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		q.At(Cycle(rng.Intn(1000)), func(now Cycle) {
-			if now < last {
-				t.Fatalf("time went backwards: %d after %d", now, last)
-			}
-			last = now
-		})
+		q.Call(Cycle(rng.Intn(1000)), h, 0)
 	}
 	q.Run()
 }
@@ -87,10 +88,16 @@ func TestQueueNowAdvancesMonotonically(t *testing.T) {
 func TestQueuePastSchedulingClamps(t *testing.T) {
 	var q Queue
 	fired := Cycle(-1)
-	q.At(100, func(now Cycle) {
-		// Schedule "in the past"; must fire at now, not before.
-		q.At(5, func(n2 Cycle) { fired = n2 })
-	})
+	var h HandlerID
+	h = q.Register(HandlerFunc(func(now Cycle, arg int64) {
+		if arg == 0 {
+			// Schedule "in the past"; must fire at now, not before.
+			q.Call(5, h, 1)
+			return
+		}
+		fired = now
+	}))
+	q.Call(100, h, 0)
 	q.Run()
 	if fired != 100 {
 		t.Fatalf("past-scheduled event fired at %d, want clamp to 100", fired)
@@ -100,20 +107,27 @@ func TestQueuePastSchedulingClamps(t *testing.T) {
 func TestQueueAfterIsRelative(t *testing.T) {
 	var q Queue
 	var at Cycle
-	q.At(50, func(now Cycle) {
-		q.After(25, func(n2 Cycle) { at = n2 })
-	})
+	var h HandlerID
+	h = q.Register(HandlerFunc(func(now Cycle, arg int64) {
+		if arg == 0 {
+			q.CallAfter(25, h, 1)
+			return
+		}
+		at = now
+	}))
+	q.Call(50, h, 0)
 	q.Run()
 	if at != 75 {
-		t.Fatalf("After(25) from cycle 50 fired at %d, want 75", at)
+		t.Fatalf("CallAfter(25) from cycle 50 fired at %d, want 75", at)
 	}
 }
 
 func TestQueueRunUntil(t *testing.T) {
 	var q Queue
 	count := 0
+	h := q.Register(HandlerFunc(func(Cycle, int64) { count++ }))
 	for _, c := range []Cycle{10, 20, 30, 40} {
-		q.At(c, func(Cycle) { count++ })
+		q.Call(c, h, 0)
 	}
 	if q.RunUntil(25) {
 		t.Fatal("RunUntil(25) reported drained with events pending")
@@ -133,14 +147,14 @@ func TestQueueCascade(t *testing.T) {
 	// A chain of events each scheduling the next must run to completion.
 	var q Queue
 	depth := 0
-	var step func(Cycle)
-	step = func(now Cycle) {
+	var h HandlerID
+	h = q.Register(HandlerFunc(func(Cycle, int64) {
 		depth++
 		if depth < 1000 {
-			q.After(1, step)
+			q.CallAfter(1, h, 0)
 		}
-	}
-	q.At(0, step)
+	}))
+	q.Call(0, h, 0)
 	end := q.Run()
 	if depth != 1000 {
 		t.Fatalf("cascade depth %d, want 1000", depth)
@@ -156,8 +170,9 @@ func TestQueueOrderProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		var q Queue
 		var fired []Cycle
+		h := q.Register(HandlerFunc(func(now Cycle, _ int64) { fired = append(fired, now) }))
 		for _, d := range delays {
-			q.At(Cycle(d), func(now Cycle) { fired = append(fired, now) })
+			q.Call(Cycle(d), h, 0)
 		}
 		q.Run()
 		want := make([]Cycle, len(delays))

@@ -186,8 +186,9 @@ type Span struct {
 	// TotalNS is the span's observed wall duration; Stages attributes it.
 	TotalNS int64  `json:"total_ns"`
 	Stages  Stages `json:"stages"`
-	// Hit reports a cell answered from RAM cache (or, on a coordinator,
-	// from a sweep journal); DiskHit one answered from the durable tier.
+	// Hit reports a cell answered from RAM cache (on a coordinator, from
+	// the answering worker's cache); DiskHit one answered from the durable
+	// tier (on a coordinator, its own store, without any dispatch).
 	Hit     bool `json:"hit,omitempty"`
 	DiskHit bool `json:"disk_hit,omitempty"`
 	// Cells is the request span's grid size (0 for cell spans).
