@@ -18,10 +18,11 @@
 // Scale-out: a fleet of neuserve processes can serve one sweep. Workers
 // are plain neuserve instances (-role worker is an explicit alias for the
 // default single-process mode; every instance speaks the cluster wire
-// protocol on POST /v1/cells). A coordinator accepts the same
-// POST /v1/sweep API, shards the grid across the fleet by consistent
-// hashing on the content-addressed cell key, and merges the streams back
-// byte-identical to a single process (see internal/cluster):
+// protocol on POST /v1/cells). A coordinator answers through the same
+// HTTP front end as a worker — every endpoint but /v1/figures — shards
+// the grid across the fleet by consistent hashing on the
+// content-addressed cell key, and merges the streams back byte-identical
+// to a single process (see internal/cluster):
 //
 //	neuserve -addr :8081 &            # worker 1
 //	neuserve -addr :8082 &            # worker 2

@@ -1,9 +1,15 @@
 // Package cluster is the scale-out layer of the sweep engine: a
-// coordinator that accepts the same POST /v1/sweep API as a single
-// neuserve process, partitions the expanded design-space grid into
-// shards, routes each shard to a worker over HTTP, and merges the worker
-// streams back into the exact byte sequence the single process would have
-// produced.
+// coordinator that serves the same API as a single neuserve process,
+// partitions each expanded design-space grid into shards, routes each
+// shard to a worker over HTTP, and merges the worker streams back into
+// the exact byte sequence the single process would have produced.
+//
+// The coordinator has no HTTP layer of its own. It is a serve.Server
+// front end whose serve.Resolver is the fleet: cells the coordinator's
+// store holds are answered at once, and the rest are dispatched across
+// the ring, re-routed when a worker fails. Decoding, validation, rows,
+// headers, error envelopes, spans and request logs are serve's, so both
+// roles produce them the same way.
 //
 // Routing is consistent hashing on the content-addressed cell key
 // (serve.CellHash64): the same cell always lands on the same worker, so
@@ -32,31 +38,29 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"neummu/internal/counters"
 	"neummu/internal/exp"
 	"neummu/internal/serve"
-	"neummu/internal/stats"
 	"neummu/internal/store"
 	"neummu/internal/trace"
 )
 
 // ErrNoWorkers is returned (as a 503) when no healthy worker remains to
-// route a shard to.
-var ErrNoWorkers = errors.New("cluster: no healthy workers")
+// route a shard to. It wraps serve.ErrUnavailable.
+var ErrNoWorkers = fmt.Errorf("cluster: no healthy workers (%w)", serve.ErrUnavailable)
 
 // ErrWorkerOverloaded is returned (as a 429) when a worker answered a
-// shard with its admission-control pushback. Unlike a transport failure
-// it does NOT mark the worker down or re-route: the worker is alive and
-// deliberately shedding load, and piling its shard onto the rest of the
-// fleet would cascade one hot spot into a fleet-wide brownout. The 429
-// (with Retry-After) bubbles up to the client, preserving the single
-// process's backpressure contract through the coordinator.
-var ErrWorkerOverloaded = errors.New("cluster: worker overloaded")
+// shard with its admission-control pushback. It wraps serve.ErrOverloaded.
+// Unlike a transport failure it does NOT mark the worker down or
+// re-route: the worker is alive and deliberately shedding load, and
+// piling its shard onto the rest of the fleet would cascade one hot spot
+// into a fleet-wide brownout. The 429 (with Retry-After) bubbles up to
+// the client, preserving the single process's backpressure contract
+// through the coordinator.
+var ErrWorkerOverloaded = fmt.Errorf("cluster: worker overloaded (%w)", serve.ErrOverloaded)
 
 // Config tunes a Coordinator.
 type Config struct {
@@ -121,9 +125,6 @@ func (c Config) normalized() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
-	if c.MaxCellsPerRequest <= 0 {
-		c.MaxCellsPerRequest = 4096
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{} // no global timeout: shard ctx bounds each call
 	}
@@ -133,32 +134,28 @@ func (c Config) normalized() Config {
 // Coordinator fans sweeps out over a worker fleet. Create with New,
 // mount as an http.Handler, and Close when done.
 //
-// Endpoints: GET /healthz, GET /metrics, POST /v1/sweep, POST /v1/sim,
-// and POST /v1/cells (so one coordinator can serve another coordinator —
-// or the exp remote backend — exactly like a worker would).
+// It serves serve.Server's endpoints except the figure registry:
+// GET /healthz, GET /metrics, GET /debug/traces, POST /v1/sweep,
+// POST /v1/sim, and POST /v1/cells (so one coordinator can serve another
+// coordinator — or the exp remote backend — exactly like a worker
+// would).
 type Coordinator struct {
-	cfg  Config
-	ring *ring
-	pool *pool
-	mux  *http.ServeMux
+	srv   *serve.Server
+	fleet *fleet
+}
 
-	start        time.Time
-	requests     atomic.Int64
-	sweeps       atomic.Int64
-	cellsServed  atomic.Int64
-	reroutes     atomic.Int64
-	noWorkers    atomic.Int64
-	storedCells  atomic.Int64 // cells answered from cfg.Store
-	resumes      atomic.Int64 // requests with at least one such cell
-	sweepLatency *stats.Latency
-	tracer       *trace.Tracer
-	logger       *slog.Logger
+// fleet is the coordinator's serve.Resolver: its store, the ring, the
+// worker pool, and the routing counters folded into /metrics.
+type fleet struct {
+	cfg    Config
+	ring   *ring
+	pool   *pool
+	tracer *trace.Tracer
 
-	// harnesses memoizes one expansion harness per effort through the
-	// serving layer's shared cache (Workers: 1 — the coordinator expands
-	// grids and normalizes caps but never simulates), so coordinator and
-	// worker can never diverge on what selects a harness.
-	harnesses *serve.HarnessCache
+	reroutes    atomic.Int64
+	noWorkers   atomic.Int64
+	storedCells atomic.Int64 // cells answered from cfg.Store
+	resumes     atomic.Int64 // requests with at least one such cell
 }
 
 // New returns a coordinator for the given worker fleet. The health
@@ -182,51 +179,38 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	traceCfg := cfg.Trace
-	if traceCfg.Logger == nil {
-		traceCfg.Logger = logger
+	f := &fleet{
+		cfg:  cfg,
+		ring: newRing(cfg.Workers, cfg.Replicas),
+		pool: newPool(cfg.Workers, cfg.Client, cfg.HealthInterval),
 	}
-	c := &Coordinator{
-		cfg:          cfg,
-		ring:         newRing(cfg.Workers, cfg.Replicas),
-		pool:         newPool(cfg.Workers, cfg.Client, cfg.HealthInterval),
-		start:        time.Now(),
-		sweepLatency: stats.NewLatency(0),
-		tracer:       trace.NewTracer(traceCfg),
-		logger:       logger,
-		harnesses:    serve.NewHarnessCache(1),
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", c.tracer.HandleList)
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		c.tracer.HandleByID(w, r, r.PathValue("id"))
-	})
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	mux.HandleFunc("POST /v1/sim", c.handleSim)
-	mux.HandleFunc("POST /v1/cells", c.handleCells)
-	c.mux = mux
-	return c, nil
+	// One sweep worker per harness: the coordinator's harnesses expand
+	// grids and normalize caps, but never simulate.
+	srv := serve.NewWithResolver(serve.Config{
+		Workers:            1,
+		MaxCellsPerRequest: cfg.MaxCellsPerRequest,
+		Trace:              cfg.Trace,
+		Logger:             cfg.Logger,
+	}, f)
+	f.tracer = srv.Tracer()
+	return &Coordinator{srv: srv, fleet: f}, nil
 }
 
 // Tracer exposes the coordinator's span tracer (the /debug/traces state)
 // for embedding processes and tests.
-func (c *Coordinator) Tracer() *trace.Tracer { return c.tracer }
+func (c *Coordinator) Tracer() *trace.Tracer { return c.srv.Tracer() }
 
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	c.mux.ServeHTTP(w, r)
+	c.srv.ServeHTTP(w, r)
 }
 
 // Close stops the health checker. In-flight dispatches are bounded by
 // their own contexts and need no draining here.
-func (c *Coordinator) Close() { c.pool.close() }
+func (c *Coordinator) Close() { c.fleet.pool.close() }
 
 // slot is one cell's pending result. Exactly one dispatch owns a slot at
 // any time (re-routing hands unresolved slots to a new dispatch only
@@ -242,7 +226,7 @@ type slot struct {
 	attempts int
 	// firstDispatch anchors retry-stage attribution: a re-routed cell's
 	// span books the time from here to its final dispatch's start as
-	// StageRetry. Set once in runCells; read by the owning dispatch chain.
+	// StageRetry. Set once in Resolve; read by the owning dispatch chain.
 	firstDispatch time.Time
 }
 
@@ -251,20 +235,33 @@ func (s *slot) fail(err error) {
 	close(s.done)
 }
 
-// runCells answers every point the coordinator's store holds at once and
+// Wait implements serve.Pending. The slot's span is recorded where it
+// resolves (at admission for a stored cell, in dispatch otherwise), so
+// Wait only waits — and stops waiting when the client goes away.
+func (s *slot) Wait(ctx context.Context) (serve.CellValue, bool, error) {
+	select {
+	case <-s.done:
+		return s.v, s.hit, s.err
+	case <-ctx.Done():
+		return serve.CellValue{}, false, ctx.Err()
+	}
+}
+
+// Resolve answers every point the coordinator's store holds at once and
 // shards the rest across healthy workers by consistent hash; slots
-// resolve as worker lines stream back. A request whose cells are all
-// stored succeeds with zero healthy workers. traceID propagates to every
-// worker dispatch over the X-Trace-Id header.
-func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point) ([]*slot, error) {
+// resolve as worker lines stream back. hits counts the stored cells. A
+// request whose cells are all stored succeeds with zero healthy workers.
+// traceID propagates to every worker dispatch over the X-Trace-Id header.
+func (f *fleet) Resolve(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point) ([]serve.Pending, int, error) {
 	slots := make([]*slot, len(points))
+	cells := make([]serve.Pending, len(points))
 	remaining := make([]int, 0, len(points))
 	now := time.Now()
 	for i := range slots {
 		sl := &slot{done: make(chan struct{}), attempts: 1, firstDispatch: now}
-		slots[i] = sl
+		slots[i], cells[i] = sl, sl
 		t0 := time.Now()
-		v, ok := serve.LoadCell(c.cfg.Store, h, points[i])
+		v, ok := serve.LoadCell(f.cfg.Store, h, points[i])
 		if !ok {
 			remaining = append(remaining, i)
 			continue
@@ -273,86 +270,47 @@ func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harne
 		close(sl.done)
 		var st trace.Stages
 		st[trace.StageDisk] = int64(time.Since(t0))
-		c.tracer.Record(trace.Span{
+		f.tracer.Record(trace.Span{
 			TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 			Start: t0, TotalNS: st.Sum(), Stages: st, DiskHit: true,
 		})
 	}
-	if stored := len(points) - len(remaining); stored > 0 {
-		c.storedCells.Add(int64(stored))
-		c.resumes.Add(1)
+	stored := len(points) - len(remaining)
+	if stored > 0 {
+		f.storedCells.Add(int64(stored))
+		f.resumes.Add(1)
 	}
 	if len(remaining) == 0 {
-		return slots, nil
+		return cells, stored, nil
 	}
-	if c.pool.healthyCount() == 0 {
-		c.noWorkers.Add(1)
-		return nil, ErrNoWorkers
-	}
-	groups, err := c.plan(h, points, remaining)
+	groups, err := f.plan(h, points, remaining)
 	if err != nil {
-		c.noWorkers.Add(1)
-		return nil, err
+		f.noWorkers.Add(1)
+		return nil, 0, err
 	}
-	eff := effortOf(h)
 	for url, idxs := range groups {
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff)
+		go f.dispatch(ctx, traceID, h, points, slots, url, idxs)
 	}
-	return slots, nil
+	return cells, stored, nil
 }
 
-// plan groups point indices by ring owner among healthy workers. indices
-// nil means all points.
-func (c *Coordinator) plan(h *exp.Harness, points []exp.Point, indices []int) (map[string][]int, error) {
+// plan groups the point indices by ring owner among healthy workers,
+// failing with ErrNoWorkers when none is left.
+func (f *fleet) plan(h *exp.Harness, points []exp.Point, indices []int) (map[string][]int, error) {
 	eff := serveEffort(h)
 	groups := make(map[string][]int)
-	assign := func(i int) error {
-		owner := c.ring.owner(serve.CellHash64(points[i], eff), c.pool.unhealthy)
+	for _, i := range indices {
+		owner := f.ring.owner(serve.CellHash64(points[i], eff), f.pool.unhealthy)
 		if owner == "" {
-			return ErrNoWorkers
+			return nil, ErrNoWorkers
 		}
 		groups[owner] = append(groups[owner], i)
-		return nil
-	}
-	if indices == nil {
-		for i := range points {
-			if err := assign(i); err != nil {
-				return nil, err
-			}
-		}
-		return groups, nil
-	}
-	for _, i := range indices {
-		if err := assign(i); err != nil {
-			return nil, err
-		}
 	}
 	return groups, nil
 }
 
-// serveEffort reconstructs the canonical serve-level effort from a
-// normalized harness — the value cell routing hashes key on.
-func serveEffort(h *exp.Harness) serve.Effort {
-	opts := h.Options()
-	return serve.Effort{
-		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-		Sampled:          opts.Effort.Sampled(),
-		TargetCI:         opts.Effort.TargetCI,
-		IntraCellWorkers: opts.Effort.IntraCellWorkers,
-	}
-}
-
-// effortOf extracts the wire effort knobs from a normalized harness: the
-// legacy flat fields always (so legacy-shaped work produces the exact
-// pre-redesign worker payload bytes), plus the effort object only when
-// the effort is epoch-structured and the flat fields cannot express it.
-func effortOf(h *exp.Harness) serve.CellsRequest {
-	opts := h.Options()
-	return serve.CellsRequest{
-		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-		Effort: serveEffort(h).ToWireEffort(),
-	}
-}
+// serveEffort is the effort cells of h route by.
+func serveEffort(h *exp.Harness) serve.Effort { return serve.EffortOf(h.Options()) }
 
 // dispatch sends one shard (the points at idxs) to a worker and resolves
 // each slot as its line streams back. On transport failure — connection
@@ -360,19 +318,18 @@ func effortOf(h *exp.Harness) serve.CellsRequest {
 // resolved are re-routed to the remaining healthy workers; cells the
 // worker already answered keep their results. The trace ID rides the
 // X-Trace-Id header, so the worker's own spans land under the same trace.
-func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, url string, idxs []int, eff serve.CellsRequest) {
+func (f *fleet) dispatch(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
+	slots []*slot, url string, idxs []int) {
 	dispatchStart := time.Now()
-	w := c.pool.byURL[url]
+	w := f.pool.byURL[url]
 	w.shards.Add(1)
 	w.cells.Add(int64(len(idxs)))
 
-	req := eff
-	req.Points = make([]serve.WirePoint, len(idxs))
+	shard := make([]exp.Point, len(idxs))
 	for k, i := range idxs {
-		req.Points[k] = serve.ToWire(points[i])
+		shard[k] = points[i]
 	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(serve.NewCellsRequest(h.Options(), shard))
 	if err != nil {
 		for _, i := range idxs {
 			slots[i].fail(err)
@@ -394,7 +351,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		if sl.attempts > 1 {
 			st[trace.StageRetry] = int64(dispatchStart.Sub(sl.firstDispatch))
 		}
-		c.tracer.Record(trace.Span{
+		f.tracer.Record(trace.Span{
 			TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 			Start: sl.firstDispatch, TotalNS: st.Sum(), Stages: st,
 			Hit: sl.hit, Worker: url, Attempts: sl.attempts, Err: cellErr,
@@ -409,7 +366,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 	// off; a hung or dead one is.
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	idle := time.AfterFunc(c.cfg.ShardTimeout, cancel)
+	idle := time.AfterFunc(f.cfg.ShardTimeout, cancel)
 	defer idle.Stop()
 	failure := func(cause error) {
 		var missing []int
@@ -418,7 +375,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 				missing = append(missing, i)
 			}
 		}
-		c.reroute(ctx, traceID, h, points, slots, w, missing, cause, eff)
+		f.reroute(ctx, traceID, h, points, slots, w, missing, cause)
 	}
 
 	httpReq, err := http.NewRequestWithContext(shardCtx, "POST", url+"/v1/cells", bytes.NewReader(body))
@@ -428,7 +385,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	httpReq.Header.Set(trace.Header, traceID)
-	resp, err := c.pool.client.Do(httpReq)
+	resp, err := f.pool.client.Do(httpReq)
 	if err != nil {
 		failure(err)
 		return
@@ -457,7 +414,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 			failure(fmt.Errorf("worker stream truncated after %d/%d cells: %w", n, len(idxs), err))
 			return
 		}
-		idle.Reset(c.cfg.ShardTimeout)
+		idle.Reset(f.cfg.ShardTimeout)
 		if line.I < 0 || line.I >= len(idxs) || resolved[line.I] {
 			failure(fmt.Errorf("worker answered bogus cell index %d", line.I))
 			return
@@ -488,7 +445,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		// Save before resolving the slot: once the last slot resolves, the
 		// request may answer its client and the process may close the
 		// store, and a later save would be dropped.
-		serve.SaveCell(c.cfg.Store, h, points[idxs[line.I]], sl.v)
+		serve.SaveCell(f.cfg.Store, h, points[idxs[line.I]], sl.v)
 		close(sl.done)
 	}
 }
@@ -510,8 +467,8 @@ func drainBody(body io.Reader) {
 // the failed worker it left and as cells_adopted on the worker that took
 // it over, so a fleet dashboard can attribute re-route load to both sides
 // of the move.
-func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, w *workerState, missing []int, cause error, eff serve.CellsRequest) {
+func (f *fleet) reroute(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
+	slots []*slot, w *workerState, missing []int, cause error) {
 	if len(missing) == 0 {
 		return
 	}
@@ -523,17 +480,17 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 	}
 	w.markDown()
 	w.rerouted.Add(int64(len(missing)))
-	c.reroutes.Add(int64(len(missing)))
-	c.logger.Warn("worker failed, re-routing",
+	f.reroutes.Add(int64(len(missing)))
+	f.cfg.Logger.Warn("worker failed, re-routing",
 		"trace_id", traceID, "worker", w.url,
 		"missing_cells", len(missing), "cause", cause.Error())
 
 	var retry []int
 	for _, i := range missing {
-		if slots[i].attempts > c.cfg.MaxRetries {
+		if slots[i].attempts > f.cfg.MaxRetries {
 			err := fmt.Errorf("%s: worker %s failed (%v) and retry budget is spent",
 				points[i].Label(), w.url, cause)
-			c.tracer.Record(trace.Span{
+			f.tracer.Record(trace.Span{
 				TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 				Start: slots[i].firstDispatch, Worker: w.url,
 				Attempts: slots[i].attempts, Err: err.Error(),
@@ -547,7 +504,7 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 	if len(retry) == 0 {
 		return
 	}
-	groups, err := c.plan(h, points, retry)
+	groups, err := f.plan(h, points, retry)
 	if err != nil {
 		for _, i := range retry {
 			slots[i].fail(fmt.Errorf("%s: %w after worker %s failed (%v)",
@@ -556,267 +513,9 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 		return
 	}
 	for url, idxs := range groups {
-		c.pool.byURL[url].adopted.Add(int64(len(idxs)))
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff)
+		f.pool.byURL[url].adopted.Add(int64(len(idxs)))
+		go f.dispatch(ctx, traceID, h, points, slots, url, idxs)
 	}
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// reject maps routing errors to clean statuses in the uniform error
-// envelope: no healthy workers is a 503 unavailable (the fleet is down,
-// retrying later may help), worker overload is a 429 overloaded (the
-// single process's backpressure contract, passed through), anything else
-// a 500 internal.
-func (c *Coordinator) reject(w http.ResponseWriter, traceID string, err error) {
-	switch {
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "1")
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.ErrCodeUnavailable,
-			err.Error(), traceID)
-	case errors.Is(err, ErrWorkerOverloaded):
-		w.Header().Set("Retry-After", "1")
-		serve.WriteError(w, http.StatusTooManyRequests, serve.ErrCodeOverloaded,
-			err.Error(), traceID)
-	default:
-		serve.WriteError(w, http.StatusInternalServerError, serve.ErrCodeInternal,
-			err.Error(), traceID)
-	}
-}
-
-// handleSweep is the scale-out twin of the single-process sweep handler:
-// same request schema, same validation, same expansion, and — by merging
-// worker streams back into grid order through the shared row renderer —
-// the same bytes.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	var req serve.SweepRequest
-	if !serve.DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	points, err := serve.ExpandSweep(h, req, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	slots, err := c.runCells(r.Context(), traceID, h, points)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, len(points), 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sum := 0.0
-	var agg counters.Bundle
-	var mergeNS int64
-	for i, sl := range slots {
-		select {
-		case <-sl.done:
-		case <-r.Context().Done():
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, r.Context().Err())
-			return
-		}
-		if sl.err != nil {
-			if i == 0 {
-				// Nothing streamed yet: answer with a clean status (429
-				// for overload, 503 for a dead fleet) like the single
-				// process would at admission.
-				c.reject(w, traceID, sl.err)
-				c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-				return
-			}
-			// The stream is already committed; emit a terminal error line
-			// (the same shape the single process emits).
-			enc.Encode(map[string]string{"error": sl.err.Error()})
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-			return
-		}
-		sum += sl.v.Perf
-		agg = agg.Add(sl.v.Counters)
-		te := time.Now()
-		enc.Encode(serve.PointRow(points[i], sl.v))
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	te := time.Now()
-	enc.Encode(serve.SweepSummary{
-		Summary: true, Cells: len(points),
-		AvgNormalizedPerf: sum / float64(len(points)),
-		Counters:          agg,
-	})
-	mergeNS += int64(time.Since(te))
-	c.sweeps.Add(1)
-	c.cellsServed.Add(int64(len(points)))
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, len(points), mergeNS, nil)
-}
-
-// finishRequest records the coordinator's request-level span and emits
-// the structured request log line.
-func (c *Coordinator) finishRequest(traceID string, r *http.Request, start time.Time, cells int, mergeNS int64, reqErr error) {
-	total := int64(time.Since(start))
-	var st trace.Stages
-	st[trace.StageMerge] = mergeNS
-	sp := trace.Span{
-		TraceID: traceID, Kind: "request",
-		Name: r.Method + " " + r.URL.Path, Index: -1,
-		Start: start, TotalNS: total, Stages: st, Cells: cells,
-	}
-	attrs := []any{
-		"trace_id", traceID, "method", r.Method, "path", r.URL.Path,
-		"cells", cells, "ms", float64(total) / float64(time.Millisecond),
-	}
-	if reqErr != nil {
-		sp.Err = reqErr.Error()
-		attrs = append(attrs, "error", reqErr.Error())
-		c.tracer.Record(sp)
-		c.logger.Error("request failed", attrs...)
-		return
-	}
-	c.tracer.Record(sp)
-	c.logger.Info("request", attrs...)
-}
-
-// handleSim routes a single cell to its owning worker and returns one
-// JSON object, byte-identical to the single process's /v1/sim.
-func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	var req serve.SweepRequest
-	if !serve.DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	points, err := serve.ExpandSweep(h, req, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	if len(points) != 1 {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest,
-			fmt.Sprintf("sim requires exactly one cell, got %d (use /v1/sweep for grids)",
-				len(points)), traceID)
-		return
-	}
-	slots, err := c.runCells(r.Context(), traceID, h, points)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, 1, 0, err)
-		return
-	}
-	sl := slots[0]
-	select {
-	case <-sl.done:
-	case <-r.Context().Done():
-		c.finishRequest(traceID, r, startT, 1, 0, r.Context().Err())
-		return
-	}
-	if sl.err != nil {
-		c.reject(w, traceID, sl.err)
-		c.finishRequest(traceID, r, startT, 1, 0, sl.err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	if sl.hit {
-		w.Header().Set("X-Neuserve-Cache", "hit")
-	} else {
-		w.Header().Set("X-Neuserve-Cache", "miss")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	te := time.Now()
-	enc.Encode(serve.PointRow(points[0], sl.v))
-	c.cellsServed.Add(1)
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, 1, int64(time.Since(te)), nil)
-}
-
-// handleCells lets a coordinator speak the worker wire protocol itself:
-// explicit points in, CellLines out in input order — so the exp remote
-// backend (and chained coordinators) need only one protocol.
-func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	req, points, err := serve.ParseCellsRequest(r, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	slots, err := c.runCells(r.Context(), traceID, h, points)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, len(points), 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mergeNS int64
-	for i, sl := range slots {
-		select {
-		case <-sl.done:
-		case <-r.Context().Done():
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, r.Context().Err())
-			return
-		}
-		if sl.err != nil && i == 0 && errors.Is(sl.err, ErrWorkerOverloaded) {
-			// Mirror the worker protocol: overload before any line is a
-			// 429 the caller can retry, not a stream of error lines.
-			c.reject(w, traceID, sl.err)
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-			return
-		}
-		line := serve.CellLine{I: i, Hit: sl.hit}
-		if sl.err != nil {
-			line.Err = sl.err.Error()
-		} else {
-			line.Cycles, line.Translations, line.Perf = sl.v.Cycles, sl.v.Translations, sl.v.Perf
-			line.Counters = sl.v.Counters
-			line.Sampled = sl.v.Sampled
-		}
-		te := time.Now()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	c.cellsServed.Add(int64(len(points)))
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, len(points), mergeNS, nil)
 }
 
 // Metrics is the coordinator's /metrics response: fleet health, routing
@@ -844,31 +543,25 @@ type Metrics struct {
 }
 
 // Metrics snapshots the coordinator's operational state.
-func (c *Coordinator) Metrics() Metrics {
-	return Metrics{
-		UptimeSec:        time.Since(c.start).Seconds(),
-		Requests:         c.requests.Load(),
-		Sweeps:           c.sweeps.Load(),
-		CellsServed:      c.cellsServed.Load(),
-		CellsRerouted:    c.reroutes.Load(),
-		NoWorkerErrors:   c.noWorkers.Load(),
-		JournalEnabled:   c.cfg.Store != nil,
-		CellsFromJournal: c.storedCells.Load(),
-		SweepsResumed:    c.resumes.Load(),
-		WorkersTotal:     len(c.pool.workers),
-		WorkersHealthy:   c.pool.healthyCount(),
-		Workers:          c.pool.metrics(),
-		SweepLatencyMS:   serve.ToLatencyJSON(c.sweepLatency.Summary()),
-	}
-}
+func (c *Coordinator) Metrics() Metrics { return c.fleet.snapshot(c.srv.RequestStats()) }
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		c.handleMetricsProm(w)
-		return
+// Metrics implements serve.Resolver: the coordinator's JSON /metrics body.
+func (f *fleet) Metrics(rs serve.RequestStats) any { return f.snapshot(rs) }
+
+func (f *fleet) snapshot(rs serve.RequestStats) Metrics {
+	return Metrics{
+		UptimeSec:        rs.UptimeSec,
+		Requests:         rs.Requests,
+		Sweeps:           rs.Sweeps,
+		CellsServed:      rs.CellsServed,
+		CellsRerouted:    f.reroutes.Load(),
+		NoWorkerErrors:   f.noWorkers.Load(),
+		JournalEnabled:   f.cfg.Store != nil,
+		CellsFromJournal: f.storedCells.Load(),
+		SweepsResumed:    f.resumes.Load(),
+		WorkersTotal:     len(f.pool.workers),
+		WorkersHealthy:   f.pool.healthyCount(),
+		Workers:          f.pool.metrics(),
+		SweepLatencyMS:   serve.ToLatencyJSON(rs.Latency),
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(c.Metrics())
 }

@@ -14,9 +14,6 @@ type workerState struct {
 	url string
 
 	healthy atomic.Bool
-	// lastProbe is the unix-nano time of the last health probe (0 until
-	// the first probe completes).
-	lastProbe atomic.Int64
 
 	shards    atomic.Int64 // shard dispatches sent to this worker
 	cells     atomic.Int64 // cells assigned (including re-routed ones)
@@ -135,7 +132,6 @@ func (p *pool) probe(w *workerState) {
 	req, err := http.NewRequestWithContext(ctx, "GET", w.url+"/healthz", nil)
 	if err != nil {
 		w.healthy.Store(false)
-		w.lastProbe.Store(time.Now().UnixNano())
 		return
 	}
 	resp, err := p.client.Do(req)
@@ -144,7 +140,6 @@ func (p *pool) probe(w *workerState) {
 		resp.Body.Close()
 	}
 	w.healthy.Store(ok)
-	w.lastProbe.Store(time.Now().UnixNano())
 }
 
 // markDown records a transport failure: the worker is excluded from

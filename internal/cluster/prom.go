@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"net/http"
-
-	"neummu/internal/stats"
+	"neummu/internal/serve"
 	"neummu/internal/trace"
 )
 
@@ -12,12 +10,11 @@ import (
 // families carry the neucoord_ prefix so a dashboard scraping both tiers
 // never sees colliding names; the per-stage latency histograms keep the
 // shared neuserve_stage_duration_seconds name, so one query covers the
-// whole fleet's stage attribution (see trace.WriteStageHistograms).
+// whole fleet's stage attribution (serve's front end appends them).
 
-func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
-	m := c.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := trace.NewPromWriter(w)
+// WriteProm implements serve.Resolver: the coordinator's families.
+func (f *fleet) WriteProm(p *trace.PromWriter, rs serve.RequestStats) {
+	m := f.snapshot(rs)
 
 	p.Family("neucoord_uptime_seconds", "gauge", "Seconds since the coordinator started.")
 	p.Sample(m.UptimeSec)
@@ -33,7 +30,7 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
 	p.Sample(float64(m.NoWorkerErrors))
 
 	p.Family("neucoord_journal_enabled", "gauge", "1 when the coordinator's cell store is configured.")
-	p.Sample(boolGauge(m.JournalEnabled))
+	p.SampleBool(m.JournalEnabled)
 	p.Family("neucoord_cells_from_journal_total", "counter",
 		"Cells answered from the coordinator's store without any dispatch.")
 	p.Sample(float64(m.CellsFromJournal))
@@ -48,7 +45,7 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
 
 	p.Family("neucoord_worker_healthy", "gauge", "Per-worker liveness (1 = routable).")
 	for _, wm := range m.Workers {
-		p.Sample(boolGauge(wm.Healthy), "worker", wm.URL)
+		p.SampleBool(wm.Healthy, "worker", wm.URL)
 	}
 	writeWorkerCounter := func(family, help string, f func(WorkerMetrics) int64) {
 		samples := make([]trace.LabeledInt64, len(m.Workers))
@@ -79,31 +76,6 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
 		"Re-routed cells each worker took over from a failed peer.",
 		func(w WorkerMetrics) int64 { return w.CellsAdopted })
 
-	writeLatencySummary(p, "neucoord_sweep_latency_seconds",
-		"Sweep/sim/cells request latency at the coordinator.", c.sweepLatency.Summary())
-
-	trace.WriteStageHistograms(p, "neuserve_stage_duration_seconds",
-		"Per-stage request latency attribution (queue, cache, disk, compute, retry, merge).",
-		c.tracer.Stages().Snapshot())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// writeLatencySummary mirrors the serving layer's summary rendering: the
-// recorder works in milliseconds, the wire is seconds, and an empty
-// window omits the quantile samples rather than inventing a zero.
-func writeLatencySummary(p *trace.PromWriter, family, help string, s stats.LatencySummary) {
-	p.Family(family, "summary", help)
-	if !s.Valid() {
-		p.Summary(nil, nil, 0, 0)
-		return
-	}
-	p.Summary([]float64{0.5, 0.95, 0.99},
-		[]float64{s.P50 / 1e3, s.P95 / 1e3, s.P99 / 1e3},
-		s.Mean/1e3*float64(s.Count), s.Count)
+	trace.WriteLatencySummary(p, "neucoord_sweep_latency_seconds",
+		"Sweep/sim/cells request latency at the coordinator.", rs.Latency)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"strconv"
 	"time"
 
 	"neummu/internal/core"
@@ -147,6 +146,35 @@ type CellsRequest struct {
 	Effort *WireEffort `json:"effort,omitempty"`
 }
 
+// legacyEffortUsed reports whether the request selected effort through
+// the deprecated flat fields.
+func (r CellsRequest) legacyEffortUsed() bool {
+	return r.Quick || r.RepeatCap != 0 || r.TileCap != 0
+}
+
+// NewCellsRequest builds the /v1/cells payload that evaluates points
+// under a harness's normalized options. The legacy flat fields are
+// always set, so legacy-shaped work keeps its pre-redesign payload
+// bytes; the effort object is added only for the epoch-structured
+// efforts the flat fields cannot express.
+func NewCellsRequest(opts exp.Options, points []exp.Point) CellsRequest {
+	e := EffortOf(opts)
+	req := CellsRequest{
+		Points: make([]WirePoint, len(points)),
+		Quick:  e.Quick, RepeatCap: e.RepeatCap, TileCap: e.TileCap,
+	}
+	if e.Epoched() {
+		req.Effort = &WireEffort{IntraCellWorkers: e.IntraCellWorkers}
+		if e.Sampled {
+			req.Effort.Mode, req.Effort.TargetCI = exp.EffortSampled, e.TargetCI
+		}
+	}
+	for i, p := range points {
+		req.Points[i] = ToWire(p)
+	}
+	return req
+}
+
 // CellLine is one NDJSON line of a /v1/cells response: the result of
 // request point I. Err is set instead of the metrics when that single
 // cell failed; the stream continues with the remaining cells either way.
@@ -192,11 +220,10 @@ func CellHash64(p exp.Point, e Effort) uint64 {
 	return h.Sum64()
 }
 
-// PointRow renders the public NDJSON row for one resolved cell. It is the
-// single rendering path shared by the in-process sweep handler and the
-// cluster coordinator's merge, which is what makes a merged cluster sweep
-// byte-identical to a single-process one.
-func PointRow(p exp.Point, v CellValue) CellRow {
+// pointRow renders the public NDJSON row for one resolved cell. It is the
+// one rendering path for both roles, which is what makes a merged
+// cluster sweep byte-identical to a single-process one.
+func pointRow(p exp.Point, v CellValue) CellRow {
 	return CellRow{
 		Model: p.Model, Batch: p.Batch,
 		MMU: p.Kind.String(), PageSize: p.PageSize.String(),
@@ -207,15 +234,12 @@ func PointRow(p exp.Point, v CellValue) CellRow {
 
 // ExpandSweep validates an axes-shaped sweep request and expands it into
 // its deterministic point grid under the harness's normalized defaults.
-// It is shared by the in-process sweep handler and the cluster
-// coordinator, so both reject exactly the same payloads and expand to
-// exactly the same grids.
 func ExpandSweep(h *exp.Harness, req SweepRequest, maxCells int) ([]exp.Point, error) {
-	kinds, err := parseKinds(req.MMUs)
+	kinds, err := parseAll(req.MMUs, parseKind)
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := parsePageSizes(req.PageSizes)
+	sizes, err := parseAll(req.PageSizes, parsePageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -259,76 +283,69 @@ func ExpandSweep(h *exp.Harness, req SweepRequest, maxCells int) ([]exp.Point, e
 	return points, nil
 }
 
-// ParseCellsRequest decodes and validates a /v1/cells payload: strict
-// JSON, a non-empty point list within maxCells, every wire point
-// convertible. It is shared by the worker handler here and the cluster
-// coordinator (which also speaks the protocol), so both tiers reject
-// exactly the same payloads with the same messages; every error maps to
-// a 400.
-func ParseCellsRequest(r *http.Request, maxCells int) (CellsRequest, []exp.Point, error) {
+// parseCells decodes and validates a /v1/cells payload: strict JSON, a
+// non-empty point list within the per-request bound, every wire point
+// convertible, a valid effort. Every error maps to a 400.
+func (s *Server) parseCells(r *http.Request) (CellsRequest, *exp.Harness, []exp.Point, error) {
 	var req CellsRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return req, nil, fmt.Errorf("bad request body: %w", err)
+		return req, nil, nil, fmt.Errorf("bad request body: %w", err)
 	}
 	if len(req.Points) == 0 {
-		return req, nil, errors.New("no points")
+		return req, nil, nil, errors.New("no points")
 	}
-	if len(req.Points) > maxCells {
-		return req, nil, fmt.Errorf("%d cells, above the per-request bound of %d",
-			len(req.Points), maxCells)
+	if n := s.cfg.MaxCellsPerRequest; len(req.Points) > n {
+		return req, nil, nil, fmt.Errorf("%d cells, above the per-request bound of %d",
+			len(req.Points), n)
 	}
 	points := make([]exp.Point, len(req.Points))
 	for i, wp := range req.Points {
 		p, err := wp.Point()
 		if err != nil {
-			return req, nil, fmt.Errorf("point %d: %w", i, err)
+			return req, nil, nil, fmt.Errorf("point %d: %w", i, err)
 		}
 		points[i] = p
 	}
-	return req, points, nil
+	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
+	if err != nil {
+		return req, nil, nil, err
+	}
+	return req, s.harnesses.Get(e), points, nil
 }
 
 // handleCells streams one CellLine per requested point, in input order,
-// resolving each point through the same scheduler and cell cache as
-// /v1/sweep — so a coordinator routing repeated cells to this worker hits
-// the same LRU entries an interactive client would.
+// resolving each point through the same resolver as /v1/sweep — so a
+// coordinator routing repeated cells to this worker hits the same LRU
+// entries an interactive client would. A cell failure is reported on its
+// own line; only a retryable failure of the first cell answers the
+// envelope instead.
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	req, points, err := ParseCellsRequest(r, s.cfg.MaxCellsPerRequest)
+	req, h, points, err := s.parseCells(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
 		return
 	}
-	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+	cells, hits, ok := s.admit(w, r, traceID, start, h, points)
+	if !ok {
 		return
 	}
-	h := s.harness(e)
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, len(points), 0, 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	w.Header().Set("X-Neuserve-Cache",
-		fmt.Sprintf("hits=%d misses=%d", hits, len(points)-hits))
+	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
+	setStreamHeaders(w, traceID, len(points), hits)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	var mergeNS int64
-	for i, fl := range flights {
-		line := CellLine{I: i, Hit: fl.Hit}
-		tw := time.Now()
-		v, err := fl.Wait()
-		waitNS := int64(time.Since(tw))
-		s.recordCellSpan(traceID, i, points[i], fl, timings[i], waitNS, v, err)
+	for i, c := range cells {
+		v, hit, err := c.Wait(r.Context())
+		if err != nil && i == 0 && retryable(err) {
+			s.reject(w, traceID, err)
+			s.finishRequest(traceID, r, start, len(points), hits, mergeNS, err)
+			return
+		}
+		line := CellLine{I: i, Hit: hit}
 		if err != nil {
 			line.Err = err.Error()
 		} else {
@@ -343,7 +360,6 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		}
 		mergeNS += int64(time.Since(te))
 	}
-	s.metrics.cellsServed.Add(int64(len(points)))
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
+	s.served(len(points), start)
 	s.finishRequest(traceID, r, start, len(points), hits, mergeNS, nil)
 }

@@ -66,9 +66,7 @@ func sampleJSON(s *npu.SampleStats) *SampleJSON {
 // (including "exact" turning it off), and non-zero caps override the
 // flat caps. A nil effort object reproduces the legacy behavior exactly.
 // Unknown modes and out-of-range knobs are an error (mapped to a
-// bad_request envelope by every handler), never a silent default. Shared
-// with the cluster coordinator so the two tiers can never diverge on
-// effort normalization.
+// bad_request envelope by every handler), never a silent default.
 func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (Effort, error) {
 	e := Effort{Quick: quick, RepeatCap: repeatCap, TileCap: tileCap}
 	if we == nil {
@@ -120,25 +118,22 @@ func (e Effort) expEffort() exp.Effort {
 	}
 }
 
+// EffortOf returns the effort a harness's normalized options select: the
+// inverse of HarnessCache.Get, and the one conversion from exp.Options
+// back to an Effort. Cell routing and worker payloads both start here.
+func EffortOf(opts exp.Options) Effort {
+	return Effort{
+		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
+		Sampled:          opts.Effort.Sampled(),
+		TargetCI:         opts.Effort.TargetCI,
+		IntraCellWorkers: opts.Effort.IntraCellWorkers,
+	}
+}
+
 // Epoched reports whether this effort selects the epoch-structured
 // engine — the property cell keys and routing hashes carry, as opposed
 // to the worker count, which never changes result bytes.
 func (e Effort) Epoched() bool { return e.Sampled || e.IntraCellWorkers > 0 }
-
-// ToWireEffort renders the effort's wire form, or nil when the effort is
-// expressible by the legacy flat fields alone — which keeps worker
-// payloads for legacy-shaped work byte-identical to pre-redesign ones.
-func (e Effort) ToWireEffort() *WireEffort {
-	if !e.Epoched() {
-		return nil
-	}
-	we := &WireEffort{IntraCellWorkers: e.IntraCellWorkers}
-	if e.Sampled {
-		we.Mode = exp.EffortSampled
-		we.TargetCI = e.TargetCI
-	}
-	return we
-}
 
 // DeprecationHeader is set on responses to requests that selected effort
 // through the legacy flat quick/repeat_cap/tile_cap fields instead of the
@@ -148,10 +143,9 @@ const DeprecationHeader = "X-Neuserve-Deprecated"
 
 const deprecationNote = "quick/repeat_cap/tile_cap are deprecated; use the effort object (see docs/API.md)"
 
-// MarkDeprecated flags a response whose request used the legacy flat
-// effort fields without the effort object. Shared with the cluster
-// coordinator so both tiers advertise the deprecation identically.
-func MarkDeprecated(h http.Header, legacyUsed bool, we *WireEffort) {
+// markDeprecated flags a response whose request used the legacy flat
+// effort fields without the effort object.
+func markDeprecated(h http.Header, legacyUsed bool, we *WireEffort) {
 	if legacyUsed && we == nil {
 		h.Set(DeprecationHeader, deprecationNote)
 	}

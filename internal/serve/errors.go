@@ -2,15 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"neummu/internal/trace"
 )
 
-// Error codes. Every non-2xx response from the serving tiers (this
-// package and internal/cluster) carries exactly one of these in its JSON
-// envelope, so clients can branch on a stable enum instead of parsing
-// messages:
+// Error codes. Every non-2xx response of either role carries exactly one
+// of these in its JSON envelope, so clients can branch on a stable enum
+// instead of parsing messages:
 //
 //	bad_request  the payload or query string is malformed or invalid (400)
 //	not_found    the named resource does not exist (404)
@@ -24,6 +24,11 @@ const (
 	ErrCodeUnavailable = "unavailable"
 	ErrCodeInternal    = "internal"
 )
+
+// ErrUnavailable is what a Resolver wraps when no backend can take the
+// work right now (a coordinator with no healthy workers); the front end
+// answers it with 503 unavailable and Retry-After.
+var ErrUnavailable = errors.New("serve: no backend available")
 
 // ErrorDetail is the payload of the uniform error envelope.
 type ErrorDetail struct {
@@ -42,11 +47,11 @@ type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
 }
 
-// WriteError writes the uniform error envelope with the given status.
+// writeError writes the uniform error envelope with the given status.
 // The trace ID is echoed both in the body and the X-Trace-Id header so a
 // client that only logs bodies and a proxy that only logs headers can
 // both correlate the failure with /debug/traces.
-func WriteError(w http.ResponseWriter, status int, code, msg, traceID string) {
+func writeError(w http.ResponseWriter, status int, code, msg, traceID string) {
 	w.Header().Set("Content-Type", "application/json")
 	if traceID != "" {
 		w.Header().Set(trace.Header, traceID)

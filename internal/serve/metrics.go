@@ -20,7 +20,8 @@ type metrics struct {
 	requests  atomic.Int64 // HTTP requests accepted (any endpoint)
 	overloads atomic.Int64 // requests rejected with 429
 
-	cellsServed atomic.Int64 // sweep/sim cells streamed to clients
+	sweeps      atomic.Int64 // /v1/sweep responses streamed to completion
+	cellsServed atomic.Int64 // sweep/sim/cells cells streamed to clients
 	simulated   atomic.Int64 // cell simulations actually executed
 	figsServed  atomic.Int64 // figure bodies streamed
 	figsBuilt   atomic.Int64 // figure renders actually executed
@@ -57,12 +58,11 @@ func newMetrics() *metrics {
 	}
 }
 
-// LatencyJSON is the wire form of a stats.LatencySummary, shared by the
-// server's and the cluster coordinator's /metrics bodies so the two tiers
-// report latency in one shape. The float fields are pointers so an empty
-// window omits them entirely — the recorder reports NaN for "no samples"
-// (which JSON cannot carry), and a dashboard must see absence, not a
-// fake 0ms p99.
+// LatencyJSON is the wire form of a stats.LatencySummary, shared by both
+// roles' /metrics bodies so they report latency in one shape. The float
+// fields are pointers so an empty window omits them entirely — the
+// recorder reports NaN for "no samples" (which JSON cannot carry), and a
+// dashboard must see absence, not a fake 0ms p99.
 type LatencyJSON struct {
 	Count int64    `json:"count"`
 	Mean  *float64 `json:"mean,omitempty"`
@@ -120,15 +120,37 @@ type Metrics struct {
 	SimCounters counters.Bundle `json:"sim_counters"`
 }
 
-func (s *Server) snapshot() Metrics {
+// RequestStats is the front end's request-layer state: the part of
+// /metrics that both roles report, passed to the Resolver that renders
+// the rest.
+type RequestStats struct {
+	UptimeSec   float64
+	Requests    int64                // HTTP requests accepted (any endpoint)
+	Sweeps      int64                // /v1/sweep responses streamed to completion
+	CellsServed int64                // cells of completed sweep/sim/cells responses
+	Latency     stats.LatencySummary // their latency, in milliseconds
+}
+
+// RequestStats snapshots the front end's request counters.
+func (s *Server) RequestStats() RequestStats {
 	m := s.metrics
-	up := time.Since(m.start).Seconds()
-	cells := m.cellsServed.Load()
+	return RequestStats{
+		UptimeSec:   time.Since(m.start).Seconds(),
+		Requests:    m.requests.Load(),
+		Sweeps:      m.sweeps.Load(),
+		CellsServed: m.cellsServed.Load(),
+		Latency:     m.sweepLatency.Summary(),
+	}
+}
+
+func (s *Server) snapshot(rs RequestStats) Metrics {
+	m := s.metrics
+	up, cells := rs.UptimeSec, rs.CellsServed
 	simulated := m.simulated.Load()
 	cellStats := s.cells.Stats()
 	out := Metrics{
 		UptimeSec: up,
-		Requests:  m.requests.Load(),
+		Requests:  rs.Requests,
 		Overloads: m.overloads.Load(),
 
 		QueueDepth: s.sched.QueueDepth(),
@@ -143,14 +165,14 @@ func (s *Server) snapshot() Metrics {
 		FiguresServed: m.figsServed.Load(),
 		FiguresBuilt:  m.figsBuilt.Load(),
 
-		SweepLatencyMS:  ToLatencyJSON(m.sweepLatency.Summary()),
+		SweepLatencyMS:  ToLatencyJSON(rs.Latency),
 		FigureLatencyMS: ToLatencyJSON(m.figureLatency.Summary()),
 
 		SimCounters: m.countersSnapshot(),
 	}
-	if s.store != nil {
+	if s.cfg.Store != nil {
 		out.DiskTierEnabled = true
-		out.DiskTier = s.store.Stats()
+		out.DiskTier = s.cfg.Store.Stats()
 	}
 	if up > 0 {
 		out.CellsPerSec = float64(cells) / up

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"net/http"
 	"reflect"
 	"strings"
 
 	"neummu/internal/counters"
-	"neummu/internal/stats"
 	"neummu/internal/store"
 	"neummu/internal/trace"
 )
@@ -18,10 +16,11 @@ import (
 // enforced by construction, and the CI smoke jobs validate live scrapes
 // with the matching strict parser (trace.ParseProm via cmd/promlint).
 
-func (s *Server) handleMetricsProm(w http.ResponseWriter) {
-	m := s.snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := trace.NewPromWriter(w)
+// WriteProm writes the local role's families; the front end appends the
+// per-stage histograms.
+func (l local) WriteProm(p *trace.PromWriter, rs RequestStats) {
+	s := l.s
+	m := s.snapshot(rs)
 
 	p.Family("neuserve_uptime_seconds", "gauge", "Seconds since the server started.")
 	p.Sample(m.UptimeSec)
@@ -49,7 +48,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter) {
 	})
 
 	p.Family("neuserve_disk_tier_enabled", "gauge", "1 when a durable result tier is configured.")
-	p.Sample(boolGauge(m.DiskTierEnabled))
+	p.SampleBool(m.DiskTierEnabled)
 	trace.WriteLabeledCounter(p, "neuserve_disk_tier_ops_total",
 		"Durable-tier operations by kind.", diskOpSamples(m.DiskTier))
 	p.Family("neuserve_disk_tier_entries", "gauge", "Entries resident in the durable tier.")
@@ -61,25 +60,14 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter) {
 	p.Family("neuserve_disk_tier_pending_writes", "gauge", "Write-behind puts not yet on disk.")
 	p.Sample(float64(m.DiskTier.PendingWrites))
 
-	writeLatencySummary(p, "neuserve_sweep_latency_seconds",
-		"Sweep/sim/cells request latency.", s.metrics.sweepLatency.Summary())
-	writeLatencySummary(p, "neuserve_figure_latency_seconds",
+	trace.WriteLatencySummary(p, "neuserve_sweep_latency_seconds",
+		"Sweep/sim/cells request latency.", rs.Latency)
+	trace.WriteLatencySummary(p, "neuserve_figure_latency_seconds",
 		"Figure request latency.", s.metrics.figureLatency.Summary())
 
 	trace.WriteLabeledCounter(p, "neuserve_sim_counters_total",
 		"Audited simulation counter bundle summed over executed cells.",
 		bundleSamples(s.metrics.countersSnapshot()))
-
-	trace.WriteStageHistograms(p, "neuserve_stage_duration_seconds",
-		"Per-stage request latency attribution (queue, cache, disk, compute, retry, merge).",
-		s.tracer.Stages().Snapshot())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // writeCacheFamilies emits one family per cache statistic with a cache
@@ -137,22 +125,6 @@ func sortedCacheSamples(caches map[string]CacheStats, f func(CacheStats) int64) 
 		}
 	}
 	return out
-}
-
-// writeLatencySummary emits a Prometheus summary for a windowed latency
-// recorder: p50/p95/p99 quantiles (omitted entirely when the window is
-// empty — absence, not a fake zero, mirroring the JSON body), plus the
-// exact _sum/_count pair. The recorder works in milliseconds; the wire is
-// seconds per Prometheus convention.
-func writeLatencySummary(p *trace.PromWriter, family, help string, s stats.LatencySummary) {
-	p.Family(family, "summary", help)
-	if !s.Valid() {
-		p.Summary(nil, nil, 0, 0)
-		return
-	}
-	p.Summary([]float64{0.5, 0.95, 0.99},
-		[]float64{s.P50 / 1e3, s.P95 / 1e3, s.P99 / 1e3},
-		s.Mean/1e3*float64(s.Count), s.Count)
 }
 
 // bundleSamples flattens an audited counter bundle into labeled samples,

@@ -716,14 +716,14 @@ func TestSweepCancelledClientNeverSimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	flights, _, _, err := s.resolveCells(ctx, h, points)
+	cells, _, err := s.resolver.Resolve(ctx, "", h, points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()     // the client disconnects while all 4 cells are queued
 	close(block) // the worker reaches them
-	for _, fl := range flights {
-		if _, err := fl.Wait(); err != context.Canceled {
+	for _, c := range cells {
+		if _, _, err := c.Wait(ctx); err != context.Canceled {
 			t.Errorf("flight err = %v, want context.Canceled", err)
 		}
 	}

@@ -3,6 +3,13 @@
 // registry (internal/figures), with a work-conserving job scheduler and a
 // content-addressed result cache between the two.
 //
+// The front end is the only HTTP layer of both deployment roles. It
+// decodes, validates and expands every request, then hands the points to
+// a Resolver and renders what comes back: rows, headers, error
+// envelopes, spans and request logs. New installs the local resolver
+// (scheduler, singleflight LRU, store); the cluster coordinator passes
+// its ring dispatcher to NewWithResolver.
+//
 // Endpoints:
 //
 //	GET  /healthz             liveness probe
@@ -19,6 +26,9 @@
 //	                          cluster wire protocol a coordinator shards
 //	                          sweeps over (see internal/cluster)
 //
+// The figure endpoints are local-only: a resolver front end answers them
+// 404.
+//
 // Determinism guarantee: the response body for a given request payload is
 // byte-identical across repetitions, cache hits, cache misses, worker
 // counts, and concurrent load — rows stream in the same deterministic
@@ -30,7 +40,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,13 +49,11 @@ import (
 	"sync"
 	"time"
 
-	"neummu/internal/core"
 	"neummu/internal/counters"
 	"neummu/internal/exp"
 	"neummu/internal/figures"
 	"neummu/internal/store"
 	"neummu/internal/trace"
-	"neummu/internal/vm"
 )
 
 // Config tunes a Server.
@@ -117,10 +124,8 @@ type Effort struct {
 	IntraCellWorkers int
 }
 
-// HarnessCache memoizes one exp.Harness per effort level. It is the one
-// place that decides what selects a harness, shared by the server and the
-// cluster coordinator so the two tiers can never diverge on effort
-// normalization.
+// HarnessCache memoizes one exp.Harness per effort level: the one place
+// that decides what selects a harness, for both roles.
 type HarnessCache struct {
 	workers int
 
@@ -204,24 +209,51 @@ type figKey struct {
 	epoched  bool
 }
 
-// Server is the simulation service. Create with New, mount as an
-// http.Handler, and Close when done (after the HTTP server has drained).
+// Server is the HTTP front end. Create with New (or NewWithResolver),
+// mount as an http.Handler, and Close when done (after the HTTP server
+// has drained).
 type Server struct {
-	cfg     Config
-	sched   *Scheduler
-	cells   *Cache[cellKey, CellValue]
-	figs    *Cache[figKey, []byte]
-	store   *store.Store // nil = RAM-only
-	metrics *metrics
-	tracer  *trace.Tracer
-	logger  *slog.Logger
-	mux     *http.ServeMux
+	cfg      Config
+	resolver Resolver
+	metrics  *metrics
+	tracer   *trace.Tracer
+	logger   *slog.Logger
+	mux      *http.ServeMux
 
 	harnesses *HarnessCache
+
+	// The local resolver's state; nil on a NewWithResolver front end.
+	sched *Scheduler
+	cells *Cache[cellKey, CellValue]
+	figs  *Cache[figKey, []byte]
 }
 
-// New returns a ready-to-serve Server.
+// New returns a ready-to-serve Server that simulates cells itself.
 func New(cfg Config) *Server {
+	s := newServer(cfg)
+	s.sched = NewScheduler(s.cfg.Workers, s.cfg.QueueDepth)
+	s.cells = NewCache[cellKey, CellValue](s.cfg.CacheBytes,
+		func(CellValue) int64 { return cellEntryCost })
+	s.figs = NewCache[figKey, []byte](s.cfg.FigureCacheBytes,
+		func(b []byte) int64 { return int64(len(b)) + 128 })
+	s.resolver = local{s}
+	s.mux.HandleFunc("GET /v1/figures", s.handleFigureList)
+	s.mux.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
+	return s
+}
+
+// NewWithResolver returns a front end whose cells r answers: the
+// cluster coordinator's constructor. It serves New's endpoints except
+// the figure registry. Its harnesses only expand and normalize grids,
+// with cfg.Workers as their sweep worker count; cfg's scheduler, cache
+// and store fields are unused.
+func NewWithResolver(cfg Config, r Resolver) *Server {
+	s := newServer(cfg)
+	s.resolver = r
+	return s
+}
+
+func newServer(cfg Config) *Server {
 	cfg = cfg.normalized()
 	logger := cfg.Logger
 	if logger == nil {
@@ -232,31 +264,22 @@ func New(cfg Config) *Server {
 		traceCfg.Logger = logger
 	}
 	s := &Server{
-		cfg:   cfg,
-		sched: NewScheduler(cfg.Workers, cfg.QueueDepth),
-		cells: NewCache[cellKey, CellValue](cfg.CacheBytes,
-			func(CellValue) int64 { return cellEntryCost }),
-		figs: NewCache[figKey, []byte](cfg.FigureCacheBytes,
-			func(b []byte) int64 { return int64(len(b)) + 128 }),
-		store:     cfg.Store,
+		cfg:       cfg,
 		metrics:   newMetrics(),
 		tracer:    trace.NewTracer(traceCfg),
 		logger:    logger,
 		harnesses: NewHarnessCache(cfg.Workers),
+		mux:       http.NewServeMux(),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", s.tracer.HandleList)
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /debug/traces", s.tracer.HandleList)
+	s.mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s.tracer.HandleByID(w, r, r.PathValue("id"))
 	})
-	mux.HandleFunc("GET /v1/figures", s.handleFigureList)
-	mux.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/sim", s.handleSim)
-	mux.HandleFunc("POST /v1/cells", s.handleCells)
-	s.mux = mux
+	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	s.mux.HandleFunc("POST /v1/sim", s.handleSim)
+	s.mux.HandleFunc("POST /v1/cells", s.handleCells)
 	return s
 }
 
@@ -271,40 +294,49 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // durable (the SIGTERM drain-to-disk path). Call it after the HTTP
 // server has shut down, so no request is left waiting on a job the
 // scheduler will never run. The store itself stays open — its owner
-// closes it.
+// closes it. On a NewWithResolver front end it does nothing.
 func (s *Server) Close() {
+	if s.sched == nil {
+		return
+	}
 	s.sched.Close()
-	if s.store != nil {
-		s.store.Flush()
+	if s.cfg.Store != nil {
+		s.cfg.Store.Flush()
 	}
 }
 
-// Metrics snapshots the service's operational state (the /metrics body).
-func (s *Server) Metrics() Metrics { return s.snapshot() }
+// Metrics snapshots a local server's operational state (the /metrics
+// body of a Server built by New).
+func (s *Server) Metrics() Metrics { return s.snapshot(s.RequestStats()) }
 
 // Tracer exposes the server's span tracer (the /debug/traces state), so
 // an embedding process — the cluster worker binary, tests — can inspect
 // retained spans without scraping its own HTTP surface.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// harness returns the memoized harness for an effort level. The harness's
-// own pool (used by figure studies) shares the server's worker budget.
-func (s *Server) harness(e Effort) *exp.Harness { return s.harnesses.Get(e) }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
+// handleMetrics renders the role's /metrics body: JSON, or the
+// Prometheus text format with ?format=prometheus, where the per-stage
+// histograms both roles share close the exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	rs := s.RequestStats()
 	if r.URL.Query().Get("format") == "prometheus" {
-		s.handleMetricsProm(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		p := trace.NewPromWriter(w)
+		s.resolver.WriteProm(p, rs)
+		trace.WriteStageHistograms(p, "neuserve_stage_duration_seconds",
+			"Per-stage request latency attribution (queue, cache, disk, compute, retry, merge).",
+			s.tracer.Stages().Snapshot())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.snapshot())
+	enc.Encode(s.resolver.Metrics(rs))
 }
 
 // figureInfo is one row of the GET /v1/figures listing.
@@ -389,16 +421,16 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	traceID := trace.FromRequest(r)
 	name := r.PathValue("name")
 	if _, ok := figures.ByName(name); !ok {
-		WriteError(w, http.StatusNotFound, ErrCodeNotFound,
+		writeError(w, http.StatusNotFound, ErrCodeNotFound,
 			figures.UnknownNameError(name).Error(), traceID)
 		return
 	}
 	e, err := parseEffort(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
 		return
 	}
-	h := s.harness(e)
+	h := s.harnesses.Get(e)
 	opts := h.Options()
 	key := figKey{
 		name: name, quick: e.Quick, repeat: opts.RepeatCap, tileCap: opts.TileCap,
@@ -421,7 +453,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	setCacheHeader(w, fl.Hit)
 	body, err := fl.Wait()
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -494,44 +526,21 @@ type SweepSummary struct {
 	Counters          counters.Bundle `json:"counters"`
 }
 
-func parseKinds(names []string) ([]core.Kind, error) {
+// parseAll parses every name of a request axis with the single-name
+// parser the wire points use (nil for an unset axis).
+func parseAll[T any](names []string, parse func(string) (T, error)) ([]T, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	kinds := make([]core.Kind, len(names))
+	out := make([]T, len(names))
 	for i, n := range names {
-		switch n {
-		case "oracle":
-			kinds[i] = core.Oracle
-		case "iommu":
-			kinds[i] = core.IOMMU
-		case "neummu":
-			kinds[i] = core.NeuMMU
-		case "custom":
-			kinds[i] = core.Custom
-		default:
-			return nil, fmt.Errorf("unknown MMU kind %q (have oracle, iommu, neummu, custom)", n)
+		v, err := parse(n)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = v
 	}
-	return kinds, nil
-}
-
-func parsePageSizes(names []string) ([]vm.PageSize, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sizes := make([]vm.PageSize, len(names))
-	for i, n := range names {
-		switch n {
-		case "4KB", "4K", "4k":
-			sizes[i] = vm.Page4K
-		case "2MB", "2M", "2m":
-			sizes[i] = vm.Page2M
-		default:
-			return nil, fmt.Errorf("unknown page size %q (have 4KB, 2MB)", n)
-		}
-	}
-	return sizes, nil
+	return out, nil
 }
 
 // expand validates the request and turns it into its deterministic point
@@ -541,7 +550,7 @@ func (s *Server) expand(req SweepRequest) (*exp.Harness, []exp.Point, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	h := s.harness(e)
+	h := s.harnesses.Get(e)
 	points, err := ExpandSweep(h, req, s.cfg.MaxCellsPerRequest)
 	if err != nil {
 		return nil, nil, err
@@ -549,121 +558,17 @@ func (s *Server) expand(req SweepRequest) (*exp.Harness, []exp.Point, error) {
 	return h, points, nil
 }
 
-// cellTiming captures one cell's per-stage durations as it moves through
-// the cache, the scheduler queue, the disk tier, and the simulator — the
-// raw material of a trace.Span. The miss-owner fields (queueNS, diskNS,
-// computeNS, diskHit) are written inside the compute closure, which
-// happens-before the flight's done channel closes, so the span builder
-// reading them after Flight.Wait needs no atomics.
-type cellTiming struct {
-	start     time.Time
-	cacheNS   int64 // the Resolve call itself: lookup + scheduler admission
-	queueNS   int64 // submit → dequeue (the scheduler queue wait)
-	diskNS    int64 // durable-tier read on a RAM miss (0 with no store)
-	computeNS int64 // the simulation itself
-	diskHit   bool  // the durable tier answered; nothing was simulated
-	scheduled bool  // this request owned the compute (cache miss)
-}
-
-// resolveCells schedules every point through the cell cache, deduplicating
-// against cached, in-flight, and same-request work, and returns the
-// flights in grid order with one timing record per flight. hits counts
-// cells answered straight from cache. ctx is the requesting client's
-// context: a cell still queued when every client interested in it
-// disconnects is dropped at dequeue, never simulated (see Cache.Resolve).
-func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.Point) (flights []*Flight[CellValue], timings []*cellTiming, hits int, err error) {
-	opts := h.Options()
-	flights = make([]*Flight[CellValue], len(points))
-	timings = make([]*cellTiming, len(points))
-	for i, p := range points {
-		p := p
-		key := newCellKey(opts, p)
-		ct := &cellTiming{start: time.Now()}
-		timings[i] = ct
-		fl, err := s.cells.Resolve(ctx, key,
-			func(run func()) error {
-				ct.scheduled = true
-				submitted := time.Now()
-				return s.sched.Submit(func() {
-					ct.queueNS = int64(time.Since(submitted))
-					run()
-				})
-			},
-			func() (CellValue, error) {
-				// RAM miss: the durable tier answers before a simulation is
-				// spent. Disk hits bypass the simulated counter and the
-				// counter aggregate — both book only work this process did.
-				if s.store != nil {
-					t0 := time.Now()
-					v, ok := loadCell(s.store, key)
-					ct.diskNS = int64(time.Since(t0))
-					if ok {
-						ct.diskHit = true
-						return v, nil
-					}
-				}
-				s.metrics.simulated.Add(1)
-				t0 := time.Now()
-				perf, res, err := h.NormPerf(p.Model, p.Batch, p.MMU())
-				ct.computeNS = int64(time.Since(t0))
-				if err != nil {
-					return CellValue{}, fmt.Errorf("%s: %w", p.Label(), err)
-				}
-				s.metrics.addCounters(res.Counters)
-				v := CellValue{
-					Cycles:       int64(res.Cycles),
-					Translations: res.Translations,
-					Perf:         perf,
-					Counters:     res.Counters,
-					Sampled:      sampleJSON(res.Sampled),
-				}
-				saveCell(s.store, key, v)
-				return v, nil
-			})
-		ct.cacheNS = int64(time.Since(ct.start))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if fl.Hit {
-			hits++
-		}
-		flights[i] = fl
-	}
-	return flights, timings, hits, nil
-}
-
-// recordCellSpan builds and records the trace span for one resolved cell.
-// waitNS is the observed Flight.Wait duration — for a request that joined
-// another request's in-flight computation it is the only wait this request
-// saw, attributed to the queue stage. The span's total is the sum of its
-// stages, so per-stage durations always account for the whole span.
-func (s *Server) recordCellSpan(traceID string, i int, p exp.Point, fl *Flight[CellValue], ct *cellTiming, waitNS int64, v CellValue, err error) {
-	var st trace.Stages
-	st[trace.StageCache] = ct.cacheNS
-	switch {
-	case fl.Hit:
-		// RAM hit: the lookup was the whole cell.
-	case ct.scheduled:
-		st[trace.StageQueue] = ct.queueNS
-		st[trace.StageDisk] = ct.diskNS
-		st[trace.StageCompute] = ct.computeNS
-	default:
-		// Joined another request's in-flight computation: its owner's span
-		// carries the disk/compute split; this request only waited.
-		st[trace.StageQueue] = waitNS
-	}
-	sp := trace.Span{
-		TraceID: traceID, Kind: "cell", Name: p.Label(), Index: i,
-		Start: ct.start, TotalNS: st.Sum(), Stages: st,
-		Hit: fl.Hit, DiskHit: ct.diskHit,
-	}
+// admit hands a request's points to the role's resolver. An admission
+// error is answered here, before anything was written, with the envelope
+// reject picks, and the failed request is recorded; ok is then false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, traceID string, start time.Time, h *exp.Harness, points []exp.Point) (cells []Pending, hits int, ok bool) {
+	cells, hits, err := s.resolver.Resolve(r.Context(), traceID, h, points)
 	if err != nil {
-		sp.Err = err.Error()
-	} else if ct.scheduled && !ct.diskHit {
-		c := v.Counters
-		sp.Counters = &c
+		s.reject(w, traceID, err)
+		s.finishRequest(traceID, r, start, len(points), 0, 0, err)
+		return nil, 0, false
 	}
-	s.tracer.Record(sp)
+	return cells, hits, true
 }
 
 // finishRequest records the request-level span (merge = response encoding
@@ -694,17 +599,39 @@ func (s *Server) finishRequest(traceID string, r *http.Request, start time.Time,
 	s.logger.Info("request", attrs...)
 }
 
-// reject maps scheduler admission errors to a 429 envelope and anything
-// else to a 500 envelope.
-func (s *Server) reject(w http.ResponseWriter, traceID string, err error) {
-	if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed) {
-		s.metrics.overloads.Add(1)
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, ErrCodeOverloaded,
-			"server overloaded: job queue full", traceID)
-		return
+// errorStatus is the one map from an admission or cell error to a status
+// and envelope code, for both roles: admission pushback (a full or
+// closed scheduler, or a worker's 429) is 429 overloaded, no backend to
+// send work to is 503 unavailable, anything else is 500 internal.
+func errorStatus(err error) (int, string) {
+	switch {
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):
+		return http.StatusTooManyRequests, ErrCodeOverloaded
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable, ErrCodeUnavailable
 	}
-	WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
+	return http.StatusInternalServerError, ErrCodeInternal
+}
+
+// retryable reports whether err maps to a 429 or 503: a failure a retry
+// may get past. A stream whose first cell fails this way answers the
+// envelope instead of committing a 200.
+func retryable(err error) bool {
+	status, _ := errorStatus(err)
+	return status != http.StatusInternalServerError
+}
+
+// reject answers err with the uniform envelope errorStatus picks; 429
+// and 503 carry Retry-After.
+func (s *Server) reject(w http.ResponseWriter, traceID string, err error) {
+	status, code := errorStatus(err)
+	if status == http.StatusTooManyRequests {
+		s.metrics.overloads.Add(1)
+	}
+	if status != http.StatusInternalServerError {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, status, code, err.Error(), traceID)
 }
 
 func setCacheHeader(w http.ResponseWriter, hit bool) {
@@ -715,20 +642,34 @@ func setCacheHeader(w http.ResponseWriter, hit bool) {
 	}
 }
 
-// DecodeSweepRequest strictly decodes a sweep/sim payload, answering a
-// 400 bad_request envelope itself on failure. Shared with the cluster
-// coordinator so both tiers reject malformed payloads identically.
-// traceID is the caller's already-resolved request trace ID (resolving
-// it here would mint a second one).
-func DecodeSweepRequest(w http.ResponseWriter, r *http.Request, req *SweepRequest, traceID string) bool {
+// setStreamHeaders sets the headers of an NDJSON response (/v1/sweep and
+// /v1/cells) carrying n cells, hits of them answered at admission.
+func setStreamHeaders(w http.ResponseWriter, traceID string, n, hits int) {
+	h := w.Header()
+	h.Set(trace.Header, traceID)
+	h.Set("Content-Type", "application/x-ndjson")
+	h.Set("X-Neuserve-Cells", strconv.Itoa(n))
+	h.Set("X-Neuserve-Cache", fmt.Sprintf("hits=%d misses=%d", hits, n-hits))
+}
+
+// decodeSweep strictly decodes a sweep/sim payload and expands it,
+// answering a 400 bad_request envelope itself on failure. traceID is the
+// caller's already-resolved request trace ID (resolving it here would
+// mint a second one).
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, traceID string) (req SweepRequest, h *exp.Harness, points []exp.Point, ok bool) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			"bad request body: "+err.Error(), traceID)
-		return false
+	err := dec.Decode(&req)
+	if err != nil {
+		err = fmt.Errorf("bad request body: %w", err)
+	} else {
+		h, points, err = s.expand(req)
 	}
-	return true
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+		return req, nil, nil, false
+	}
+	return req, h, points, true
 }
 
 // handleSweep streams one NDJSON row per cell, in grid order, then a
@@ -738,47 +679,38 @@ func DecodeSweepRequest(w http.ResponseWriter, r *http.Request, req *SweepReques
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	var req SweepRequest
-	if !DecodeSweepRequest(w, r, &req, traceID) {
+	req, h, points, ok := s.decodeSweep(w, r, traceID)
+	if !ok {
 		return
 	}
-	h, points, err := s.expand(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+	cells, hits, ok := s.admit(w, r, traceID, start, h, points)
+	if !ok {
 		return
 	}
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, len(points), 0, 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	w.Header().Set("X-Neuserve-Cache",
-		fmt.Sprintf("hits=%d misses=%d", hits, len(points)-hits))
+	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
+	setStreamHeaders(w, traceID, len(points), hits)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sum := 0.0
 	var agg counters.Bundle
 	var mergeNS int64
-	for i, fl := range flights {
-		tw := time.Now()
-		v, err := fl.Wait()
-		waitNS := int64(time.Since(tw))
-		s.recordCellSpan(traceID, i, points[i], fl, timings[i], waitNS, v, err)
+	for i, c := range cells {
+		v, _, err := c.Wait(r.Context())
 		if err != nil {
-			// The stream is already committed; emit a terminal error line.
-			enc.Encode(map[string]string{"error": err.Error()})
+			if i == 0 && retryable(err) {
+				s.reject(w, traceID, err)
+			} else {
+				// Any other failure ends the stream with a terminal error
+				// line in place of the summary.
+				enc.Encode(map[string]string{"error": err.Error()})
+			}
 			s.finishRequest(traceID, r, start, len(points), hits, mergeNS, err)
 			return
 		}
 		sum += v.Perf
 		agg = agg.Add(v.Counters)
 		te := time.Now()
-		enc.Encode(PointRow(points[i], v))
+		enc.Encode(pointRow(points[i], v))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -791,55 +723,50 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Counters:          agg,
 	})
 	mergeNS += int64(time.Since(te))
-	s.metrics.cellsServed.Add(int64(len(points)))
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
+	s.metrics.sweeps.Add(1)
+	s.served(len(points), start)
 	s.finishRequest(traceID, r, start, len(points), hits, mergeNS, nil)
 }
 
 // handleSim runs a single cell and returns one JSON object. It is the
-// one-point restriction of handleSweep, sharing its cache and scheduler.
+// one-point restriction of handleSweep; any failure answers the envelope.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	var req SweepRequest
-	if !DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	h, points, err := s.expand(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
+	req, h, points, ok := s.decodeSweep(w, r, traceID)
+	if !ok {
 		return
 	}
 	if len(points) != 1 {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest,
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest,
 			fmt.Sprintf("sim requires exactly one cell, got %d (use /v1/sweep for grids)",
 				len(points)), traceID)
 		return
 	}
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, 1, 0, 0, err)
+	cells, hits, ok := s.admit(w, r, traceID, start, h, points)
+	if !ok {
 		return
 	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	setCacheHeader(w, hits == 1)
-	tw := time.Now()
-	v, err := flights[0].Wait()
-	waitNS := int64(time.Since(tw))
-	s.recordCellSpan(traceID, 0, points[0], flights[0], timings[0], waitNS, v, err)
+	v, hit, err := cells[0].Wait(r.Context())
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
+		s.reject(w, traceID, err)
 		s.finishRequest(traceID, r, start, 1, hits, 0, err)
 		return
 	}
+	w.Header().Set(trace.Header, traceID)
+	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
+	setCacheHeader(w, hit)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	te := time.Now()
-	enc.Encode(PointRow(points[0], v))
-	s.metrics.cellsServed.Add(1)
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
+	enc.Encode(pointRow(points[0], v))
+	s.served(1, start)
 	s.finishRequest(traceID, r, start, 1, hits, int64(time.Since(te)), nil)
+}
+
+// served books a completed sweep/sim/cells response of n cells.
+func (s *Server) served(n int, start time.Time) {
+	s.metrics.cellsServed.Add(int64(n))
+	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"neummu/internal/stats"
 )
 
 // This file is the Prometheus text-exposition writer: a tiny, dependency-
@@ -49,6 +51,15 @@ func (p *PromWriter) Family(name, typ, help string) {
 // Sample emits one sample of the open family. labels alternate key, value.
 func (p *PromWriter) Sample(v float64, labels ...string) {
 	p.sample(p.family, v, labels...)
+}
+
+// SampleBool emits a boolean gauge sample: 1 for true, 0 for false.
+func (p *PromWriter) SampleBool(b bool, labels ...string) {
+	v := 0.0
+	if b {
+		v = 1
+	}
+	p.Sample(v, labels...)
 }
 
 // Histogram emits one histogram's full sample set (_bucket lines with an
@@ -137,6 +148,22 @@ func WriteStageHistograms(p *PromWriter, family, help string, hists []StageHisto
 	for _, h := range hists {
 		p.Histogram(h.Bounds, h.Cumulative, h.SumSeconds, h.Count, "stage", h.Stage)
 	}
+}
+
+// WriteLatencySummary emits a summary family for a windowed latency
+// recorder: p50/p95/p99 quantiles (omitted entirely when the window is
+// empty — absence, not a fake zero, mirroring the JSON bodies), plus the
+// exact _sum/_count pair. The recorder works in milliseconds; the wire
+// is seconds per Prometheus convention.
+func WriteLatencySummary(p *PromWriter, family, help string, s stats.LatencySummary) {
+	p.Family(family, "summary", help)
+	if !s.Valid() {
+		p.Summary(nil, nil, 0, 0)
+		return
+	}
+	p.Summary([]float64{0.5, 0.95, 0.99},
+		[]float64{s.P50 / 1e3, s.P95 / 1e3, s.P99 / 1e3},
+		s.Mean/1e3*float64(s.Count), s.Count)
 }
 
 // LabeledInt64 is one (labels, value) sample of a labeled family, used by

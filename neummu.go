@@ -305,11 +305,11 @@ type StoreConfig = store.Config
 func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 
 // Coordinator is the scale-out front of a neuserve fleet: an http.Handler
-// accepting the same sweep API as a Server, sharding the expanded grid
-// across workers by consistent hashing on the content-addressed cell key,
-// and merging the streams back byte-identical to a single process. See
-// internal/cluster for the routing, failure-handling, and determinism
-// contract.
+// that answers through a Server's own front end (every endpoint but the
+// figure registry), sharding the expanded grid across workers by
+// consistent hashing on the content-addressed cell key, and merging the
+// streams back byte-identical to a single process. See internal/cluster
+// for the routing, failure-handling, and determinism contract.
 type Coordinator = cluster.Coordinator
 
 // ClusterConfig tunes a Coordinator: the worker fleet, hash-ring
