@@ -33,16 +33,16 @@ type Effort struct {
 	TargetCI float64
 	// IntraCellWorkers, when positive, splits every single-cell
 	// simulation across that many cores at epoch barriers. Results are
-	// byte-identical for every worker count ≥ 1, but the epoch-
-	// structured schedule is a distinct semantics from the monolithic
-	// engine and is keyed separately in every cache/store tier.
+	// byte-identical for every worker count ≥ 1, but the cold-epoch
+	// schedule is a distinct semantics from the serial one and is keyed
+	// separately in every cache/store tier.
 	IntraCellWorkers int
 }
 
 // Sampled reports whether the effort selects statistical simulation.
 func (e Effort) Sampled() bool { return e.Mode == EffortSampled }
 
-// Epoched reports whether cells run on the epoch-structured engine —
+// Epoched reports whether cells run on the cold-epoch schedule —
 // the property that must be keyed, as opposed to the worker count,
 // which only trades wall-clock time.
 func (e Effort) Epoched() bool { return e.IntraCellWorkers > 0 || e.Sampled() }

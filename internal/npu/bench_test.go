@@ -8,7 +8,8 @@ import (
 	"neummu/internal/workloads"
 )
 
-// BenchmarkRunCell times one monolithic npu.Run cell: the host cost of
+// BenchmarkRunCell times one exact npu.Run cell (the serial schedule on
+// one machine): the host cost of
 // the simulator below the experiment harness, with the plan and the
 // translation snapshot built once outside the timer as the cell cache's
 // callers do. TF-2 decode is the translation-bound extreme (millions of

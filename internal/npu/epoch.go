@@ -1,29 +1,39 @@
-// Epoch-structured execution: the alternative engine behind
+// Epochs, the merge recurrence, and the cold-epoch schedules behind
 // Config.IntraCellWorkers and Config.Sampled.
 //
-// The monolithic engine (npu.go) threads one event queue through the
-// whole tile schedule, so a single 8K-token cell pins one core for its
-// entire wall-clock. This engine partitions the schedule at the natural
-// barriers the planner already tags (workloads.Tile.Epoch: one weight/KV
-// block for conv, GEMM and encoder attention; one decode step for
-// autoregressive attention; one repeat for layers without weight reuse)
-// and simulates each epoch on its own private Queue/MMU/memory instance,
-// seeded from the shared frozen translation snapshot. Per-tile memory
-// and compute durations measured inside the epochs are then merged by
-// replaying the paper's double-buffer recurrence over the full schedule:
+// The planner tags natural barriers in the tile schedule
+// (workloads.Tile.Epoch: one weight/KV block for conv, GEMM and encoder
+// attention; one decode step for autoregressive attention; one repeat
+// for layers without weight reuse). An epoch is one contiguous run of
+// the capped schedule between two barriers. Every mode runs epochs on
+// the machine of npu.go:
 //
-//	fetchStart[i] = max(memEnd[i-1], computeDone[i-2])
-//	memEnd[i]     = fetchStart[i] + D[i]
+//   - The serial schedule (exact runs, and every run with observers)
+//     runs all epochs in order on one machine, so MMU, TLB, path-cache,
+//     memory and double-buffer state carry from each epoch to the next.
+//   - The cold-epoch schedule (IntraCellWorkers ≥ 1) runs each epoch on
+//     a fresh machine seeded from the shared frozen translation
+//     snapshot, up to IntraCellWorkers epochs at a time.
+//   - Sampled runs simulate a seeded subset of the epochs the same way.
+//
+// Each machine records its tiles' memory-phase and compute-phase
+// durations, and assembly merges them by replaying the paper's
+// double-buffer recurrence over the schedule:
+//
+//	fetchStart[i]  = max(memEnd[i-1], computeDone[i-2])
+//	memEnd[i]      = fetchStart[i] + D[i]
 //	computeDone[i] = max(memEnd[i], computeDone[i-1]) + cc[i]
 //
-// The merge is pure arithmetic in schedule order and every epoch's local
-// simulation is independent of how many run concurrently, so the result
-// is byte-identical for every IntraCellWorkers ≥ 1 (asserted in
-// epoch_test.go, the same contract the cluster merge keeps). It is NOT
-// byte-identical to the monolithic engine: epochs start cold, so TLB and
-// translation-path-cache state does not cross epoch boundaries. The two
-// engines are therefore distinct, explicitly keyed schedule semantics —
-// serve/cluster fold the choice into the cell key so they never alias.
+// The merge law: one machine starts each fetch at exactly fetchStart[i],
+// because its DMA serializes memory phases and its queue is idle between
+// tiles, so the recurrence over its own durations reproduces its
+// event-driven end and its last memory-phase end (TestMergeLaw checks
+// both). The merge is pure arithmetic in schedule order, and a cold epoch
+// does not depend on how many others run beside it, so cold-epoch results
+// are byte-identical for every IntraCellWorkers ≥ 1. They differ from the
+// serial schedule only because each cold epoch starts with empty TLBs and
+// path caches; serve and cluster fold the choice into the cell key so the
+// two schedules never alias.
 //
 // Sampled mode rides on the same partition: epochs are the sampling
 // population, stratified per layer, drawn by a seeded deterministic RNG
@@ -40,10 +50,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"neummu/internal/core"
 	"neummu/internal/counters"
-	"neummu/internal/dma"
-	"neummu/internal/memsys"
 	"neummu/internal/sim"
 	"neummu/internal/stats"
 	"neummu/internal/vm"
@@ -69,20 +76,23 @@ type SampleStats struct {
 	CyclesHi sim.Cycle
 }
 
-// epoch is one contiguous run of the capped tile schedule that the
-// engine may simulate in isolation.
+// epoch is one contiguous run of the capped tile schedule. It refers to
+// the plan's tiles without copying them: position p of the layer's
+// repeated schedule is layerTiles[p%len(layerTiles)], and the epoch
+// covers positions [lo, hi).
 type epoch struct {
-	layer int // index into plan.Layers — also the sampling stratum
-	tiles []workloads.Tile
+	layer      int // index into plan.Layers — also the sampling stratum
+	layerTiles []workloads.Tile
+	lo, hi     int
 }
 
-// buildEpochs applies the repeat/tile caps exactly like the monolithic
-// engine, then splits the schedule at epoch boundaries: whenever the
-// planner's Tile.Epoch tag changes, and additionally at repeat
-// boundaries for layers whose repeats do not share a weight set.
-func buildEpochs(plan *workloads.Plan, repeatCap, tileCap int) []epoch {
-	var eps []epoch
-	for li, layer := range plan.Layers {
+// eachEpoch applies the repeat/tile caps and calls fn with every epoch
+// of the capped schedule, in order. It splits whenever the planner's
+// Tile.Epoch tag changes, and additionally at repeat boundaries for
+// layers whose repeats do not share a weight set.
+func eachEpoch(plan *workloads.Plan, repeatCap, tileCap int, fn func(epoch) error) error {
+	for li := range plan.Layers {
+		layer := &plan.Layers[li]
 		times := layer.Times()
 		if repeatCap > 0 && times > repeatCap {
 			times = repeatCap
@@ -94,139 +104,145 @@ func buildEpochs(plan *workloads.Plan, repeatCap, tileCap int) []epoch {
 		if len(tiles) == 0 {
 			continue
 		}
-		cur := epoch{layer: li}
-		prevTag := tiles[0].Epoch
-		for rep := 0; rep < times; rep++ {
-			for ti, t := range tiles {
-				if (ti == 0 && rep > 0 && !layer.WeightReuse) || t.Epoch != prevTag {
-					if len(cur.tiles) > 0 {
-						eps = append(eps, cur)
-					}
-					cur = epoch{layer: li}
-					prevTag = t.Epoch
+		ep := epoch{layer: li, layerTiles: tiles}
+		for p := 1; p < times*len(tiles); p++ {
+			ti := p % len(tiles)
+			if (ti == 0 && !layer.WeightReuse) || tiles[ti].Epoch != tiles[(p-1)%len(tiles)].Epoch {
+				ep.hi = p
+				if err := fn(ep); err != nil {
+					return err
 				}
-				cur.tiles = append(cur.tiles, t)
+				ep.lo = p
 			}
 		}
-		if len(cur.tiles) > 0 {
-			eps = append(eps, cur)
+		ep.hi = times * len(tiles)
+		if err := fn(ep); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// buildEpochs lists the epochs eachEpoch visits.
+func buildEpochs(plan *workloads.Plan, repeatCap, tileCap int) []epoch {
+	var eps []epoch
+	// The collector never fails, so neither does the walk.
+	_ = eachEpoch(plan, repeatCap, tileCap, func(ep epoch) error {
+		eps = append(eps, ep)
+		return nil
+	})
 	return eps
 }
 
-// epochRun is the outcome of one epoch's local simulation: the per-tile
-// phase durations the merge replays, plus the epoch's component stats.
+// tileDurs is one tile's memory-phase and compute-phase duration.
+type tileDurs struct{ mem, compute sim.Cycle }
+
+// epochRun is what a machine reports (see machine.finish): the per-tile
+// phase durations the merge replays, their totals and the machine's
+// component stats. Assembly sums runs into one epochRun without durs.
 type epochRun struct {
-	d, cc []sim.Cycle // per-tile memory / compute phase durations
+	durs []tileDurs
 
 	memPhase, compute, stall sim.Cycle
 	translations, bytes      int64
 	tiles                    int
 	pageDiv                  stats.Dist
-	src                      counters.Sources // Cycles left zero; merge fills it
+	src                      counters.Sources // Cycles left zero; assembly fills it
 }
 
-// phases returns the epoch's total phase volume (its sampling value).
-func (r *epochRun) phases() float64 {
+// volume returns the run's total phase volume (its sampling value).
+func (r *epochRun) volume() float64 {
 	return float64(r.memPhase) + float64(r.compute)
 }
 
-// runEpochLocal simulates one epoch on a private queue at t=0, applying
-// the same per-tile double-buffer waits the monolithic engine applies —
-// just with the epoch's own (initially empty) compute history.
-func runEpochLocal(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, ep epoch) (*epochRun, error) {
-	pt := snap.Table()
-	q := &sim.Queue{}
-	mmu := core.New(cfg.MMU, pt, q)
-	mem := memsys.New(cfg.Memory, q)
-	eng := dma.New(q, mmu, mem)
-	wait := q.Register(noop)
-
-	r := &epochRun{
-		d:  make([]sim.Cycle, 0, len(ep.tiles)),
-		cc: make([]sim.Cycle, 0, len(ep.tiles)),
-	}
-	computeDone := make([]sim.Cycle, 0, len(ep.tiles))
-	for i, t := range ep.tiles {
-		if i >= 2 {
-			if ready := computeDone[i-2]; ready > q.Now() {
-				q.Call(ready, wait, 0)
-				q.Run()
-			}
-		}
-		var ts dma.TileStats
-		fetched := false
-		eng.FetchViews(t.Views, func(s dma.TileStats) { ts, fetched = s, true })
-		q.Run()
-		if !fetched {
-			return nil, fmt.Errorf("npu: tile fetch deadlocked (model %s)", plan.Model)
-		}
-		d := ts.Duration()
-		cc := sim.Cycle(cfg.Compute.TileCycles(t.M, t.K, t.N))
-		r.d = append(r.d, d)
-		r.cc = append(r.cc, cc)
-		r.memPhase += d
-		r.compute += cc
-		r.stall += ts.StallCycles
-		r.translations += int64(ts.Transactions)
-		r.bytes += ts.Bytes
-		start := ts.End
-		if i >= 1 && computeDone[i-1] > start {
-			start = computeDone[i-1]
-		}
-		computeDone = append(computeDone, start+cc)
-	}
-	r.tiles = len(ep.tiles)
-	r.pageDiv = eng.PageDivergence()
-	r.src = counters.Sources{
-		MMU:    mmu.Stats(),
-		TLB:    mmu.TLBStats(),
-		Walker: mmu.WalkerStats(),
-		Path:   mmu.PathStats(),
-		Memory: mem.Stats(),
-		DMA: counters.DMAStats{
-			Tiles:         int64(eng.Tiles()),
-			Segments:      eng.Segments(),
-			Transactions:  eng.Transactions(),
-			Bytes:         eng.Bytes(),
-			DistinctPages: eng.DistinctPages(),
-		},
-	}
-	return r, nil
+// add folds b's totals and stats into r.
+func (r *epochRun) add(b *epochRun) {
+	r.memPhase += b.memPhase
+	r.compute += b.compute
+	r.stall += b.stall
+	r.translations += b.translations
+	r.bytes += b.bytes
+	r.tiles += b.tiles
+	r.pageDiv.Merge(b.pageDiv)
+	r.src = addSources(r.src, b.src)
 }
 
-// mergeTimeline replays the double-buffer recurrence over the measured
-// per-tile phase durations of runs, in schedule order, producing the
-// end-to-end cycle count and the final memory-phase end time.
-func mergeTimeline(runs []*epochRun) (cycles, lastMem sim.Cycle) {
-	n := 0
-	for _, r := range runs {
-		n += len(r.d)
+// result builds the Result whose end-to-end time is cycles, collecting
+// the audited counter bundle from r's stats.
+func (r *epochRun) result(plan *workloads.Plan, cfg Config, cycles sim.Cycle) *Result {
+	src := r.src
+	src.Cycles = counters.CycleStats{
+		Total:    int64(cycles),
+		MemPhase: int64(r.memPhase),
+		Compute:  int64(r.compute),
+		Stall:    int64(r.stall),
 	}
-	computeDone := make([]sim.Cycle, 0, n)
-	var prevMemEnd sim.Cycle
-	idx := 0
+	return &Result{
+		Model:          plan.Model,
+		Batch:          plan.Batch,
+		Compute:        cfg.Compute.Name(),
+		MMUKind:        cfg.MMU.Kind,
+		Cycles:         cycles,
+		MemPhaseCycles: r.memPhase,
+		ComputeCycles:  r.compute,
+		StallCycles:    r.stall,
+		Tiles:          r.tiles,
+		Translations:   r.translations,
+		BytesFetched:   r.bytes,
+		PageDivergence: r.pageDiv,
+		MMU:            src.MMU,
+		TLB:            src.TLB,
+		Walker:         src.Walker,
+		Path:           src.Path,
+		Memory:         src.Memory,
+		Counters:       counters.Collect(src),
+	}
+}
+
+// mergeTimeline replays the double-buffer recurrence over the per-tile
+// phase durations of runs, in schedule order, returning the end-to-end
+// cycle count and the end of the last memory phase. done1 and done2 are
+// computeDone[i-1] and computeDone[i-2].
+func mergeTimeline(runs []*epochRun) (cycles, lastMem sim.Cycle) {
+	var memEnd, done1, done2 sim.Cycle
 	for _, r := range runs {
-		for i := range r.d {
-			start := prevMemEnd
-			if idx >= 2 && computeDone[idx-2] > start {
-				start = computeDone[idx-2]
-			}
-			prevMemEnd = start + r.d[i]
-			cd := prevMemEnd
-			if idx >= 1 && computeDone[idx-1] > cd {
-				cd = computeDone[idx-1]
-			}
-			computeDone = append(computeDone, cd+r.cc[i])
-			idx++
+		for _, t := range r.durs {
+			memEnd = max(memEnd, done2) + t.mem
+			done1, done2 = max(memEnd, done1)+t.compute, done1
 		}
 	}
-	cycles = prevMemEnd
-	if idx > 0 && computeDone[idx-1] > cycles {
-		cycles = computeDone[idx-1]
+	return max(memEnd, done1), memEnd
+}
+
+// assemble merges runs, given in schedule order, into the Result: it
+// sums them, times the schedule with mergeTimeline and collects the
+// counter bundle. The runs' memory channels are last busy at the final
+// memory-phase end on the merged timeline (a cold machine's occupancy
+// timestamps are local to its own queue).
+func assemble(plan *workloads.Plan, cfg Config, runs []*epochRun) *Result {
+	var sum epochRun
+	for _, r := range runs {
+		sum.add(r)
 	}
-	return cycles, prevMemEnd
+	cycles, lastMem := mergeTimeline(runs)
+	sum.src.Memory.MaxOccupied = lastMem
+	return sum.result(plan, cfg, cycles)
+}
+
+// runCold simulates each epoch on its own cold machine, up to
+// cfg.IntraCellWorkers at a time, and returns the runs in eps' order.
+func runCold(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch) ([]*epochRun, error) {
+	runs := make([]*epochRun, len(eps))
+	pool := sim.NewWorkerPool(max(cfg.IntraCellWorkers, 1))
+	err := pool.Do(len(eps), func(i int) error {
+		m := newMachine(plan, cfg, snap)
+		if err := m.run(eps[i]); err != nil {
+			return err
+		}
+		runs[i] = m.finish()
+		return nil
+	})
+	return runs, err
 }
 
 // addSources folds b's component stats into a, field-wise.
@@ -270,9 +286,6 @@ func addSources(a, b counters.Sources) counters.Sources {
 	a.Memory.Accesses += b.Memory.Accesses
 	a.Memory.Bytes += b.Memory.Bytes
 	a.Memory.WalkReads += b.Memory.WalkReads
-	if b.Memory.MaxOccupied > a.Memory.MaxOccupied {
-		a.Memory.MaxOccupied = b.Memory.MaxOccupied
-	}
 
 	a.DMA.Tiles += b.DMA.Tiles
 	a.DMA.Segments += b.DMA.Segments
@@ -280,76 +293,6 @@ func addSources(a, b counters.Sources) counters.Sources {
 	a.DMA.Bytes += b.DMA.Bytes
 	a.DMA.DistinctPages += b.DMA.DistinctPages
 	return a
-}
-
-// runEpoched is the entry point Run dispatches to for epoch-parallel
-// and sampled simulations.
-func runEpoched(plan *workloads.Plan, cfg Config) (*Result, error) {
-	snap := cfg.Translations
-	if snap == nil {
-		snap = BuildTranslations(plan, cfg.MMU.PageSize)
-	}
-	eps := buildEpochs(plan, cfg.RepeatCap, cfg.TileCap)
-	if cfg.Sampled {
-		return runSampled(plan, cfg, snap, eps)
-	}
-
-	workers := cfg.IntraCellWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	runs := make([]*epochRun, len(eps))
-	pool := sim.NewWorkerPool(workers)
-	if err := pool.Do(len(eps), func(i int) error {
-		r, err := runEpochLocal(plan, cfg, snap, eps[i])
-		runs[i] = r
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Model:   plan.Model,
-		Batch:   plan.Batch,
-		Compute: cfg.Compute.Name(),
-		MMUKind: cfg.MMU.Kind,
-	}
-	var src counters.Sources
-	for _, r := range runs {
-		res.MemPhaseCycles += r.memPhase
-		res.ComputeCycles += r.compute
-		res.StallCycles += r.stall
-		res.Translations += r.translations
-		res.BytesFetched += r.bytes
-		res.Tiles += r.tiles
-		res.PageDivergence.Merge(r.pageDiv)
-		src = addSources(src, r.src)
-	}
-	cycles, lastMem := mergeTimeline(runs)
-	res.Cycles = cycles
-	// Per-epoch occupancy timestamps are local to each epoch's queue;
-	// on the merged timeline the channels are last busy at the final
-	// memory-phase end.
-	src.Memory.MaxOccupied = lastMem
-	finishEpoched(res, src)
-	return res, nil
-}
-
-// finishEpoched copies the summed sources into the result and collects
-// the audited counter bundle with the merged cycle accounting.
-func finishEpoched(res *Result, src counters.Sources) {
-	src.Cycles = counters.CycleStats{
-		Total:    int64(res.Cycles),
-		MemPhase: int64(res.MemPhaseCycles),
-		Compute:  int64(res.ComputeCycles),
-		Stall:    int64(res.StallCycles),
-	}
-	res.MMU = src.MMU
-	res.TLB = src.TLB
-	res.Walker = src.Walker
-	res.Path = src.Path
-	res.Memory = src.Memory
-	res.Counters = counters.Collect(src)
 }
 
 // sampleSeed derives the sampling seed from everything that shapes the
@@ -488,7 +431,6 @@ func scaleSources(s counters.Sources, w float64) counters.Sources {
 	o.Memory.WalkReads = scaleCount(s.Memory.WalkReads, w)
 	o.Memory.Accesses = o.DMA.Transactions + o.Memory.WalkReads
 	o.Memory.Bytes = o.DMA.Bytes + 8*o.Memory.WalkReads
-	o.Memory.MaxOccupied = s.Memory.MaxOccupied
 	return o
 }
 
@@ -499,44 +441,27 @@ func runSampled(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch
 	if targetCI <= 0 {
 		targetCI = 0.05
 	}
-	seed := cfg.SampleSeed
-	if seed == 0 {
-		seed = sampleSeed(plan, cfg, targetCI)
-	}
+	seed := sampleSeed(plan, cfg, targetCI)
 	sel := sampleEpochs(eps, seed, targetCI)
-
-	workers := cfg.IntraCellWorkers
-	if workers < 1 {
-		workers = 1
+	sub := make([]epoch, len(sel))
+	for i, e := range sel {
+		sub[i] = eps[e]
 	}
-	runs := make([]*epochRun, len(sel))
-	pool := sim.NewWorkerPool(workers)
-	if err := pool.Do(len(sel), func(i int) error {
-		r, err := runEpochLocal(plan, cfg, snap, eps[sel[i]])
-		runs[i] = r
-		return err
-	}); err != nil {
+	runs, err := runCold(plan, cfg, snap, sub)
+	if err != nil {
 		return nil, err
-	}
-
-	res := &Result{
-		Model:   plan.Model,
-		Batch:   plan.Batch,
-		Compute: cfg.Compute.Name(),
-		MMUKind: cfg.MMU.Kind,
 	}
 
 	// Walk the sample stratum by stratum (sel is sorted, and epochs of
 	// one layer are contiguous), scaling each stratum's totals by its
 	// weight and accumulating the CI inputs.
-	var src counters.Sources
+	var est epochRun
 	var strata []stats.Stratum
-	var sampledPhases float64
-	var memEst, compEst, stallEst int64
-	for lo := 0; lo < len(sel); {
-		layer := eps[sel[lo]].layer
+	var sampledVolume float64
+	for lo := 0; lo < len(sub); {
+		layer := sub[lo].layer
 		hi := lo
-		for hi < len(sel) && eps[sel[hi]].layer == layer {
+		for hi < len(sub) && sub[hi].layer == layer {
 			hi++
 		}
 		population := 0
@@ -546,34 +471,24 @@ func runSampled(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch
 			}
 		}
 		st := stats.Stratum{Population: population}
-		var ssrc counters.Sources
-		var mem, comp, stall, trans, bytes int64
-		var tiles int
+		var sum epochRun
 		for _, r := range runs[lo:hi] {
-			st.Values = append(st.Values, r.phases())
-			sampledPhases += r.phases()
-			ssrc = addSources(ssrc, r.src)
-			mem += int64(r.memPhase)
-			comp += int64(r.compute)
-			stall += int64(r.stall)
-			trans += r.translations
-			bytes += r.bytes
-			tiles += r.tiles
-			res.PageDivergence.Merge(r.pageDiv)
+			st.Values = append(st.Values, r.volume())
+			sampledVolume += r.volume()
+			sum.add(r)
 		}
 		w := float64(population) / float64(hi-lo)
-		src = addSources(src, scaleSources(ssrc, w))
-		memH := scaleCount(mem, w)
-		stallH := scaleCount(stall, w)
-		if stallH > memH {
-			stallH = memH
-		}
-		memEst += memH
-		compEst += scaleCount(comp, w)
-		stallEst += stallH
-		res.Translations += scaleCount(trans, w)
-		res.BytesFetched += scaleCount(bytes, w)
-		res.Tiles += int(scaleCount(int64(tiles), w))
+		mem := sim.Cycle(scaleCount(int64(sum.memPhase), w))
+		est.add(&epochRun{
+			memPhase:     mem,
+			compute:      sim.Cycle(scaleCount(int64(sum.compute), w)),
+			stall:        min(sim.Cycle(scaleCount(int64(sum.stall), w)), mem),
+			translations: scaleCount(sum.translations, w),
+			bytes:        scaleCount(sum.bytes, w),
+			tiles:        int(scaleCount(int64(sum.tiles), w)),
+			pageDiv:      sum.pageDiv,
+			src:          scaleSources(sum.src, w),
+		})
 		strata = append(strata, st)
 		lo = hi
 	}
@@ -582,50 +497,29 @@ func runSampled(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch
 	// into a timeline, then scale its span by the estimated-to-sampled
 	// phase-volume ratio. Clamped into the bracket every double-buffer
 	// schedule obeys, so the phase-coverage laws hold on the estimate.
-	phaseEst, ci95 := stats.StratifiedEstimate(strata)
+	volumeEst, ci95 := stats.StratifiedEstimate(strata)
 	sampledCycles, _ := mergeTimeline(runs)
 	scale := 1.0
-	if sampledPhases > 0 {
-		scale = phaseEst / sampledPhases
+	if sampledVolume > 0 {
+		scale = volumeEst / sampledVolume
 	}
-	total := int64(math.Round(float64(sampledCycles) * scale))
-	if floor := max64(memEst, compEst); total < floor {
-		total = floor
-	}
-	if total > memEst+compEst {
-		total = memEst + compEst
-	}
-	res.Cycles = sim.Cycle(total)
-	res.MemPhaseCycles = sim.Cycle(memEst)
-	res.ComputeCycles = sim.Cycle(compEst)
-	res.StallCycles = sim.Cycle(stallEst)
+	total := sim.Cycle(math.Round(float64(sampledCycles) * scale))
+	total = min(max(total, est.memPhase, est.compute), est.memPhase+est.compute)
 
 	rel := 0.0
-	if phaseEst > 0 {
-		rel = ci95 / phaseEst
+	if volumeEst > 0 {
+		rel = ci95 / volumeEst
 	}
-	lo := int64(math.Round(float64(total) * (1 - rel)))
-	if lo < 0 {
-		lo = 0
-	}
-	hi := int64(math.Round(float64(total) * (1 + rel)))
+	est.src.Memory.MaxOccupied = total
+	res := est.result(plan, cfg, total)
 	res.Sampled = &SampleStats{
 		Population: len(eps),
 		Simulated:  len(sel),
 		Seed:       seed,
 		TargetCI:   targetCI,
 		RelCI95:    rel,
-		CyclesLo:   sim.Cycle(lo),
-		CyclesHi:   sim.Cycle(hi),
+		CyclesLo:   max(sim.Cycle(math.Round(float64(total)*(1-rel))), 0),
+		CyclesHi:   sim.Cycle(math.Round(float64(total) * (1 + rel))),
 	}
-	src.Memory.MaxOccupied = sim.Cycle(total)
-	finishEpoched(res, src)
 	return res, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,10 +8,18 @@
 // memory phase ends; tile n+1's memory phase starts as soon as the DMA is
 // free; tile n+2's memory phase additionally waits for tile n's compute
 // phase to release its scratchpad buffer.
+//
+// There is one simulation engine: a machine (queue, MMU, memory, DMA
+// engine and the double-buffer waits) that runs the plan's epochs (see
+// epoch.go). An exact run is the serial schedule on one machine: every
+// epoch in order, with all machine state carried from one epoch to the
+// next. Epoch-parallel and sampled runs give each epoch a cold machine.
+// Every mode assembles its Result the same way.
 package npu
 
 import (
 	"fmt"
+	"slices"
 
 	"neummu/internal/core"
 	"neummu/internal/counters"
@@ -25,8 +33,8 @@ import (
 	"neummu/internal/workloads"
 )
 
-// noop advances simulated time without doing work: each run registers
-// it once and schedules it for the double-buffering waits.
+// noop advances simulated time without doing work: each machine
+// registers it once and schedules it for the double-buffering waits.
 var noop = sim.HandlerFunc(func(sim.Cycle, int64) {})
 
 // ComputeModel abstracts the compute-phase timing model so the systolic
@@ -73,35 +81,34 @@ type Config struct {
 	// Nil builds a private table (runs that fault or remap need one).
 	Translations *vm.Snapshot
 
-	// IntraCellWorkers, when positive, selects the epoch-structured
-	// engine (see epoch.go): the tile schedule is partitioned at natural
+	// IntraCellWorkers, when positive, selects the cold-epoch schedule
+	// (see epoch.go): the tile schedule is partitioned at natural
 	// barriers (per weight/KV block for encoders, per decode step for KV
-	// streaming) and each epoch runs on its own event queue seeded from
+	// streaming) and each epoch runs on its own cold machine seeded from
 	// the shared frozen translation snapshot, up to IntraCellWorkers
 	// epochs concurrently. The merged result is byte-identical for every
 	// worker count ≥ 1 but is a distinct, explicitly keyed schedule
-	// semantics from the monolithic engine (epochs start cold: TLB and
+	// semantics from the serial schedule on one machine (TLB and
 	// path-cache state does not cross epoch boundaries). Runs carrying
-	// observers (Timeline/TraceVAs/Watch/TileTrace) always use the
-	// monolithic engine regardless of this knob.
+	// observers (Timeline/TraceVAs/Watch/TileTrace) always take the
+	// serial schedule regardless of this knob.
 	IntraCellWorkers int
 	// Sampled selects statistical simulation: only a seeded subset of
 	// epochs is simulated (stratified per layer) and totals are scaled up
 	// by per-stratum estimators, with a 95% confidence interval reported
-	// in Result.Sampled. Sampled runs imply the epoch engine.
+	// in Result.Sampled. Sampled runs imply cold epochs. The sampling
+	// seed derives from model, batch, caps and target CI — deliberately
+	// not the MMU kind, so an oracle normalization run samples exactly
+	// the same epochs as its candidate and the performance ratio stays
+	// paired.
 	Sampled bool
 	// SampleTargetCI is the desired relative half-width of the sampled
 	// cycle estimate's 95% CI; it sizes the sampling fraction (0 = 0.05).
 	SampleTargetCI float64
-	// SampleSeed overrides the derived sampling seed (0 = derive from
-	// model, batch, caps and target CI — deliberately excluding the MMU
-	// kind, so an oracle normalization run samples exactly the same
-	// epochs as its candidate and the performance ratio stays paired).
-	SampleSeed uint64
 }
 
 // observed reports whether any per-event observer is attached; observer
-// studies require the monolithic engine's single global timeline.
+// studies require the single global timeline of the serial schedule.
 func (c Config) observed() bool {
 	return c.TimelineWindow > 0 || c.TraceVAs != nil || c.Watch != nil || c.TileTrace != nil
 }
@@ -187,150 +194,138 @@ func Run(plan *workloads.Plan, cfg Config) (*Result, error) {
 	if cfg.Compute == nil {
 		return nil, fmt.Errorf("npu: no compute model configured")
 	}
-	ps := cfg.MMU.PageSize
-	if ps == 0 {
-		ps = vm.Page4K
-		cfg.MMU.PageSize = ps
+	if cfg.MMU.PageSize == 0 {
+		cfg.MMU.PageSize = vm.Page4K
 	}
-	if (cfg.IntraCellWorkers > 0 || cfg.Sampled) && !cfg.observed() {
-		return runEpoched(plan, cfg)
-	}
-
 	snap := cfg.Translations
 	if snap == nil {
-		snap = BuildTranslations(plan, ps)
+		snap = BuildTranslations(plan, cfg.MMU.PageSize)
 	}
-	pt := snap.Table()
-
-	q := &sim.Queue{}
-	mmu := core.New(cfg.MMU, pt, q)
-	mem := memsys.New(cfg.Memory, q)
-	eng := dma.New(q, mmu, mem)
-	wait := q.Register(noop)
-	if cfg.TimelineWindow > 0 {
-		eng.Timeline = stats.NewTimeSeries(cfg.TimelineWindow)
-	}
-	eng.VATrace = cfg.TraceVAs
-	eng.Watch = cfg.Watch
-
-	res := &Result{
-		Model:   plan.Model,
-		Batch:   plan.Batch,
-		Compute: cfg.Compute.Name(),
-		MMUKind: cfg.MMU.Kind,
+	if (cfg.IntraCellWorkers > 0 || cfg.Sampled) && !cfg.observed() {
+		eps := buildEpochs(plan, cfg.RepeatCap, cfg.TileCap)
+		if cfg.Sampled {
+			return runSampled(plan, cfg, snap, eps)
+		}
+		runs, err := runCold(plan, cfg, snap, eps)
+		if err != nil {
+			return nil, err
+		}
+		return assemble(plan, cfg, runs), nil
 	}
 
-	// The tile count is fixed by the plan and the caps, so the
-	// per-tile accumulators are sized once up front instead of growing
-	// through reallocation over a long RNN run.
-	totalTiles := 0
-	for _, layer := range plan.Layers {
-		times := layer.Times()
-		if cfg.RepeatCap > 0 && times > cfg.RepeatCap {
-			times = cfg.RepeatCap
-		}
-		nt := len(layer.Tiles)
-		if cfg.TileCap > 0 && nt > cfg.TileCap {
-			nt = cfg.TileCap
-		}
-		totalTiles += times * nt
+	// The serial schedule: every epoch in order on one machine.
+	m := newMachine(plan, cfg, snap)
+	if err := eachEpoch(plan, cfg.RepeatCap, cfg.TileCap, m.run); err != nil {
+		return nil, err
 	}
-	if eng.Timeline != nil {
-		// One bucket per issue burst is a safe floor for the series.
-		eng.Timeline.Grow(totalTiles)
-	}
-
-	// computeDone[i] is when tile i's compute phase retires; the DMA may
-	// not start tile i+2's memory phase before computeDone[i] (its SPM
-	// buffer is still feeding the array until then).
-	computeDone := make([]sim.Cycle, 0, totalTiles)
-	tileIndex := 0
-
-	runTile := func(layerName string, t workloads.Tile) error {
-		// Buffer dependency: wait for tile (index-2)'s compute phase.
-		if tileIndex >= 2 {
-			if ready := computeDone[tileIndex-2]; ready > q.Now() {
-				q.Call(ready, wait, 0)
-				q.Run()
-			}
-		}
-		var ts dma.TileStats
-		fetched := false
-		eng.FetchViews(t.Views, func(s dma.TileStats) { ts, fetched = s, true })
-		q.Run()
-		if !fetched {
-			return fmt.Errorf("npu: tile fetch deadlocked (model %s)", plan.Model)
-		}
-		res.MemPhaseCycles += ts.Duration()
-		res.StallCycles += ts.StallCycles
-		res.Translations += int64(ts.Transactions)
-		res.BytesFetched += ts.Bytes
-		if cfg.TileTrace != nil {
-			cfg.TileTrace(layerName, t.Step, ts)
-		}
-
-		cc := sim.Cycle(cfg.Compute.TileCycles(t.M, t.K, t.N))
-		res.ComputeCycles += cc
-		start := ts.End
-		if tileIndex >= 1 && computeDone[tileIndex-1] > start {
-			start = computeDone[tileIndex-1]
-		}
-		computeDone = append(computeDone, start+cc)
-		tileIndex++
-		return nil
-	}
-
-	for _, layer := range plan.Layers {
-		times := layer.Times()
-		if cfg.RepeatCap > 0 && times > cfg.RepeatCap {
-			times = cfg.RepeatCap
-		}
-		tiles := layer.Tiles
-		if cfg.TileCap > 0 && len(tiles) > cfg.TileCap {
-			tiles = tiles[:cfg.TileCap]
-		}
-		for rep := 0; rep < times; rep++ {
-			for _, t := range tiles {
-				if err := runTile(layer.Name, t); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	res.Cycles = q.Now()
-	if n := len(computeDone); n > 0 && computeDone[n-1] > res.Cycles {
-		res.Cycles = computeDone[n-1]
-	}
-	res.Tiles = tileIndex
-	res.PageDivergence = eng.PageDivergence()
-	res.MMU = mmu.Stats()
-	res.TLB = mmu.TLBStats()
-	res.Walker = mmu.WalkerStats()
-	res.Path = mmu.PathStats()
-	res.Memory = mem.Stats()
-	res.Counters = counters.Collect(counters.Sources{
-		MMU:    res.MMU,
-		TLB:    res.TLB,
-		Walker: res.Walker,
-		Path:   res.Path,
-		Memory: res.Memory,
-		DMA: counters.DMAStats{
-			Tiles:         int64(eng.Tiles()),
-			Segments:      eng.Segments(),
-			Transactions:  eng.Transactions(),
-			Bytes:         eng.Bytes(),
-			DistinctPages: eng.DistinctPages(),
-		},
-		Cycles: counters.CycleStats{
-			Total:    int64(res.Cycles),
-			MemPhase: int64(res.MemPhaseCycles),
-			Compute:  int64(res.ComputeCycles),
-			Stall:    int64(res.StallCycles),
-		},
-	})
-	res.Timeline = eng.Timeline
+	res := assemble(plan, cfg, []*epochRun{m.finish()})
+	res.Timeline = m.eng.Timeline
 	return res, nil
+}
+
+// machine is one simulated NPU: an event queue, MMU, memory and DMA
+// engine, plus the compute-done times of the last two tiles it ran,
+// which the double-buffer waits read. Its run method is the package's
+// only tile loop; every mode drives it, on one machine or on one cold
+// machine per epoch.
+type machine struct {
+	plan *workloads.Plan
+	cfg  Config
+	q    *sim.Queue
+	mmu  *core.MMU
+	mem  *memsys.Memory
+	eng  *dma.Engine
+	wait sim.HandlerID
+
+	// done1 and done2 are when the last and the second-to-last tile's
+	// compute phases retire. The next tile's compute phase starts no
+	// earlier than done1, and its memory phase no earlier than done2:
+	// until then that tile's SPM buffer is still feeding the array.
+	done1, done2 sim.Cycle
+
+	ts      dma.TileStats // the last fetch's statistics, set by onFetch
+	fetched bool
+	onFetch func(dma.TileStats)
+	rec     *epochRun
+}
+
+// newMachine builds a cold machine over the shared translation snapshot,
+// with cfg's observers attached to its DMA engine.
+func newMachine(plan *workloads.Plan, cfg Config, snap *vm.Snapshot) *machine {
+	q := &sim.Queue{}
+	mmu := core.New(cfg.MMU, snap.Table(), q)
+	mem := memsys.New(cfg.Memory, q)
+	m := &machine{
+		plan: plan, cfg: cfg, q: q, mmu: mmu, mem: mem,
+		eng:  dma.New(q, mmu, mem),
+		wait: q.Register(noop),
+		rec:  &epochRun{},
+	}
+	m.onFetch = func(ts dma.TileStats) { m.ts, m.fetched = ts, true }
+	if cfg.TimelineWindow > 0 {
+		m.eng.Timeline = stats.NewTimeSeries(cfg.TimelineWindow)
+	}
+	m.eng.VATrace = cfg.TraceVAs
+	m.eng.Watch = cfg.Watch
+	return m
+}
+
+// run simulates ep's tiles in schedule order, starting from whatever
+// state the machine's earlier epochs left behind.
+func (m *machine) run(ep epoch) error {
+	r := m.rec
+	r.durs = slices.Grow(r.durs, ep.hi-ep.lo)
+	layer := m.plan.Layers[ep.layer].Name
+	for p := ep.lo; p < ep.hi; p++ {
+		t := &ep.layerTiles[p%len(ep.layerTiles)]
+		if m.done2 > m.q.Now() {
+			m.q.Call(m.done2, m.wait, 0)
+			m.q.Run()
+		}
+		m.fetched = false
+		m.eng.FetchViews(t.Views, m.onFetch)
+		m.q.Run()
+		if !m.fetched {
+			return fmt.Errorf("npu: tile fetch deadlocked (model %s)", m.plan.Model)
+		}
+		ts := m.ts
+		if m.cfg.TileTrace != nil {
+			m.cfg.TileTrace(layer, t.Step, ts)
+		}
+		d := ts.Duration()
+		cc := sim.Cycle(m.cfg.Compute.TileCycles(t.M, t.K, t.N))
+		r.durs = append(r.durs, tileDurs{d, cc})
+		r.memPhase += d
+		r.compute += cc
+		r.stall += ts.StallCycles
+		r.translations += int64(ts.Transactions)
+		r.bytes += ts.Bytes
+		m.done1, m.done2 = max(ts.End, m.done1)+cc, m.done1
+	}
+	return nil
+}
+
+// finish returns the machine's record: the per-tile phase durations and
+// totals run gathered, plus its components' statistics.
+func (m *machine) finish() *epochRun {
+	r := m.rec
+	r.tiles = len(r.durs)
+	r.pageDiv = m.eng.PageDivergence()
+	r.src = counters.Sources{
+		MMU:    m.mmu.Stats(),
+		TLB:    m.mmu.TLBStats(),
+		Walker: m.mmu.WalkerStats(),
+		Path:   m.mmu.PathStats(),
+		Memory: m.mem.Stats(),
+		DMA: counters.DMAStats{
+			Tiles:         int64(m.eng.Tiles()),
+			Segments:      m.eng.Segments(),
+			Transactions:  m.eng.Transactions(),
+			Bytes:         m.eng.Bytes(),
+			DistinctPages: m.eng.DistinctPages(),
+		},
+	}
+	return r
 }
 
 // RunModel is the convenience entry point: it plans the model at the given

@@ -200,7 +200,7 @@ type CellLine struct {
 // the per-process map hashing the cache keys on, it is a pure function of the
 // point and the normalized effort, so every coordinator (and every
 // restart) routes the same cell to the same worker. FNV-1a over the
-// canonical field encoding. Efforts the monolithic exact engine serves
+// canonical field encoding. Efforts the serial exact schedule serves
 // (the only kind that existed before the unified effort API) hash to
 // exactly their pre-redesign value — an upgraded coordinator keeps
 // routing legacy work to the same workers, and mixed-version fleets

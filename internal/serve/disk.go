@@ -28,7 +28,7 @@ type storeKey struct {
 	Point     WirePoint `json:"point"`
 	RepeatCap int       `json:"repeat_cap"`
 	TileCap   int       `json:"tile_cap"`
-	// Epoch-engine identity, omitted for monolithic-exact cells so every
+	// Cold-epoch identity, omitted for serial exact cells so every
 	// pre-redesign store entry keeps its exact key bytes (and stays
 	// readable after the upgrade).
 	Sampled  bool    `json:"sampled,omitempty"`

@@ -26,8 +26,8 @@ type WireEffort struct {
 	// mode (0 = 0.05). Rejected outside sampled mode.
 	TargetCI float64 `json:"target_ci,omitempty"`
 	// IntraCellWorkers splits each cell's simulation across that many
-	// cores at epoch barriers. Any value ≥ 1 selects the epoch-structured
-	// engine (keyed separately from the monolithic one); the count itself
+	// cores at epoch barriers. Any value ≥ 1 selects the cold-epoch
+	// schedule (keyed separately from the serial one); the count itself
 	// only trades wall-clock time and is never part of a cell's identity.
 	IntraCellWorkers int `json:"intra_cell_workers,omitempty"`
 }
@@ -130,8 +130,8 @@ func EffortOf(opts exp.Options) Effort {
 	}
 }
 
-// Epoched reports whether this effort selects the epoch-structured
-// engine — the property cell keys and routing hashes carry, as opposed
+// Epoched reports whether this effort selects the cold-epoch schedule
+// — the property cell keys and routing hashes carry, as opposed
 // to the worker count, which never changes result bytes.
 func (e Effort) Epoched() bool { return e.Sampled || e.IntraCellWorkers > 0 }
 

@@ -118,7 +118,7 @@ type Effort struct {
 	// (normalized to 0.05 when sampled and unset).
 	TargetCI float64
 	// IntraCellWorkers splits each cell across cores at epoch barriers.
-	// Any value ≥ 1 selects the epoch-structured engine; the count itself
+	// Any value ≥ 1 selects the cold-epoch schedule; the count itself
 	// never changes result bytes (results are identical for every worker
 	// count ≥ 1), so cell keys carry only the epoched-ness bit.
 	IntraCellWorkers int
@@ -161,9 +161,9 @@ func (c *HarnessCache) Get(e Effort) *exp.Harness {
 // plus the normalized effort knobs that shape its result. Everything that
 // influences the result is in the key; nothing else is — in particular
 // the intra-cell worker count stays out (results are identical for every
-// count ≥ 1) while the epoched-ness of the engine goes in (the
-// epoch-structured schedule is a distinct semantics from the monolithic
-// one, so exact, exact-epoched and sampled cells never alias).
+// count ≥ 1) while the epoched-ness of the schedule goes in (the
+// cold-epoch schedule is a distinct semantics from the serial one, so
+// exact, exact-epoched and sampled cells never alias).
 type cellKey struct {
 	point     exp.Point
 	repeatCap int

@@ -76,17 +76,6 @@ func NewTimeSeries(window int64) *TimeSeries {
 	return &TimeSeries{Window: window}
 }
 
-// Grow reserves capacity for at least n windows, so a series whose rough
-// extent is known up front (e.g. from a plan's tile count) does not
-// re-grow its bucket array while recording.
-func (ts *TimeSeries) Grow(n int) {
-	if cap(ts.buckets) < n {
-		grown := make([]int64, len(ts.buckets), n)
-		copy(grown, ts.buckets)
-		ts.buckets = grown
-	}
-}
-
 // Record adds n events at the given cycle.
 func (ts *TimeSeries) Record(cycle int64, n int64) {
 	if cycle < 0 {

@@ -137,13 +137,13 @@ type Options struct {
 	// array to the DaDianNao/Eyeriss-style spatial grid (§VI-B).
 	SpatialNPU bool
 	// Effort selects the simulation mode and intra-cell parallelism. The
-	// zero value simulates exactly on the monolithic engine. Effort caps,
-	// when non-zero, win over the flat RepeatCap/TileCap above. Setting
-	// IntraCellWorkers > 0 splits the simulation across cores at epoch
-	// barriers — results are identical for every worker count ≥ 1 but the
-	// epoch-structured schedule is a distinct semantics from the
-	// monolithic engine; EffortSampled simulates a seeded epoch subset
-	// and fills Result.Sampled with the scaling audit.
+	// zero value simulates exactly: the serial schedule on one machine.
+	// Effort caps, when non-zero, win over the flat RepeatCap/TileCap
+	// above. Setting IntraCellWorkers > 0 splits the simulation across
+	// cores at epoch barriers, each epoch on a cold machine — results are
+	// identical for every worker count ≥ 1 but the cold-epoch schedule is
+	// a distinct semantics from the serial one; EffortSampled simulates a
+	// seeded epoch subset and fills Result.Sampled with the scaling audit.
 	Effort Effort
 }
 
