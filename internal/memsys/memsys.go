@@ -7,6 +7,10 @@
 // Table I baseline: 8 channels, 600 GB/s aggregate, 100-cycle access
 // latency, 1 GHz clock (so 600 GB/s ≡ 600 bytes per cycle).
 //
+// Channels and the interleave granularity must be powers of two, so a
+// channel is picked with a shift and a mask; each channel books its share
+// of the bandwidth exactly, as an integer rate (sim.RateLimiter).
+//
 // An access is booked, not simulated: Claim reserves the transfer on its
 // channel at the current cycle and returns when the last byte arrives,
 // without scheduling an event. Callers that need a completion event
@@ -16,6 +20,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"neummu/internal/sim"
 	"neummu/internal/vm"
@@ -23,14 +28,17 @@ import (
 
 // Config describes a memory system.
 type Config struct {
-	// Channels is the number of independent memory channels (Table I: 8).
+	// Channels is the number of independent memory channels (Table I: 8),
+	// a power of two.
 	Channels int
 	// BytesPerCycle is the aggregate sustained bandwidth (600 GB/s at
-	// 1 GHz = 600 B/cy).
-	BytesPerCycle float64
+	// 1 GHz = 600 B/cy). Each channel gets BytesPerCycle/Channels, kept
+	// as an exact fraction.
+	BytesPerCycle int64
 	// Latency is the fixed access latency in cycles (Table I: 100).
 	Latency int64
-	// InterleaveBytes is the channel interleaving granularity.
+	// InterleaveBytes is the channel interleaving granularity, a power of
+	// two.
 	InterleaveBytes uint64
 }
 
@@ -71,20 +79,34 @@ type Stats struct {
 type Memory struct {
 	cfg      Config
 	q        *sim.Queue
-	channels []*sim.RateLimiter
+	channels []sim.RateLimiter
+	shift    uint   // log2(InterleaveBytes)
+	mask     uint64 // Channels - 1
 	stats    Stats
 }
 
-// New builds a memory system clocked by q.
+// New builds a memory system clocked by q. It panics if Channels or
+// InterleaveBytes (after defaulting) is not a power of two.
 func New(cfg Config, q *sim.Queue) *Memory {
 	cfg = cfg.withDefaults()
-	m := &Memory{cfg: cfg, q: q}
-	per := cfg.BytesPerCycle / float64(cfg.Channels)
-	for i := 0; i < cfg.Channels; i++ {
-		m.channels = append(m.channels, sim.NewRateLimiter(per))
+	if !powerOfTwo(uint64(cfg.Channels)) || !powerOfTwo(cfg.InterleaveBytes) {
+		panic(fmt.Sprintf("memsys: Channels (%d) and InterleaveBytes (%d) must be powers of two",
+			cfg.Channels, cfg.InterleaveBytes))
+	}
+	m := &Memory{
+		cfg:      cfg,
+		q:        q,
+		channels: make([]sim.RateLimiter, cfg.Channels),
+		shift:    uint(bits.TrailingZeros64(cfg.InterleaveBytes)),
+		mask:     uint64(cfg.Channels - 1),
+	}
+	for i := range m.channels {
+		m.channels[i] = sim.NewRateLimiter(cfg.BytesPerCycle, int64(cfg.Channels))
 	}
 	return m
 }
+
+func powerOfTwo(x uint64) bool { return x != 0 && x&(x-1) == 0 }
 
 // Config returns the memory system's configuration after defaulting.
 func (m *Memory) Config() Config { return m.cfg }
@@ -93,8 +115,7 @@ func (m *Memory) Config() Config { return m.cfg }
 func (m *Memory) Stats() Stats { return m.stats }
 
 func (m *Memory) channel(pa vm.PhysAddr) *sim.RateLimiter {
-	idx := (uint64(pa) / m.cfg.InterleaveBytes) % uint64(len(m.channels))
-	return m.channels[idx]
+	return &m.channels[uint64(pa)>>m.shift&m.mask]
 }
 
 // AccessCall claims the transfer and delivers its completion to handler h,
@@ -136,8 +157,8 @@ func (m *Memory) CountWalkRead() {
 // DrainTime estimates when all currently queued traffic clears.
 func (m *Memory) DrainTime() sim.Cycle {
 	var max sim.Cycle
-	for _, ch := range m.channels {
-		if b := ch.BusyUntil(); b > max {
+	for i := range m.channels {
+		if b := m.channels[i].BusyUntil(); b > max {
 			max = b
 		}
 	}
@@ -147,12 +168,12 @@ func (m *Memory) DrainTime() sim.Cycle {
 // Reset clears channel occupancy (statistics are preserved). Used between
 // independently timed phases.
 func (m *Memory) Reset() {
-	for _, ch := range m.channels {
-		ch.Reset()
+	for i := range m.channels {
+		m.channels[i].Reset()
 	}
 }
 
 func (m *Memory) String() string {
-	return fmt.Sprintf("Memory{%d ch, %.0f B/cy, %d cy latency}",
+	return fmt.Sprintf("Memory{%d ch, %d B/cy, %d cy latency}",
 		m.cfg.Channels, m.cfg.BytesPerCycle, m.cfg.Latency)
 }

@@ -137,3 +137,28 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", c)
 	}
 }
+
+// Channels are picked by shift and mask, so a layout that is not a power
+// of two is refused when the memory is built, not mis-mapped later.
+func TestNewRejectsNonPowerOfTwoLayout(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"baseline", Baseline(), true},
+		{"defaults", Config{}, true},
+		{"one channel", Config{Channels: 1, BytesPerCycle: 16, InterleaveBytes: 4096}, true},
+		{"3 channels", Config{Channels: 3, BytesPerCycle: 600, InterleaveBytes: 4096}, false},
+		{"interleave 3000", Config{Channels: 8, BytesPerCycle: 600, InterleaveBytes: 3000}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Fatalf("New(%+v) panicked = %v, want %v", c.cfg, r != nil, !c.ok)
+				}
+			}()
+			New(c.cfg, &sim.Queue{})
+		})
+	}
+}

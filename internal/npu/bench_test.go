@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"neummu/internal/core"
+	"neummu/internal/tlb"
 	"neummu/internal/vm"
+	"neummu/internal/walker"
 	"neummu/internal/workloads"
 )
 
@@ -14,6 +16,9 @@ import (
 // translation snapshot built once outside the timer as the cell cache's
 // callers do. TF-2 decode is the translation-bound extreme (millions of
 // translations at a low TLB hit rate); CNN-2 is a dense conv network.
+// RNN-2 on NeuMMU and CNN-1 on a 64-PTW × 4-slot custom walker are
+// dense-cold's walker-heavy shapes: their misses merge into PRMBs and
+// drain one per cycle, and the custom PRMBs overflow into redundant walks.
 // ns/xlat divides the time by the cell's DMA translations, so cells of
 // different sizes compare on one scale.
 func BenchmarkRunCell(b *testing.B) {
@@ -23,11 +28,15 @@ func BenchmarkRunCell(b *testing.B) {
 		batch     int
 		repeatCap int
 		kind      core.Kind
+		ptws      int // custom walker shape, with prmb
+		prmb      int
 	}{
-		{"TF-2-b1-oracle", "TF-2", 1, 1, core.Oracle},
-		{"TF-2-b1-iommu", "TF-2", 1, 1, core.IOMMU},
-		{"TF-2-b1-neummu", "TF-2", 1, 1, core.NeuMMU},
-		{"CNN-2-b4-iommu", "CNN-2", 4, 3, core.IOMMU},
+		{"TF-2-b1-oracle", "TF-2", 1, 1, core.Oracle, 0, 0},
+		{"TF-2-b1-iommu", "TF-2", 1, 1, core.IOMMU, 0, 0},
+		{"TF-2-b1-neummu", "TF-2", 1, 1, core.NeuMMU, 0, 0},
+		{"CNN-2-b4-iommu", "CNN-2", 4, 3, core.IOMMU, 0, 0},
+		{"RNN-2-b4-neummu", "RNN-2", 4, 3, core.NeuMMU, 0, 0},
+		{"CNN-1-b8-custom-64x4", "CNN-1", 8, 3, core.Custom, 64, 4},
 	}
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {
@@ -40,6 +49,15 @@ func BenchmarkRunCell(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := baseCfg(c.kind)
+			if c.kind == core.Custom {
+				cfg.MMU = core.Config{
+					Kind: core.Custom, PageSize: vm.Page4K, TLB: tlb.Baseline(vm.Page4K),
+					Walker: walker.Config{
+						NumPTWs: c.ptws, PRMBSlots: c.prmb, UsePTS: true, LevelLatency: 100,
+						Path: walker.PathTPreg, PageSize: vm.Page4K, DrainPerCycle: true,
+					},
+				}
+			}
 			cfg.RepeatCap = c.repeatCap
 			cfg.Translations = BuildTranslations(plan, vm.Page4K)
 			var xlats int64

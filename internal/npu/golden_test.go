@@ -21,8 +21,8 @@ import (
 
 // The golden cycle table pins the absolute simulated results of a fixed
 // grid of cells: {CNN-1 b1, RNN-1 b4, TF-2 b1} × {oracle, iommu, neummu,
-// custom 32 PTWs × 32 PRMB slots} × {4KB, 2MB}, on the monolithic engine
-// and on the epoch engine, plus full-schedule TF-2 anchors and NUMA
+// custom 32 PTWs × 32 PRMB slots, custom 8 PTWs × 2 PRMB slots} × {4KB,
+// 2MB}, on the monolithic engine and on the epoch engine, plus full-schedule TF-2 anchors and NUMA
 // gathers that route through dma.Engine.Router. A change to the host-side
 // mechanics of the simulator (event scheduling, memory booking, buffer
 // reuse) must leave every row unchanged; a deliberate model change
@@ -57,9 +57,20 @@ func bundleDigest(t *testing.T, b counters.Bundle) uint64 {
 }
 
 // goldenMMU builds the MMU configurations of the table; custom mirrors
-// neusim's -mmu custom -ptws 32 -prmb 32 (TPreg on, baseline TLB).
+// neusim's -mmu custom -ptws 32 -prmb 32 (TPreg on, baseline TLB), and
+// custom8x2 is Fig. 10's PRMB-2 point (8 PTWs, 2 slots, no path cache),
+// where PRMBs overflow and the order of drained requests shows in the
+// cycles.
 func goldenMMU(kind string, ps vm.PageSize) core.Config {
 	switch kind {
+	case "custom8x2":
+		return core.Config{
+			Kind: core.Custom, PageSize: ps, TLB: tlb.Baseline(ps),
+			Walker: walker.Config{
+				NumPTWs: 8, PRMBSlots: 2, UsePTS: true, LevelLatency: 100,
+				Path: walker.PathNone, PageSize: ps, DrainPerCycle: true,
+			},
+		}
 	case "oracle":
 		return core.ConfigFor(core.Oracle, ps)
 	case "iommu":
@@ -81,6 +92,10 @@ var goldenCells = []goldenRow{
 	{"CNN-1/b1/custom/2MB/workers1", 1590272, 441875, 14052, 245503, 52, 0x31ce10bb53b505ce},
 	{"CNN-1/b1/custom/4KB/workers0", 1590368, 432046, 9680, 245503, 52, 0x26189c7a851c3a17},
 	{"CNN-1/b1/custom/4KB/workers1", 1590368, 446929, 23711, 245503, 52, 0x4f88f16a79b60de},
+	{"CNN-1/b1/custom8x2/2MB/workers0", 1590272, 431029, 35040, 245503, 52, 0x7934d8932afbe485},
+	{"CNN-1/b1/custom8x2/2MB/workers1", 1590272, 446252, 50185, 245503, 52, 0x5235ef4516e9e639},
+	{"CNN-1/b1/custom8x2/4KB/workers0", 6225902, 6176879, 5925412, 245503, 52, 0xff57bf6f92673b2c},
+	{"CNN-1/b1/custom8x2/4KB/workers1", 6225902, 6183379, 5931619, 245503, 52, 0xe29df1d0a7772dd},
 	{"CNN-1/b1/iommu/2MB/workers0", 1590272, 431154, 33600, 245503, 52, 0x4e8404dde6d65ef3},
 	{"CNN-1/b1/iommu/2MB/workers1", 1590272, 458958, 59815, 245503, 52, 0x7d2a06ff5710cfa5},
 	{"CNN-1/b1/iommu/4KB/workers0", 12311245, 12272217, 11954592, 245503, 52, 0x8ebaf17a373d30c5},
@@ -97,6 +112,10 @@ var goldenCells = []goldenRow{
 	{"RNN-1/b4/custom/2MB/workers1", 118468, 43581, 1340, 24255, 5, 0x37794a8a0435c73f},
 	{"RNN-1/b4/custom/4KB/workers0", 118564, 42960, 1065, 24255, 5, 0x410753e85359da99},
 	{"RNN-1/b4/custom/4KB/workers1", 118564, 44077, 2107, 24255, 5, 0xa3f8cca7737ac66b},
+	{"RNN-1/b4/custom8x2/2MB/workers0", 118474, 42387, 3504, 24255, 5, 0xde04186342055c73},
+	{"RNN-1/b4/custom8x2/2MB/workers1", 118474, 43568, 4672, 24255, 5, 0xc9faee66ec19ffb4},
+	{"RNN-1/b4/custom8x2/4KB/workers0", 632503, 610663, 585849, 24255, 5, 0xa7d390df1b0e38},
+	{"RNN-1/b4/custom8x2/4KB/workers1", 632497, 610657, 585375, 24255, 5, 0x60221af5495a430},
 	{"RNN-1/b4/iommu/2MB/workers0", 118480, 42393, 3360, 24255, 5, 0x31a8f13f0ac33a8b},
 	{"RNN-1/b4/iommu/2MB/workers1", 118480, 43641, 4480, 24255, 5, 0xe2a082107c275692},
 	{"RNN-1/b4/iommu/4KB/workers0", 1236150, 1214310, 1181820, 24255, 5, 0x9807cd343b7ff120},
@@ -113,6 +132,10 @@ var goldenCells = []goldenRow{
 	{"TF-2/b1/custom/2MB/workers1", 3145594, 1166020, 48240, 629892, 204, 0x3125b86de591c6e5},
 	{"TF-2/b1/custom/4KB/workers0", 3140849, 1118313, 14466, 629892, 204, 0x3bd472c19d8bcb19},
 	{"TF-2/b1/custom/4KB/workers1", 3147654, 1186548, 72470, 629892, 204, 0x7fa2b0a773d6517},
+	{"TF-2/b1/custom8x2/2MB/workers0", 3139772, 1108968, 53436, 629892, 204, 0xf6e80cb887b4176e},
+	{"TF-2/b1/custom8x2/2MB/workers1", 3146616, 1167586, 136346, 629892, 204, 0x966ad1dfcbf2b1db},
+	{"TF-2/b1/custom8x2/4KB/workers0", 10923582, 9764676, 8900472, 629892, 204, 0x6b9a01bbf51693b2},
+	{"TF-2/b1/custom8x2/4KB/workers1", 16208154, 15886620, 15185376, 629892, 204, 0x523bd1d6a865b165},
 	{"TF-2/b1/iommu/2MB/workers0", 3139834, 1109062, 50960, 629892, 204, 0xccb6a26eef2cb3c6},
 	{"TF-2/b1/iommu/2MB/workers1", 3149637, 1177224, 143795, 629892, 204, 0xcbfecbd16f927f94},
 	{"TF-2/b1/iommu/4KB/full", 30471546, 22829952, 17958720, 2843460, 876, 0xeb5b2116690d9ffd},
@@ -153,7 +176,7 @@ func goldenGrid() []goldenCell {
 			name           string
 			batch, tileCap int
 		}{{"CNN-1", 1, 0}, {"RNN-1", 4, 0}, {"TF-2", 1, 8}} {
-			for _, kind := range []string{"oracle", "iommu", "neummu", "custom"} {
+			for _, kind := range []string{"oracle", "iommu", "neummu", "custom", "custom8x2"} {
 				for _, ps := range []vm.PageSize{vm.Page4K, vm.Page2M} {
 					cells = append(cells, goldenCell{
 						name:  fmt.Sprintf("%s/b%d/%s/%s/workers%d", m.name, m.batch, kind, ps, engine),

@@ -75,8 +75,8 @@ type SystemConfig struct {
 	// CPULinkBytesPerCycle is the CPU↔NPU interconnect (PCIe, 16 GB/s at
 	// 1 GHz = 16 B/cy); NPULinkBytesPerCycle is the NPU↔NPU fabric
 	// (160 GB/s = 160 B/cy).
-	CPULinkBytesPerCycle float64
-	NPULinkBytesPerCycle float64
+	CPULinkBytesPerCycle int64
+	NPULinkBytesPerCycle int64
 	// NUMALatency is the extra hop latency over the system interconnect.
 	NUMALatency int64
 	// HostOverhead is the fixed CPU-runtime cost of orchestrating one
@@ -263,11 +263,11 @@ func newSession(cfg embeddings.Config, mode Mode, mmuKind core.Kind,
 	// interconnect -> map locally -> retry. Concurrent faults on one page
 	// coalesce; oversubscription evicts LRU pages; the Mosaic mode
 	// promotes hot 2 MB regions (see pager.go).
-	migrationLink := sim.NewRateLimiter(sys.CPULinkBytesPerCycle)
+	migrationLink := sim.NewRateLimiter(sys.CPULinkBytesPerCycle, 1)
 	if mode == NUMAFast || mode == DemandPaging || mode == DemandPagingMosaic {
-		migrationLink = sim.NewRateLimiter(sys.NPULinkBytesPerCycle)
+		migrationLink = sim.NewRateLimiter(sys.NPULinkBytesPerCycle, 1)
 	}
-	ses.pg = newPager(ses.q, ses.pt, ses.mmu, migrationLink, sys, ps,
+	ses.pg = newPager(ses.q, ses.pt, ses.mmu, &migrationLink, sys, ps,
 		mode == DemandPagingMosaic, &ses.cumulative)
 	ses.mmu.OnFault = ses.pg.fault
 	return ses
@@ -362,7 +362,7 @@ func (s *session) runBatch(trace []embeddings.Lookup, batch, iteration int) (*Re
 			gatherCycles := estimateLocalGather(len(vas), s.cfg.VectorBytes(), s.sys)
 			copyCycles := 2 * (sim.Cycle(s.sys.HostOverhead) +
 				sim.Cycle(s.sys.NUMALatency) +
-				sim.Cycle(float64(bytes)/s.sys.CPULinkBytesPerCycle))
+				sim.Cycle(bytes/s.sys.CPULinkBytesPerCycle))
 			res.Breakdown.EmbeddingLookup += gatherCycles + copyCycles
 		}
 	case NUMASlow, NUMAFast, DemandPaging, DemandPagingMosaic:
@@ -453,7 +453,7 @@ func estimateLocalGather(n int, vecBytes int64, sys SystemConfig) sim.Cycle {
 	if bw <= 0 {
 		bw = 600
 	}
-	stream := sim.Cycle(float64(int64(n)*vecBytes) / bw)
+	stream := sim.Cycle(int64(n) * vecBytes / bw)
 	issue := sim.Cycle(n)
 	if stream > issue {
 		issue = stream

@@ -25,21 +25,26 @@ import (
 // Claim returns the cycle at which a request of the given size finishes
 // occupying the resource; the caller typically adds a fixed access latency
 // on top to obtain the completion time.
+//
+// The rate is the exact fraction num/den bytes per cycle, and time is
+// integer: a claim of b bytes occupies b·den/num cycles, and the fraction
+// of a cycle that does not fill a whole one is carried, in units of 1/num
+// cycle, into the next back-to-back claim. So a busy period's end is
+// exactly its start plus ⌈Σ b·den/num⌉ whatever the claim sizes (claims
+// raised to the one-cycle minimum aside), with no float rounding to drift.
 type RateLimiter struct {
-	// BytesPerCycle is the sustained throughput of the resource.
-	BytesPerCycle float64
-
+	num, den  int64 // rate: num bytes per den cycles
 	busyUntil Cycle
-	fracDebt  float64 // fractional cycles owed, carried to keep long-run rate exact
+	debt      int64 // carried part of a cycle, in 1/num cycles; < num
 }
 
-// NewRateLimiter returns a limiter with the given sustained throughput.
-// Throughput must be positive.
-func NewRateLimiter(bytesPerCycle float64) *RateLimiter {
-	if bytesPerCycle <= 0 {
+// NewRateLimiter returns a limiter that admits bytes bytes every cycles
+// cycles. Both must be positive.
+func NewRateLimiter(bytes, cycles int64) RateLimiter {
+	if bytes <= 0 || cycles <= 0 {
 		panic("sim: RateLimiter requires positive throughput")
 	}
-	return &RateLimiter{BytesPerCycle: bytesPerCycle}
+	return RateLimiter{num: bytes, den: cycles}
 }
 
 // Claim reserves the resource for a transfer of size bytes arriving at
@@ -49,15 +54,15 @@ func (r *RateLimiter) Claim(at Cycle, bytes int64) Cycle {
 	start := r.busyUntil
 	if at > start {
 		start = at
-		r.fracDebt = 0
+		r.debt = 0
 	}
-	dur := float64(bytes)/r.BytesPerCycle + r.fracDebt
-	whole := Cycle(dur)
-	r.fracDebt = dur - float64(whole)
+	n := bytes*r.den + r.debt
+	whole := Cycle(n / r.num)
+	r.debt = n % r.num
 	if whole < 1 {
 		// Even tiny transfers occupy the resource for one cycle slot.
 		whole = 1
-		r.fracDebt = 0
+		r.debt = 0
 	}
 	r.busyUntil = start + whole
 	return r.busyUntil
@@ -69,7 +74,7 @@ func (r *RateLimiter) BusyUntil() Cycle { return r.busyUntil }
 // Reset clears the limiter's occupancy state.
 func (r *RateLimiter) Reset() {
 	r.busyUntil = 0
-	r.fracDebt = 0
+	r.debt = 0
 }
 
 // WorkerPool fans index-addressed tasks out over a bounded number of

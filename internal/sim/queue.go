@@ -6,8 +6,9 @@
 //
 // All NeuMMU timing components (DMA issue, TLB lookups, page-table walks,
 // interconnect transfers) are expressed as events on a single queue.
-// Memory transactions are booked on RateLimiters without events; only a
-// tile's last arrival is scheduled (see Reserve). Determinism matters for
+// Memory transactions are booked on RateLimiters, in exact integer
+// time, without events; only a tile's last arrival is scheduled (see
+// Reserve). Determinism matters for
 // reproducibility: events scheduled for the same cycle fire in insertion
 // order, so repeated runs of a seeded experiment produce bit-identical
 // statistics.
@@ -30,8 +31,10 @@
 // # Lanes
 //
 // Most events of a translation-bound simulation have a fixed delay: the
-// DMA issues one translation per cycle, and every TLB probe resolves a
-// constant hit latency later. Such events are scheduled in the order
+// DMA issues one translation per cycle, every TLB probe resolves a
+// constant hit latency later, and a landed walk drains its merged
+// requests one per cycle (a chain scheduled link by link from ReserveN
+// tickets). Such events are scheduled in the order
 // they fire, so a heap push and pop buys them nothing. A handler
 // registered with RegisterLane gets its own FIFO lane: an event for it
 // joins the lane when it sorts after the lane's newest event, and goes
@@ -181,6 +184,19 @@ type Ticket uint64
 func (q *Queue) Reserve() Ticket {
 	t := Ticket(q.seq)
 	q.seq++
+	return t
+}
+
+// ReserveN takes n consecutive firing-order positions, the ones n Calls
+// made now would get, and returns the first; the others are the tickets
+// that follow it. A chain of events that would all be scheduled now, one
+// per cycle, can then be scheduled one at a time instead: each event
+// schedules the next with CallTicket and its reserved ticket, so every
+// link fires at exactly the (cycle, position) the up-front Call would
+// have given it, and only one link is pending at a time.
+func (q *Queue) ReserveN(n int) Ticket {
+	t := Ticket(q.seq)
+	q.seq += uint64(n)
 	return t
 }
 

@@ -196,7 +196,7 @@ func TestQueueOrderProperty(t *testing.T) {
 }
 
 func TestRateLimiterSerializes(t *testing.T) {
-	r := NewRateLimiter(64) // 64 B/cycle
+	r := NewRateLimiter(64, 1) // 64 B/cycle
 	// Two back-to-back 640-byte transfers at cycle 0: 10 cycles each.
 	if got := r.Claim(0, 640); got != 10 {
 		t.Fatalf("first claim done at %d, want 10", got)
@@ -211,7 +211,7 @@ func TestRateLimiterSerializes(t *testing.T) {
 }
 
 func TestRateLimiterMinimumOccupancy(t *testing.T) {
-	r := NewRateLimiter(600)
+	r := NewRateLimiter(600, 1)
 	// A 1-byte transfer still occupies at least one cycle slot.
 	if got := r.Claim(0, 1); got != 1 {
 		t.Fatalf("tiny claim done at %d, want 1", got)
@@ -219,22 +219,72 @@ func TestRateLimiterMinimumOccupancy(t *testing.T) {
 }
 
 func TestRateLimiterLongRunRate(t *testing.T) {
-	// Sustained throughput over many claims must converge to BytesPerCycle.
-	r := NewRateLimiter(600)
+	// Sustained throughput over many claims is exactly the rate: the
+	// half cycle each claim leaves over is carried, not dropped.
+	r := NewRateLimiter(600, 1)
 	const n = 10000
 	var done Cycle
 	for i := 0; i < n; i++ {
 		done = r.Claim(0, 1500) // 2.5 cycles each
 	}
-	want := float64(n) * 1500 / 600
-	got := float64(done)
-	if got < want*0.99 || got > want*1.01 {
-		t.Fatalf("long-run completion %v, want about %v", got, want)
+	if done != 25000 {
+		t.Fatalf("long-run completion %d, want exactly 25000", done)
+	}
+}
+
+// Over any busy period, the limiter's end is its start plus the period's
+// bytes at the exact rate, whole cycles only: Σ bytes·den/num rounded
+// down, the fraction carried and dropped when the resource goes idle. A
+// claim too small to fill a cycle on its own (with the carry) takes the
+// one-cycle minimum and drops the carry, which starts a new period at its
+// end. The oracle checks every claim over random rates, sizes and gaps.
+func TestRateLimiterExactOverBusyPeriods(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, rate := range [][2]int64{{75, 1}, {600, 8}, {25, 1}, {16, 1}, {160, 1}, {3, 2}, {3, 7}, {1, 1}} {
+		num, den := rate[0], rate[1]
+		r := NewRateLimiter(num, den)
+		var start, end Cycle // the current period and its last claim's end
+		var sum int64        // Σ bytes·den over the period
+		var minimums, periods int
+		for i := 0; i < 200000; i++ {
+			at := end - Cycle(rng.Intn(4))
+			if rng.Intn(8) == 0 {
+				at = end + 1 + Cycle(rng.Intn(20)) // an idle gap
+			}
+			bytes := 1 + rng.Int63n(5000)
+			if rng.Intn(16) == 0 {
+				bytes = 1 + rng.Int63n(2*num) // small enough to hit the minimum
+			}
+			if at > end {
+				start, sum = at, 0
+				periods++
+			}
+			var want Cycle
+			if next := sum + bytes*den; next/num == sum/num {
+				want, start, sum = end+1, end+1, 0
+				if at > want-1 {
+					want, start = at+1, at+1
+				}
+				minimums++
+			} else {
+				sum = next
+				want = start + Cycle(sum/num)
+			}
+			if got := r.Claim(at, bytes); got != want {
+				t.Fatalf("rate %d/%d claim %d (%d B at %d): end %d, want %d", num, den, i, bytes, at, got, want)
+			}
+			end = want
+		}
+		// A claim fills at least den/num cycles, so only rates above one
+		// byte per cycle can hit the minimum.
+		if periods == 0 || (minimums == 0 && num > den) {
+			t.Fatalf("rate %d/%d: schedule hit the minimum %d times over %d idle gaps", num, den, minimums, periods)
+		}
 	}
 }
 
 func TestRateLimiterReset(t *testing.T) {
-	r := NewRateLimiter(64)
+	r := NewRateLimiter(64, 1)
 	r.Claim(0, 6400)
 	r.Reset()
 	if r.BusyUntil() != 0 {
@@ -245,8 +295,8 @@ func TestRateLimiterReset(t *testing.T) {
 func TestRateLimiterRejectsNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewRateLimiter(0) did not panic")
+			t.Fatal("NewRateLimiter(0, 1) did not panic")
 		}
 	}()
-	NewRateLimiter(0)
+	NewRateLimiter(0, 1)
 }

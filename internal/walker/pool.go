@@ -125,9 +125,11 @@ type ptw struct {
 	// requests here, and the pool's drain handler delivers them one per
 	// cycle. The two slices swap roles across walks so the steady state
 	// re-uses their backing arrays instead of allocating per walk.
+	// tickets is the first of the drains' reserved firing positions.
 	draining []Request
 	entry    vm.Entry
 	fault    bool
+	tickets  sim.Ticket
 }
 
 // Pool is a pool of parallel page-table walkers with optional PTS, PRMB,
@@ -141,7 +143,7 @@ type Pool struct {
 	free  []int // indices of idle walkers (LIFO keeps TPreg locality)
 	queue []Request
 
-	inflight map[uint64]int // VPN → walks currently in flight
+	inflight walkIndex // VPN → walks in flight and the lowest walker on it
 
 	shared PathCache // TPC/UPTC when configured
 
@@ -149,7 +151,9 @@ type Pool struct {
 
 	// Pooled event handlers (sim.Register): walk completion and PRMB
 	// drain are the per-translation hot path, so they schedule by
-	// (handler ID, scalar payload) instead of allocating closures.
+	// (handler ID, scalar payload) instead of allocating closures. Drains
+	// fire one per cycle in the order they are scheduled, so they ride a
+	// lane (sim.RegisterLane).
 	hFinish sim.HandlerID // arg: walker index
 	hDrain  sim.HandlerID // arg: walker index<<32 | merged index
 
@@ -180,10 +184,10 @@ func NewPool(cfg Config, pt *vm.PageTable, q *sim.Queue) *Pool {
 		pt:       pt,
 		q:        q,
 		ptws:     make([]ptw, cfg.NumPTWs),
-		inflight: make(map[uint64]int),
+		inflight: newWalkIndex(cfg.NumPTWs),
 	}
 	p.hFinish = q.Register(sim.HandlerFunc(p.fireFinish))
-	p.hDrain = q.Register(sim.HandlerFunc(p.fireDrain))
+	p.hDrain = q.RegisterLane(sim.HandlerFunc(p.fireDrain))
 	for i := cfg.NumPTWs - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
 	}
@@ -260,9 +264,10 @@ func (p *Pool) Submit(req Request) bool {
 	vpn := vm.PageNumber(req.VA, p.cfg.PageSize)
 	if p.cfg.UsePTS {
 		p.stats.PTSLookups++
-		if n := p.inflight[vpn]; n > 0 {
-			// PTS hit: an identical translation is in flight; merge.
-			if w := p.findWalker(vpn); w >= 0 && len(p.ptws[w].merged) < p.cfg.PRMBSlots {
+		if i := p.inflight.find(vpn); i >= 0 {
+			// PTS hit: an identical translation is in flight; merge into
+			// the lowest-index walker walking it.
+			if w := p.inflight.slots[i].lowest; len(p.ptws[w].merged) < p.cfg.PRMBSlots {
 				p.stats.Requests++
 				p.stats.Merges++
 				p.stats.PRMBWrites++
@@ -310,18 +315,6 @@ func (p *Pool) Submit(req Request) bool {
 	return false
 }
 
-// findWalker returns a walker whose in-flight walk covers vpn. Walkers
-// that have finished walking and are merely draining their PRMB must not
-// match: a request merged there would never be delivered.
-func (p *Pool) findWalker(vpn uint64) int {
-	for i := range p.ptws {
-		if p.ptws[i].walking && p.ptws[i].vpn == vpn {
-			return i
-		}
-	}
-	return -1
-}
-
 func (p *Pool) startWalk(req Request, vpn uint64) {
 	w := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
@@ -332,10 +325,9 @@ func (p *Pool) startWalk(req Request, vpn uint64) {
 	pw.initial = req
 	pw.merged = pw.merged[:0]
 
-	if p.inflight[vpn] > 0 {
+	if p.inflight.add(vpn, w) {
 		p.stats.RedundantWalks++
 	}
-	p.inflight[vpn]++
 	p.stats.WalksStarted++
 
 	// Determine how many upper levels the path cache lets us skip.
@@ -363,11 +355,16 @@ func (p *Pool) startWalk(req Request, vpn uint64) {
 func (p *Pool) fireFinish(now sim.Cycle, arg int64) { p.finishWalk(int(arg), now) }
 
 // fireDrain delivers one merged request parked by finishWalk. The payload
-// packs (walker index, merged index); the last delivery releases the PTW.
+// packs (walker index, merged index). Each drain but the last schedules
+// the next one cycle later in its reserved position; the last releases
+// the PTW.
 func (p *Pool) fireDrain(now sim.Cycle, arg int64) {
 	w, i := int(arg>>32), int(arg&0xFFFFFFFF)
 	pw := &p.ptws[w]
 	p.stats.PRMBReads++
+	if i+1 < len(pw.draining) {
+		p.q.CallTicket(now+1, pw.tickets+sim.Ticket(i+1), p.hDrain, arg+1)
+	}
 	p.deliver(pw.draining[i], pw.entry, pw.fault, now)
 	if i == len(pw.draining)-1 {
 		p.release(w, now)
@@ -379,10 +376,15 @@ func (p *Pool) finishWalk(w int, now sim.Cycle) {
 	pw.walking = false
 	vpn := pw.vpn
 	p.stats.WalksCompleted++
-	if n := p.inflight[vpn]; n <= 1 {
-		delete(p.inflight, vpn)
-	} else {
-		p.inflight[vpn] = n - 1
+	if i := p.inflight.find(vpn); p.inflight.remove(i) && int(p.inflight.slots[i].lowest) == w {
+		// A redundant walk of vpn is still in flight: merges now target
+		// the lowest-index walker among the ones still walking it.
+		for j := range p.ptws {
+			if p.ptws[j].walking && p.ptws[j].vpn == vpn {
+				p.inflight.slots[i].lowest = int32(j)
+				break
+			}
+		}
 	}
 
 	entry, _, err := p.pt.Walk(pw.initial.VA)
@@ -421,9 +423,11 @@ func (p *Pool) finishWalk(w int, now sim.Cycle) {
 		return
 	}
 	// Drain merged requests one per cycle (§IV-A), then free the walker.
-	for i := range pw.draining {
-		p.q.CallAfter(sim.Cycle(i+1), p.hDrain, int64(w)<<32|int64(i))
-	}
+	// The drains take the firing positions of one CallAfter(i+1) per
+	// request made now, but only the first is scheduled; each drain
+	// schedules the next (fireDrain).
+	pw.tickets = p.q.ReserveN(len(pw.draining))
+	p.q.CallTicket(now+1, pw.tickets, p.hDrain, int64(w)<<32)
 }
 
 func (p *Pool) deliver(req Request, e vm.Entry, fault bool, now sim.Cycle) {
