@@ -181,11 +181,7 @@ type Ticket uint64
 // CallTicket: the event fires exactly where the booking's own event would
 // have, relative to every other event, so dropping the others cannot
 // reorder anything.
-func (q *Queue) Reserve() Ticket {
-	t := Ticket(q.seq)
-	q.seq++
-	return t
-}
+func (q *Queue) Reserve() Ticket { return q.ReserveN(1) }
 
 // ReserveN takes n consecutive firing-order positions, the ones n Calls
 // made now would get, and returns the first; the others are the tickets

@@ -362,12 +362,11 @@ func (p *Pool) fireDrain(now sim.Cycle, arg int64) {
 	w, i := int(arg>>32), int(arg&0xFFFFFFFF)
 	pw := &p.ptws[w]
 	p.stats.PRMBReads++
-	if i+1 < len(pw.draining) {
-		p.q.CallTicket(now+1, pw.tickets+sim.Ticket(i+1), p.hDrain, arg+1)
-	}
 	p.deliver(pw.draining[i], pw.entry, pw.fault, now)
 	if i == len(pw.draining)-1 {
 		p.release(w, now)
+	} else {
+		p.q.CallTicket(now+1, pw.tickets+sim.Ticket(i+1), p.hDrain, arg+1)
 	}
 }
 
