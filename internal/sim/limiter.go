@@ -29,9 +29,10 @@ import (
 // The rate is the exact fraction num/den bytes per cycle, and time is
 // integer: a claim of b bytes occupies b·den/num cycles, and the fraction
 // of a cycle that does not fill a whole one is carried, in units of 1/num
-// cycle, into the next back-to-back claim. So a busy period's end is
-// exactly its start plus ⌈Σ b·den/num⌉ whatever the claim sizes (claims
-// raised to the one-cycle minimum aside), with no float rounding to drift.
+// cycle, into the next back-to-back claim; an idle gap drops it. So a
+// busy period's end is exactly its start plus ⌊Σ b·den/num⌋ whatever the
+// claim sizes (claims raised to the one-cycle minimum aside), with no
+// float rounding to drift.
 type RateLimiter struct {
 	num, den  int64 // rate: num bytes per den cycles
 	busyUntil Cycle

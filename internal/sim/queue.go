@@ -8,10 +8,9 @@
 // interconnect transfers) are expressed as events on a single queue.
 // Memory transactions are booked on RateLimiters, in exact integer
 // time, without events; only a tile's last arrival is scheduled (see
-// Reserve). Determinism matters for
-// reproducibility: events scheduled for the same cycle fire in insertion
-// order, so repeated runs of a seeded experiment produce bit-identical
-// statistics.
+// Reserve). Determinism matters for reproducibility: events scheduled for
+// the same cycle fire in insertion order, so repeated runs of a seeded
+// experiment produce bit-identical statistics.
 //
 // A Queue is deliberately single-goroutine: one simulation owns one queue
 // and never shares it. Parallelism lives one level up — the experiment
@@ -34,17 +33,17 @@
 // DMA issues one translation per cycle, every TLB probe resolves a
 // constant hit latency later, and a landed walk drains its merged
 // requests one per cycle (a chain scheduled link by link from ReserveN
-// tickets). Such events are scheduled in the order
-// they fire, so a heap push and pop buys them nothing. A handler
-// registered with RegisterLane gets its own FIFO lane: an event for it
-// joins the lane when it sorts after the lane's newest event, and goes
-// to the heap otherwise. Each lane is therefore sorted, and Step fires
-// the least of the heap's top and the lane heads under the same
-// (cycle, sequence) order the heap uses. That order is strict and total,
-// so the event fired is the one an all-heap queue would fire: lanes
-// change the host cost of an event, never which event fires next. A
-// lane's ring grows to its working size once and then schedules and
-// fires without allocating (TestAllocLaneSteadyState).
+// tickets). Such events are scheduled in the order they fire, so a heap
+// push and pop buys them nothing. A handler registered with RegisterLane
+// gets its own FIFO lane: an event for it joins the lane when it sorts
+// after the lane's newest event, and goes to the heap otherwise. Each
+// lane is therefore sorted, and Step fires the least of the heap's top
+// and the lane heads under the same (cycle, sequence) order the heap
+// uses. That order is strict and total, so the event fired is the one an
+// all-heap queue would fire: lanes change the host cost of an event,
+// never which event fires next. A lane's ring grows to its working size
+// once and then schedules and fires without allocating
+// (TestAllocLaneSteadyState).
 //
 // docs/ARCHITECTURE.md describes how this queue composes with the rest
 // of the simulator: the handler contract, the worker model,
