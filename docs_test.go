@@ -2,6 +2,7 @@ package neummu
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -153,6 +154,52 @@ func TestDocsCrossLinked(t *testing.T) {
 	} {
 		if !strings.Contains(string(arch), section) {
 			t.Errorf("docs/ARCHITECTURE.md is missing the %q section", section)
+		}
+	}
+}
+
+var (
+	citedTest = regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
+	testFunc  = regexp.MustCompile(`(?m)^func (Test[A-Z][A-Za-z0-9_]*)\(`)
+)
+
+// TestDocsCiteRealTests: every TestXxx name the README, ARCHITECTURE,
+// EXPERIMENTS and ROADMAP documents cite as evidence must be a test
+// function somewhere in the tree, so renaming or deleting a test cannot
+// leave a document pointing at a check that no longer runs.
+func TestDocsCiteRealTests(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatalf("missing document %s: %v", f, err)
+		}
+		for _, name := range citedTest.FindAllString(string(data), -1) {
+			if !defined[name] {
+				t.Errorf("%s cites %s, which is not a test function in the tree", f, name)
+			}
 		}
 	}
 }

@@ -273,20 +273,45 @@ func (m *MMU) TranslateTag(va vm.VirtAddr, tag int64, done TranslateFn) {
 	if m.stalled {
 		panic("core: Translate called while stalled")
 	}
-	m.stats.Issued++
 	now := m.q.Now()
 	if m.cfg.Kind == Oracle {
-		m.stats.OracleHits++
-		m.stats.Latency.Add(0)
-		e, _, err := m.pt.Walk(va)
-		if err != nil {
-			m.fault(pending{va: va, tag: tag, issued: now, done: done}, now)
+		if e, ok := m.Instant(va); ok {
+			done(e, tag, now)
 			return
 		}
-		done(e, tag, now)
+		m.countInstant()
+		m.fault(pending{va: va, tag: tag, issued: now, done: done}, now)
 		return
 	}
+	m.stats.Issued++
 	m.lookup(pending{va: va, tag: tag, issued: now, done: done})
+}
+
+// Instant is the oracle's translation without a callback: when the MMU
+// is an oracle and va is mapped, it counts one issued, zero-latency
+// request and returns va's entry. Otherwise it counts nothing and
+// reports false; the caller then goes through TranslateTag, which
+// surfaces the fault. An oracle never stalls and schedules nothing on a
+// hit, so a requester may translate a run of addresses through Instant
+// without an event between them (the DMA engine books oracle tiles this
+// way).
+func (m *MMU) Instant(va vm.VirtAddr) (vm.Entry, bool) {
+	if m.cfg.Kind != Oracle {
+		return vm.Entry{}, false
+	}
+	e, _, err := m.pt.Walk(va)
+	if err != nil {
+		return vm.Entry{}, false
+	}
+	m.countInstant()
+	return e, true
+}
+
+// countInstant counts one oracle request: issued and resolved at once.
+func (m *MMU) countInstant() {
+	m.stats.Issued++
+	m.stats.OracleHits++
+	m.stats.Latency.Add(0)
 }
 
 // lookup probes the TLB. A hit is delivered, and a miss is routed to the

@@ -210,6 +210,28 @@ func TestOracleFaultsStillSurface(t *testing.T) {
 	}
 }
 
+// Instant counts a mapped page exactly as TranslateTag's oracle branch
+// does, and counts nothing for an unmapped page or a non-oracle MMU.
+func TestInstantCountsLikeTranslate(t *testing.T) {
+	cfg := Config{Kind: Oracle, PageSize: vm.Page4K}
+	a, b := newMMURig(t, cfg, 2), newMMURig(t, cfg, 2)
+	got, ok := a.mmu.Instant(a.page(1))
+	var want vm.Entry
+	b.mmu.Translate(b.page(1), func(e vm.Entry, _ sim.Cycle) { want = e })
+	if !ok || got != want || a.mmu.Stats() != b.mmu.Stats() {
+		t.Fatalf("Instant = %+v, %v with stats %+v; Translate gave %+v with %+v",
+			got, ok, a.mmu.Stats(), want, b.mmu.Stats())
+	}
+	before := a.mmu.Stats()
+	if _, ok := a.mmu.Instant(a.page(5)); ok || a.mmu.Stats() != before {
+		t.Fatalf("Instant on an unmapped page reported %v and moved stats to %+v", ok, a.mmu.Stats())
+	}
+	io := newMMURig(t, ConfigFor(IOMMU, vm.Page4K), 2)
+	if _, ok := io.mmu.Instant(io.page(1)); ok || io.mmu.Stats() != (Stats{}) || io.q.Len() != 0 {
+		t.Fatal("Instant must decline on a non-oracle MMU without counting or scheduling")
+	}
+}
+
 func TestUnhandledFaultPanics(t *testing.T) {
 	r := newMMURig(t, Config{Kind: Oracle, PageSize: vm.Page4K}, 0)
 	defer func() {

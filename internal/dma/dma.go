@@ -16,14 +16,21 @@
 // per-transaction closures. The issue chain fires once per cycle in the
 // order it is scheduled, so its handler rides a queue lane
 // (sim.Queue.RegisterLane) instead of the event heap. A tile's distinct
-// pages are counted with one set insert per page change, not one per
-// transaction (see countPages).
+// pages are counted from its ascending page runs without hashing, with a
+// set only for tiles that may revisit a page (see countPages).
 //
 // Memory arrivals are booked, not scheduled: each translated transaction
 // claims its channel bandwidth at translate time (memsys.Memory.Claim),
 // and the engine keeps only the tile's latest arrival. When the last
 // translation lands, one event at that arrival ends the tile. A tile of N
-// transactions therefore costs N issue events plus one, not 2N.
+// transactions therefore costs at most N issue events plus one, not 2N.
+//
+// An oracle tile costs one event. An oracle translates instantly and
+// never stalls, so when nothing else is pending at fetch time the issue
+// chain's firing order is fixed in advance: transaction i issues at
+// start+i and is booked at once. The engine runs that chain as a loop
+// (issueInstant) and fires only the tile end. A fault falls back to the
+// event chain at the faulting transaction's cycle.
 package dma
 
 import (
@@ -154,6 +161,9 @@ type Engine struct {
 
 	cur    tile
 	active bool
+	// oracle is set when the MMU translates instantly (core.Oracle), so
+	// a tile fetched onto an empty queue is booked by issueInstant.
+	oracle bool
 
 	// Reused scratch: transaction/segment buffers and the distinct-page
 	// set survive across tiles, and translated is the one persistent
@@ -171,7 +181,8 @@ type Engine struct {
 // back-pressure listener; only one tile fetch may be in flight at a time
 // (the DMA serializes tile fetches, §II-A).
 func New(q *sim.Queue, mmu *core.MMU, mem *memsys.Memory) *Engine {
-	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{})}
+	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{}),
+		oracle: mmu.Config().Kind == core.Oracle}
 	e.translated = e.translateDone
 	e.hIssue = q.RegisterLane(sim.HandlerFunc(e.fireIssue))
 	e.hEnd = q.Register(sim.HandlerFunc(e.fireEnd))
@@ -262,15 +273,99 @@ func (e *Engine) fetch(txns []Transaction, ps vm.PageSize, done func(TileStats))
 		untranslated: len(txns),
 	}
 	e.active = true
+	if e.oracle && e.q.Len() == 0 {
+		e.issueInstant()
+		return
+	}
 	e.q.CallAfter(0, e.hIssue, 0)
 }
 
+// issueInstant issues an oracle tile's transactions without an event
+// between them: transaction i issues at start+i, as the issue chain would
+// fire it, and is booked at that cycle by translateDone. Nothing else is
+// pending and an oracle schedules nothing on a hit, so no event could
+// have fired between two issues; the chain's order was fixed and only its
+// host cost is saved. The last booking schedules the tile end under the
+// usual ticket rule. An unmapped page hands the rest of the tile to the
+// event chain at that transaction's cycle, where TranslateTag surfaces
+// the fault.
+func (e *Engine) issueInstant() {
+	c := &e.cur
+	start := e.q.Now()
+	for c.next < len(c.txns) {
+		t := c.txns[c.next]
+		at := start + sim.Cycle(c.next)
+		entry, ok := e.mmu.Instant(t.VA)
+		if !ok {
+			e.q.Call(at, e.hIssue, 0)
+			return
+		}
+		tag := int64(c.next)
+		c.next++
+		e.observe(t.VA, at)
+		e.translateDone(entry, tag, at)
+	}
+}
+
+// observe reports one issue to the Timeline and VATrace observers.
+func (e *Engine) observe(va vm.VirtAddr, now sim.Cycle) {
+	if e.Timeline != nil {
+		e.Timeline.Record(int64(now), 1)
+	}
+	if e.VATrace != nil {
+		e.VATrace(va, now)
+	}
+}
+
+// maxPageRuns bounds the ascending page runs countPages tracks before it
+// falls back to the distinct-page set.
+const maxPageRuns = 8
+
 // countPages returns the number of distinct pages among txns, counting
 // only transactions inside region when it is non-nil. Transactions are
-// page-confined and mostly consecutive within a page, so a page equal to
-// the previous counted transaction's is already in the set and skips the
-// hash.
+// page-confined and a tile's views are mostly ascending runs, so it
+// counts pages without hashing: it splits the page sequence into
+// strictly ascending runs, whose pages are distinct within each run, and
+// sums them when no two runs' page ranges overlap. More than
+// maxPageRuns runs, or two overlapping ones, could revisit a page; those
+// tiles are counted with the set (countPagesSet).
 func (e *Engine) countPages(txns []Transaction, ps vm.PageSize, region *vm.Region) int {
+	var runs [maxPageRuns]struct{ lo, hi uint64 }
+	nruns, n := 0, 0
+	prev := ^uint64(0)
+	for _, t := range txns {
+		if region != nil && !region.Contains(t.VA) {
+			continue
+		}
+		pn := vm.PageNumber(t.VA, ps)
+		switch {
+		case pn == prev:
+			continue
+		case pn > prev:
+			runs[nruns-1].hi = pn
+		case nruns == maxPageRuns:
+			return e.countPagesSet(txns, ps, region)
+		default:
+			runs[nruns].lo, runs[nruns].hi = pn, pn
+			nruns++
+		}
+		n++
+		prev = pn
+	}
+	for i := 1; i < nruns; i++ {
+		for j := 0; j < i; j++ {
+			if runs[i].lo <= runs[j].hi && runs[j].lo <= runs[i].hi {
+				return e.countPagesSet(txns, ps, region)
+			}
+		}
+	}
+	return n
+}
+
+// countPagesSet is countPages by a set insert per page change: a page
+// equal to the previous counted transaction's is already in the set and
+// skips the hash.
+func (e *Engine) countPagesSet(txns []Transaction, ps vm.PageSize, region *vm.Region) int {
 	clear(e.pageSet)
 	prev := ^uint64(0)
 	for _, t := range txns {
@@ -312,21 +407,17 @@ func (e *Engine) fireIssue(now sim.Cycle, _ int64) {
 	t := c.txns[c.next]
 	tag := int64(c.next)
 	c.next++
-	if e.Timeline != nil {
-		e.Timeline.Record(int64(now), 1)
-	}
-	if e.VATrace != nil {
-		e.VATrace(t.VA, now)
-	}
+	e.observe(t.VA, now)
 	e.mmu.TranslateTag(t.VA, tag, e.translated)
 	if c.next < len(c.txns) {
 		e.q.CallAfter(1, e.hIssue, 0)
 	}
 }
 
-// translateDone books one translated transaction on the memory system.
-// It is installed once as e.translated; the tag identifies the
-// transaction, so no per-transaction closure is needed.
+// translateDone books one translated transaction on the memory system at
+// cycle now. It is installed once as e.translated; the tag identifies the
+// transaction, so no per-transaction closure is needed. issueInstant
+// calls it directly with each transaction's issue cycle.
 //
 // Bookings happen in translation order at translation time, so each
 // arrival depends only on the channel state its claim finds. Only the
@@ -334,7 +425,7 @@ func (e *Engine) fireIssue(now sim.Cycle, _ int64) {
 // the firing-order position reserved when it was booked: where an event
 // scheduled by that booking would have fired. The latest booking wins
 // ties, as a later-scheduled event fires later.
-func (e *Engine) translateDone(entry vm.Entry, tag int64, _ sim.Cycle) {
+func (e *Engine) translateDone(entry vm.Entry, tag int64, now sim.Cycle) {
 	c := &e.cur
 	t := c.txns[tag]
 	pa := entry.Frame + vm.PhysAddr(vm.PageOffset(t.VA, entry.Size))
@@ -344,7 +435,7 @@ func (e *Engine) translateDone(entry vm.Entry, tag int64, _ sim.Cycle) {
 			mem = m
 		}
 	}
-	if at := mem.Claim(pa, t.Bytes); at >= c.lastArrival {
+	if at := mem.Claim(now, pa, t.Bytes); at >= c.lastArrival {
 		c.lastArrival, c.lastTicket = at, e.q.Reserve()
 	}
 	if c.untranslated--; c.untranslated == 0 {

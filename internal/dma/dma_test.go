@@ -261,28 +261,25 @@ func TestMergedTranslationsStillFetchData(t *testing.T) {
 	}
 }
 
-// TestTileFiresOneEventPerIssuePlusOne pins the event cost of a tile:
-// under an oracle MMU, translation is immediate, so a tile of N
-// transactions fires its N issue events and one tile-end event, and the
-// queue never holds more than the next issue and the pending tile end.
-func TestTileFiresOneEventPerIssuePlusOne(t *testing.T) {
+// TestOracleTileFiresOneEvent pins the event cost of an oracle tile:
+// translation is immediate and nothing else is pending, so the engine
+// books all N transactions at fetch time and the tile fires exactly one
+// event, its end, which is the only event ever queued.
+func TestOracleTileFiresOneEvent(t *testing.T) {
 	r := newDMARig(t, core.Oracle, 4)
 	segs := []tensor.Segment{{VA: 0x1000, Bytes: 3 << 20}} // bandwidth-bound
 	n := int64(len(SplitSegments(segs, vm.Page4K, 0)))
 	var got TileStats
 	r.eng.FetchSegments(segs, func(ts TileStats) { got = ts })
-	maxLen := r.q.Len()
-	for r.q.Step() {
-		maxLen = max(maxLen, r.q.Len())
+	if r.q.Len() != 1 {
+		t.Errorf("queue holds %d events after the fetch, want only the tile end", r.q.Len())
 	}
+	r.q.Run()
 	if int64(got.Transactions) != n {
 		t.Fatalf("tile retired %d transactions, want %d", got.Transactions, n)
 	}
-	if r.q.Fired() != n+1 {
-		t.Errorf("tile of %d transactions fired %d events, want %d", n, r.q.Fired(), n+1)
-	}
-	if maxLen > 2 {
-		t.Errorf("queue held %d events during the tile, want at most 2", maxLen)
+	if r.q.Fired() != 1 {
+		t.Errorf("tile of %d transactions fired %d events, want 1", n, r.q.Fired())
 	}
 	// The tile ends at its last booked arrival, past the last issue.
 	if got.End != r.mem.DrainTime() || got.End <= sim.Cycle(n) {

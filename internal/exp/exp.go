@@ -291,16 +291,30 @@ func (h *Harness) runNPU(plan *workloads.Plan, cfg npu.Config) (*npu.Result, err
 	return res, err
 }
 
-// Oracle returns the memoized oracle run for (model, batch, pageSize).
+// Oracle returns the memoized oracle run for (model, batch, pageSize); a
+// zero page size means 4 KB, as in Run. The result is shared by every
+// caller and must not be modified.
 func (h *Harness) Oracle(model string, batch int, ps vm.PageSize) (*npu.Result, error) {
+	if ps == 0 {
+		ps = vm.Page4K
+	}
 	return h.oracle.get(oracleKey{model, batch, ps}, func() (*npu.Result, error) {
 		return h.Run(model, batch, core.Config{Kind: core.Oracle, PageSize: ps})
 	})
 }
 
 // NormPerf runs the configuration and returns its performance normalized
-// to the oracle on the identical schedule.
+// to the oracle on the identical schedule. An oracle configuration is
+// that baseline itself: it returns the memoized oracle run (shared, not
+// to be modified) with perf 1, simulated once per key.
 func (h *Harness) NormPerf(model string, batch int, mmu core.Config) (float64, *npu.Result, error) {
+	if mmu.Kind == core.Oracle {
+		oracle, err := h.Oracle(model, batch, mmu.PageSize)
+		if err != nil {
+			return 0, nil, err
+		}
+		return oracle.NormalizedPerf(oracle), oracle, nil
+	}
 	res, err := h.Run(model, batch, mmu)
 	if err != nil {
 		return 0, nil, err

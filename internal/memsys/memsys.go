@@ -12,8 +12,8 @@
 // of the bandwidth exactly, as an integer rate (sim.RateLimiter).
 //
 // An access is booked, not simulated: Claim reserves the transfer on its
-// channel at the current cycle and returns when the last byte arrives,
-// without scheduling an event. Callers that need a completion event
+// channel at the cycle it is issued and returns when the last byte
+// arrives, without scheduling an event. Callers that need a completion event
 // schedule the arrivals they care about themselves; the DMA engine
 // schedules only a tile's last one.
 package memsys
@@ -74,8 +74,9 @@ type Stats struct {
 	MaxOccupied sim.Cycle
 }
 
-// Memory is a bandwidth/latency memory model; it reads the current cycle
-// from a sim.Queue.
+// Memory is a bandwidth/latency memory model. Claim takes its issue cycle
+// from the caller; the sim.Queue serves only AccessCall's completion
+// event.
 type Memory struct {
 	cfg      Config
 	q        *sim.Queue
@@ -122,22 +123,24 @@ func (m *Memory) channel(pa vm.PhysAddr) *sim.RateLimiter {
 // registered on the memory's queue, with arg passed through: Claim plus
 // one event per access.
 func (m *Memory) AccessCall(pa vm.PhysAddr, bytes int64, h sim.HandlerID, arg int64) {
-	m.q.Call(m.Claim(pa, bytes), h, arg)
+	m.q.Call(m.Claim(m.q.Now(), pa, bytes), h, arg)
 }
 
 // Claim books a read or write of the given size at physical address pa,
-// issued at the current cycle, and returns the cycle its last byte
-// arrives. The transfer serializes behind earlier traffic on its channel
-// and then pays the fixed access latency. Claim schedules nothing, so a
-// booking costs no event; sizes below one byte count as one.
-func (m *Memory) Claim(pa vm.PhysAddr, bytes int64) sim.Cycle {
+// issued at cycle at, and returns the cycle its last byte arrives. The
+// transfer serializes behind earlier traffic on its channel and then pays
+// the fixed access latency. Claim schedules nothing, so a booking costs
+// no event, and it reads no clock, so a caller may book a run of
+// transactions at their issue cycles without firing one. Sizes below one
+// byte count as one.
+func (m *Memory) Claim(at sim.Cycle, pa vm.PhysAddr, bytes int64) sim.Cycle {
 	if bytes <= 0 {
 		bytes = 1
 	}
 	m.stats.Accesses++
 	m.stats.Bytes += bytes
 	ch := m.channel(pa)
-	finish := ch.Claim(m.q.Now(), bytes) + sim.Cycle(m.cfg.Latency)
+	finish := ch.Claim(at, bytes) + sim.Cycle(m.cfg.Latency)
 	if finish > m.stats.MaxOccupied {
 		m.stats.MaxOccupied = finish
 	}

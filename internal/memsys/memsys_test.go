@@ -10,7 +10,7 @@ import (
 func TestSingleAccessLatency(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Config{Channels: 1, BytesPerCycle: 600, Latency: 100}, q)
-	at := m.Claim(0, 600)
+	at := m.Claim(0, 0, 600)
 	// 600 bytes at 600 B/cy = 1 cycle of occupancy + 100 cycles latency.
 	if at != 101 {
 		t.Fatalf("completion at %d, want 101", at)
@@ -22,7 +22,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	m := New(Config{Channels: 1, BytesPerCycle: 100, Latency: 10}, q)
 	var done []sim.Cycle
 	for i := 0; i < 3; i++ {
-		done = append(done, m.Claim(0, 1000))
+		done = append(done, m.Claim(0, 0, 1000))
 	}
 	// Each access occupies 10 cycles of channel time: 10, 20, 30 (+10 latency).
 	want := []sim.Cycle{20, 30, 40}
@@ -39,9 +39,9 @@ func TestChannelParallelism(t *testing.T) {
 	q := &sim.Queue{}
 	cfg := Config{Channels: 2, BytesPerCycle: 200, Latency: 0, InterleaveBytes: 256}
 	m := New(cfg, q)
-	a := m.Claim(0, 1000)   // channel 0
-	b := m.Claim(256, 1000) // channel 1
-	c := m.Claim(512, 1000) // channel 0 again
+	a := m.Claim(0, 0, 1000)   // channel 0
+	b := m.Claim(0, 256, 1000) // channel 1
+	c := m.Claim(0, 512, 1000) // channel 0 again
 	if a != 10 || b != 10 {
 		t.Fatalf("parallel accesses done at %d, %d; want 10, 10", a, b)
 	}
@@ -62,7 +62,7 @@ func TestAggregateBandwidthSplitsAcrossChannels(t *testing.T) {
 	var last sim.Cycle
 	for i := 0; i < 64; i++ {
 		pa := vm.PhysAddr(i * 4096)
-		last = max(last, m.Claim(pa, 750))
+		last = max(last, m.Claim(0, pa, 750))
 	}
 	want := sim.Cycle(48000/600 + 100)
 	if last < want-2 || last > want+2 {
@@ -73,8 +73,8 @@ func TestAggregateBandwidthSplitsAcrossChannels(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Baseline(), q)
-	m.Claim(0, 64)
-	m.Claim(4096, 64)
+	m.Claim(0, 0, 64)
+	m.Claim(0, 4096, 64)
 	m.CountWalkRead()
 	s := m.Stats()
 	if s.Accesses != 3 || s.Bytes != 136 || s.WalkReads != 1 {
@@ -85,7 +85,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestZeroByteAccessStillCounts(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Baseline(), q)
-	if at := m.Claim(0, 0); at != 101 {
+	if at := m.Claim(0, 0, 0); at != 101 {
 		t.Fatalf("zero-byte access arrives at %d, want one channel slot plus latency (101)", at)
 	}
 	if m.Stats().Bytes != 1 {
@@ -96,7 +96,7 @@ func TestZeroByteAccessStillCounts(t *testing.T) {
 func TestReset(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Config{Channels: 1, BytesPerCycle: 1, Latency: 5}, q)
-	m.Claim(0, 1000)
+	m.Claim(0, 0, 1000)
 	if m.DrainTime() < 1000 {
 		t.Fatal("channel should be backed up")
 	}
@@ -109,13 +109,27 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// Claim books at the cycle it is given, not the queue's clock: a claim
+// issued at cycle 500 on an idle channel arrives one slot plus the
+// latency later although the queue still reads cycle 0.
+func TestClaimBooksAtGivenCycle(t *testing.T) {
+	q := &sim.Queue{}
+	m := New(Config{Channels: 1, BytesPerCycle: 600, Latency: 100}, q)
+	if at := m.Claim(500, 0, 600); at != 601 {
+		t.Fatalf("claim issued at 500 arrives at %d, want 601", at)
+	}
+	if at := m.Claim(500, 0, 600); at != 602 {
+		t.Fatalf("second claim at 500 arrives at %d, want 602 (behind the first)", at)
+	}
+}
+
 // Claim books without scheduling; AccessCall is Claim plus one event at
 // the booked arrival, carrying its argument through.
 func TestClaimSchedulesNothing(t *testing.T) {
 	q := &sim.Queue{}
 	m := New(Baseline(), q)
 	// 4096 B at 75 B/cy per channel: 54.6 cycles of occupancy + 100.
-	if at := m.Claim(0, 4096); at != 154 || q.Len() != 0 {
+	if at := m.Claim(0, 0, 4096); at != 154 || q.Len() != 0 {
 		t.Fatalf("Claim arrives at %d with %d events pending, want 154 and none", at, q.Len())
 	}
 	var firedAt sim.Cycle
