@@ -15,7 +15,7 @@ import (
 	"neummu/internal/exp"
 )
 
-func quick() *exp.Harness { return exp.New(exp.Options{Quick: true}) }
+func quick() *exp.Harness { return exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}}) }
 
 // BenchmarkTable1Config exercises the Table I configuration end to end:
 // one dense workload on the fully configured baseline NPU.

@@ -249,7 +249,8 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 	}
 	// Models/Batches live on the Axes (sweepAxes sets them explicitly), so
 	// the Options only carry effort and parallelism knobs.
-	h := exp.New(exp.Options{RepeatCap: repeatCap, TileCap: tileCap, Workers: workers, Effort: eff})
+	eff.RepeatCap, eff.TileCap = repeatCap, tileCap
+	h := exp.New(exp.Options{Workers: workers, Effort: eff})
 	rows, err := h.Sweep(ax)
 	if err != nil {
 		return err

@@ -83,14 +83,20 @@ func main() {
 	if *parallel && *workers != 0 {
 		fail(fmt.Errorf("-parallel (all CPUs) conflicts with -workers %d", *workers))
 	}
-	// The effort flags assemble the same unified exp.Effort the library and
-	// service APIs take; -quick remains the legacy spelling of quick mode
-	// (exp.Options folds the two together).
+	// The effort flags assemble the same exp.Effort the library and
+	// service APIs take; -quick is the legacy spelling of -effort quick,
+	// so it cannot be combined with another mode.
 	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI, IntraCellWorkers: *intraWork}
+	if *quick {
+		if eff.Mode != "" && eff.Mode != exp.EffortQuick {
+			fail(fmt.Errorf("-quick conflicts with -effort %s", eff.Mode))
+		}
+		eff.Mode = exp.EffortQuick
+	}
 	if err := eff.Validate(); err != nil {
 		fail(err)
 	}
-	opts := exp.Options{Quick: *quick, Workers: *workers, Effort: eff}
+	opts := exp.Options{Workers: *workers, Effort: eff}
 	if *clusterURL != "" {
 		opts.Remote = cluster.SweepFunc(*clusterURL, nil)
 	}

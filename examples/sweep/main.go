@@ -31,8 +31,8 @@ func main() {
 		Paths:     []neummu.PathKind{neummu.PathTPreg},
 	}
 	rows, err := neummu.Sweep(axes, neummu.HarnessOptions{
-		RepeatCap: 2, TileCap: 8, // truncate layers/tiles: ratios are unaffected
-		Workers: 0, // 0 = one worker per CPU; 1 reproduces the serial run exactly
+		Effort:  neummu.Effort{RepeatCap: 2, TileCap: 8}, // truncate layers/tiles: ratios are unaffected
+		Workers: 0,                                       // 0 = one worker per CPU; 1 reproduces the serial run exactly
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -48,7 +48,7 @@ func main() {
 	// The decoder's defining pattern: every decode step re-streams the
 	// KV-cache prefix, one token longer each time. The harness's kvcache
 	// study isolates that stream with a DMA watch on the KV region.
-	h := neummu.NewHarness(neummu.HarnessOptions{Quick: true})
+	h := neummu.NewHarness(neummu.HarnessOptions{Effort: neummu.Effort{Mode: neummu.EffortQuick}})
 	study, err := h.KVCache()
 	if err != nil {
 		log.Fatal(err)

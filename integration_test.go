@@ -137,7 +137,7 @@ func TestOrderingInvariantHoldsEverywhere(t *testing.T) {
 // adding PTS+PRMB, then walkers, then TPreg must be monotonically
 // non-worse on a translation-bound workload.
 func TestNeuMMUComponentsCompose(t *testing.T) {
-	h := NewHarness(HarnessOptions{Quick: true, Models: []string{"RNN-1"}, Batches: []int{1}})
+	h := NewHarness(HarnessOptions{Effort: Effort{Mode: EffortQuick}, Models: []string{"RNN-1"}, Batches: []int{1}})
 	// Build the ladder via the exp harness's custom MMU path by running
 	// the public sweeps: Fig10 (merging), Fig11 (walkers).
 	f10, err := h.Fig10()

@@ -297,7 +297,7 @@ func (f *fleet) Resolve(ctx context.Context, traceID string, h *exp.Harness, poi
 // plan groups the point indices by ring owner among healthy workers,
 // failing with ErrNoWorkers when none is left.
 func (f *fleet) plan(h *exp.Harness, points []exp.Point, indices []int) (map[string][]int, error) {
-	eff := serveEffort(h)
+	eff := h.Options().Effort
 	groups := make(map[string][]int)
 	for _, i := range indices {
 		owner := f.ring.owner(serve.CellHash64(points[i], eff), f.pool.unhealthy)
@@ -308,9 +308,6 @@ func (f *fleet) plan(h *exp.Harness, points []exp.Point, indices []int) (map[str
 	}
 	return groups, nil
 }
-
-// serveEffort is the effort cells of h route by.
-func serveEffort(h *exp.Harness) serve.Effort { return serve.EffortOf(h.Options()) }
 
 // dispatch sends one shard (the points at idxs) to a worker and resolves
 // each slot as its line streams back. On transport failure — connection

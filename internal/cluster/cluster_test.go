@@ -314,7 +314,7 @@ func TestDispatchReusesWorkerConnection(t *testing.T) {
 	remote := SweepFunc(rw.ts.URL, nil)
 	points := []exp.Point{{Model: "CNN-1", Batch: 1, Kind: core.NeuMMU, PageSize: vm.Page4K}}
 	for i := 0; i < 2; i++ {
-		if _, err := remote(points, exp.Options{Quick: true}); err != nil {
+		if _, err := remote(points, exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}}); err != nil {
 			t.Fatalf("remote call %d: %v", i, err)
 		}
 	}
@@ -376,7 +376,7 @@ func newTruncatingWorker(t *testing.T, limit int) (*testWorker, *truncatingHandl
 // need a faulty worker to own cells pick the majority owner.
 func shardSplit(t *testing.T, urls ...string) map[string]int {
 	t.Helper()
-	h := exp.New(exp.Options{Quick: true, Workers: 1})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Workers: 1})
 	points, err := serve.ExpandSweep(h, serve.SweepRequest{
 		Quick: true, Models: []string{"CNN-1", "RNN-1"}, Batches: []int{1, 4},
 		MMUs: []string{"neummu", "iommu"},
@@ -387,7 +387,7 @@ func shardSplit(t *testing.T, urls ...string) map[string]int {
 	r := newRing(urls, 64)
 	counts := map[string]int{}
 	for _, p := range points {
-		counts[r.owner(serve.CellHash64(p, serveEffort(h)), nil)]++
+		counts[r.owner(serve.CellHash64(p, h.Options().Effort), nil)]++
 	}
 	return counts
 }
@@ -589,12 +589,12 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	w1, w2 := newWorker(t, nil), newWorker(t, nil)
 	_, ts := newCoordinator(t, Config{Workers: []string{w1.ts.URL, w2.ts.URL}})
 
-	local := exp.New(exp.Options{Quick: true, Workers: 1})
+	local := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Workers: 1})
 	want, err := local.Sweep(sweepAxes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := exp.New(exp.Options{Quick: true, Remote: SweepFunc(ts.URL, nil)})
+	remote := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Remote: SweepFunc(ts.URL, nil)})
 	got, err := remote.Sweep(sweepAxes())
 	if err != nil {
 		t.Fatal(err)
@@ -678,8 +678,8 @@ func TestNewRejectsEmptyFleet(t *testing.T) {
 func TestRemoteFiguresByteIdentical(t *testing.T) {
 	w := newWorker(t, nil)
 	_, ts := newCoordinator(t, Config{Workers: []string{w.ts.URL}})
-	local := exp.New(exp.Options{Quick: true, Workers: 1})
-	remote := exp.New(exp.Options{Quick: true, Remote: SweepFunc(ts.URL, nil)})
+	local := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Workers: 1})
+	remote := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Remote: SweepFunc(ts.URL, nil)})
 	names := figures.RemoteNames()
 	if len(names) == 0 {
 		t.Fatal("no remote-safe figures registered")

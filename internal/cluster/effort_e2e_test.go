@@ -64,7 +64,8 @@ func TestClusterSampledSweep(t *testing.T) {
 		if s == nil {
 			t.Fatalf("sampled row missing audit: %s", line)
 		}
-		if s.Simulated < 1 || s.Simulated > s.Population || s.Seed == 0 {
+		if s.Simulated < 1 || s.Simulated > s.Population || s.Seed == 0 ||
+			s.TargetCI <= 0 || s.RelCI95 < 0 {
 			t.Errorf("bogus sampling audit %+v", s)
 		}
 		if s.CyclesLo > row.Cycles || row.Cycles > s.CyclesHi {

@@ -151,7 +151,7 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 	// worker's trace ring. The victim is computed with the coordinator's
 	// own expansion, hash, and ring, so it is guaranteed to own the
 	// largest still-cold shard when the kill lands.
-	h := exp.New(exp.Options{Quick: true, Workers: 1})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Workers: 1})
 	points, err := serve.ExpandSweep(h, parseSweep(t, freshSweep), 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 	ring := newRing(peerURLs, 64)
 	freshSplit := map[string]int{}
 	for _, p := range points {
-		freshSplit[ring.owner(serve.CellHash64(p, serveEffort(h)), nil)]++
+		freshSplit[ring.owner(serve.CellHash64(p, h.Options().Effort), nil)]++
 	}
 	victim := workers[0]
 	for _, w := range workers[1:] {

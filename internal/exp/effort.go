@@ -16,11 +16,11 @@ const (
 	EffortQuick = "quick"
 )
 
-// Effort is the unified simulation-effort knob threaded end to end
-// through neummu.Options, exp.Options, the serve request types and the
-// cluster wire protocol. It subsumes the previously copy-pasted
-// Quick/RepeatCap/TileCap triple and adds the sampled-mode and
-// intra-cell-parallelism controls.
+// Effort is the one simulation-effort value of the program, threaded end
+// to end through neummu.Options, exp.Options, the serve harness cache and
+// cell keys, and the cluster wire protocol. The request spellings (the
+// effort object and the legacy flat fields) are decoded into it at one
+// place, serve.MergeEffort.
 type Effort struct {
 	// Mode selects "exact" (default), "sampled", or "quick".
 	Mode string
@@ -42,10 +42,31 @@ type Effort struct {
 // Sampled reports whether the effort selects statistical simulation.
 func (e Effort) Sampled() bool { return e.Mode == EffortSampled }
 
+// Quick reports whether the effort selects the shrunken smoke grid.
+func (e Effort) Quick() bool { return e.Mode == EffortQuick }
+
 // Epoched reports whether cells run on the cold-epoch schedule —
 // the property that must be keyed, as opposed to the worker count,
 // which only trades wall-clock time.
 func (e Effort) Epoched() bool { return e.IntraCellWorkers > 0 || e.Sampled() }
+
+// Identity is the effort's canonical identity: everything that can change
+// a result's bytes and nothing else. It keeps the mode (with "exact"
+// spelled as the zero value), the caps and TargetCI, and reduces
+// IntraCellWorkers to the epoched bit — 1 for the cold-epoch schedule, 0
+// for the serial one — since the worker count only trades wall-clock
+// time. Cell keys, figure keys and CellHash64 are all built from it.
+func (e Effort) Identity() Effort {
+	epoched := e.Epoched()
+	if e.Mode == EffortExact {
+		e.Mode = ""
+	}
+	e.IntraCellWorkers = 0
+	if epoched {
+		e.IntraCellWorkers = 1
+	}
+	return e
+}
 
 // Validate rejects efforts no engine implements. Unknown modes are an
 // error, never a silent default — a caller asking for a mode this

@@ -36,21 +36,16 @@ type Options struct {
 	Models []string
 	// Batches lists batch sizes (default 1, 4, 8 as in the paper).
 	Batches []int
-	// RepeatCap / TileCap truncate repeated layers and per-layer tiles;
-	// zero keeps the harness defaults (3 and 0). Deprecated in favor of
-	// the equivalent Effort fields; still accepted and folded in by
-	// normalized(), with explicit Effort fields winning.
+	// Effort is the simulation effort: mode (exact/sampled/quick), caps,
+	// sampling CI target and intra-cell parallelism. Quick mode also
+	// shrinks the default grid: CNN-1 and RNN-1 only, batch 4, caps 2/6.
+	// Zero caps take the mode's defaults (3/0, or 2/6 in quick mode).
+	Effort Effort
+	// RepeatCap / TileCap read out the normalized Effort caps on
+	// Harness.Options. They are not inputs: New panics when a caller sets
+	// them to anything but the normalized caps.
 	RepeatCap int
 	TileCap   int
-	// Quick shrinks the sweep for benchmark iterations: CNN-1 and RNN-1
-	// only, batch 4, capped tiles. Deprecated alias for
-	// Effort{Mode: EffortQuick}.
-	Quick bool
-	// Effort is the unified effort knob: mode (exact/sampled/quick),
-	// caps, sampling CI target and intra-cell parallelism. Zero fields
-	// inherit from the legacy flat knobs above, so existing callers keep
-	// working unchanged.
-	Effort Effort
 	// Workers bounds the sweep engine's host-side parallelism: how many
 	// independent simulations run at once. 0 selects GOMAXPROCS; 1 forces
 	// serial execution. Row ordering and values are identical at every
@@ -75,8 +70,7 @@ type Options struct {
 
 // RemoteFunc evaluates an explicit point list on a remote backend,
 // returning one cell per point in input order. opts carries the
-// normalized effort knobs (Quick, RepeatCap, TileCap) that shape every
-// cell's schedule.
+// normalized Effort that shapes every cell's schedule.
 type RemoteFunc func(points []Point, opts Options) ([]RemoteCell, error)
 
 // RemoteCell is the headline result of one remotely evaluated point —
@@ -90,26 +84,10 @@ type RemoteCell struct {
 }
 
 func (o Options) normalized() Options {
-	// Fold the unified Effort knob and the legacy flat fields into one
-	// canonical view: explicit Effort fields win, the deprecated flat
-	// knobs fill the gaps, and the flat mirrors are written back so
-	// every existing reader of opts.Quick/RepeatCap/TileCap stays
-	// correct.
-	if o.Effort.Mode == EffortQuick {
-		o.Quick = true
-	} else if o.Effort.Mode == "" && o.Quick {
-		o.Effort.Mode = EffortQuick
-	}
-	if o.Effort.RepeatCap == 0 {
-		o.Effort.RepeatCap = o.RepeatCap
-	}
-	if o.Effort.TileCap == 0 {
-		o.Effort.TileCap = o.TileCap
-	}
 	if o.Effort.Sampled() && o.Effort.TargetCI == 0 {
 		o.Effort.TargetCI = 0.05
 	}
-	if o.Quick {
+	if o.Effort.Quick() {
 		if len(o.Models) == 0 {
 			o.Models = []string{"CNN-1", "RNN-1"}
 		}
@@ -122,8 +100,6 @@ func (o Options) normalized() Options {
 		if o.Effort.TileCap == 0 {
 			o.Effort.TileCap = 6
 		}
-		o.RepeatCap, o.TileCap = o.Effort.RepeatCap, o.Effort.TileCap
-		return o
 	}
 	if len(o.Models) == 0 {
 		o.Models = []string{"CNN-1", "CNN-2", "CNN-3", "RNN-1", "RNN-2", "RNN-3"}
@@ -133,6 +109,10 @@ func (o Options) normalized() Options {
 	}
 	if o.Effort.RepeatCap == 0 {
 		o.Effort.RepeatCap = 3
+	}
+	if (o.RepeatCap != 0 && o.RepeatCap != o.Effort.RepeatCap) ||
+		(o.TileCap != 0 && o.TileCap != o.Effort.TileCap) {
+		panic("exp: Options.RepeatCap/TileCap only read out the normalized caps; set Effort.RepeatCap/TileCap")
 	}
 	o.RepeatCap, o.TileCap = o.Effort.RepeatCap, o.Effort.TileCap
 	return o
@@ -251,8 +231,8 @@ func (h *Harness) npuConfig(mmu core.Config) npu.Config {
 		MMU:              mmu,
 		Memory:           memsys.Baseline(),
 		Compute:          systolic.Baseline(),
-		RepeatCap:        h.opts.RepeatCap,
-		TileCap:          h.opts.TileCap,
+		RepeatCap:        h.opts.Effort.RepeatCap,
+		TileCap:          h.opts.Effort.TileCap,
 		IntraCellWorkers: h.opts.Effort.IntraCellWorkers,
 		Sampled:          h.opts.Effort.Sampled(),
 		SampleTargetCI:   h.opts.Effort.TargetCI,

@@ -9,7 +9,7 @@ import (
 
 // quickHarness keeps exp tests fast: two models, one batch, capped tiles.
 func quickHarness() *Harness {
-	return New(Options{Quick: true})
+	return New(Options{Effort: Effort{Mode: EffortQuick}})
 }
 
 func TestOptionsNormalization(t *testing.T) {
@@ -17,10 +17,21 @@ func TestOptionsNormalization(t *testing.T) {
 	if len(full.Models) != 6 || len(full.Batches) != 3 {
 		t.Fatalf("full defaults = %+v", full)
 	}
-	quick := New(Options{Quick: true}).Options()
+	quick := New(Options{Effort: Effort{Mode: EffortQuick}}).Options()
 	if len(quick.Models) != 2 || quick.TileCap == 0 {
 		t.Fatalf("quick defaults = %+v", quick)
 	}
+	// The flat caps are read-outs: normalized options round-trip, and a
+	// caller setting them as inputs is told to use Effort instead.
+	if again := New(quick).Options(); again.RepeatCap != quick.RepeatCap || again.TileCap != quick.TileCap {
+		t.Errorf("normalized options did not round-trip: %+v then %+v", quick, again)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Options{RepeatCap: 1} was accepted as an input")
+		}
+	}()
+	New(Options{RepeatCap: 1})
 }
 
 func TestOracleMemoized(t *testing.T) {

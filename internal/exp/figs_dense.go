@@ -48,7 +48,7 @@ type BurstSeries struct {
 // batch 1, the two panels of Figure 7.
 func (h *Harness) Fig7() ([]BurstSeries, error) {
 	models := []string{"CNN-1", "RNN-1"}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		models = models[:1]
 	}
 	return runGrid(h, len(models), func(i int) (BurstSeries, error) {
@@ -97,7 +97,7 @@ type SweepRow struct {
 // Fig10 sweeps PRMB mergeable slots {1..32} on 8 PTWs with the PTS enabled.
 func (h *Harness) Fig10() ([]SweepRow, error) {
 	slots := []int{1, 2, 4, 8, 16, 32}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		slots = []int{1, 8, 32}
 	}
 	res, err := h.Sweep(Axes{
@@ -129,7 +129,7 @@ func (h *Harness) Fig12a() ([]SweepRow, error) {
 
 func (h *Harness) ptwSweep(withPRMB bool) ([]SweepRow, error) {
 	ptws := []int{8, 16, 32, 64, 128, 256, 512, 1024}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		ptws = []int{8, 128, 1024}
 	}
 	ax := Axes{
@@ -173,7 +173,7 @@ func (h *Harness) Fig12b() ([]EnergyPerfRow, error) {
 	}
 	pairs := [][2]int{{512, 8}, {256, 16}, {128, 32}, {64, 64}, {32, 128},
 		{16, 256}, {8, 512}, {4, 1024}, {2, 2048}, {1, 4096}}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		pairs = [][2]int{{512, 8}, {32, 128}, {1, 4096}}
 	}
 	costs := energy.Default45nm()
@@ -342,7 +342,7 @@ type TLBSweepRow struct {
 // recovers almost nothing.
 func (h *Harness) TLBSweep() ([]TLBSweepRow, error) {
 	sizes := []int{128, 512, 2048, 8192, 32768, 131072}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		sizes = []int{2048, 131072}
 	}
 	res, err := h.Sweep(Axes{
@@ -425,7 +425,7 @@ type SensitivityRow struct {
 // sizes (32/64/128), as §VI-C does for training-scale batches.
 func (h *Harness) Sensitivity() ([]SensitivityRow, error) {
 	batches := []int{32, 64, 128}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		batches = []int{32}
 	}
 	// The cells use common-layer plans at training-scale batches, outside

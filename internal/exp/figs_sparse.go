@@ -21,14 +21,14 @@ type Fig15Row struct {
 
 // sparseBatches mirrors the paper's Figure 15 batch axis.
 func (h *Harness) sparseBatches15() []int {
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		return []int{8}
 	}
 	return []int{1, 8, 64}
 }
 
 func (h *Harness) sparseModels() []embeddings.Config {
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		return []embeddings.Config{embeddings.NCF()}
 	}
 	return []embeddings.Config{embeddings.NCF(), embeddings.DLRM()}
@@ -104,7 +104,7 @@ type Fig16Row struct {
 func (h *Harness) Fig16() ([]Fig16Row, error) {
 	sys := numa.DefaultSystem()
 	batches := []int{1, 4, 8}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		batches = []int{4}
 	}
 	type cell struct {

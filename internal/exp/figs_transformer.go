@@ -40,7 +40,7 @@ type TFSuiteRow struct {
 // (autoregressive decode is the latency-bound serving case); TF-3 runs at
 // training-scale batch.
 func (h *Harness) tfCells() []gridCell {
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		return []gridCell{{"TF-1", 1}, {"TF-2", 1}}
 	}
 	return []gridCell{{"TF-1", 1}, {"TF-1", 8}, {"TF-2", 1}, {"TF-3", 8}}
@@ -121,7 +121,7 @@ func (h *Harness) KVCache() (*KVCacheStudy, error) {
 	}
 
 	steps := workloads.TF2DecodeSteps
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		steps = 12
 	}
 	var tiles []workloads.Tile
@@ -217,7 +217,7 @@ type SeqSweepRow struct {
 // order.
 func (h *Harness) SeqSweep() ([]SeqSweepRow, error) {
 	seqs := []int{128, 256, 512, 1024, 2048, 4096, 8192}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		seqs = []int{128, 512}
 	}
 	return runGrid(h, len(seqs), func(i int) (SeqSweepRow, error) {

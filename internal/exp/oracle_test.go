@@ -41,7 +41,7 @@ func TestOraclePointSimulatesOnce(t *testing.T) {
 
 			var mu sync.Mutex
 			sims := map[core.Kind]int{}
-			h := New(Options{Quick: true, Workers: workers, OnResult: func(res *npu.Result) {
+			h := New(Options{Effort: Effort{Mode: EffortQuick}, Workers: workers, OnResult: func(res *npu.Result) {
 				mu.Lock()
 				sims[res.MMUKind]++
 				mu.Unlock()

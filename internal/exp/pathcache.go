@@ -71,7 +71,7 @@ type MultiTenantRow struct {
 // co-located accelerator.
 func (h *Harness) MultiTenant() ([]MultiTenantRow, error) {
 	fractions := []int{0, 32, 64, 96, 112, 120, 124, 126}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		fractions = []int{0, 112, 126}
 	}
 	remaining := make([]int, len(fractions))
@@ -111,7 +111,7 @@ func (h *Harness) BurstThrottle() ([]BurstThrottleRow, error) {
 	// queue admits one outstanding miss, serializing translations the way
 	// an issue-throttled DMA would.
 	depths := []int{1, 4, 16, 64}
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		depths = []int{1, 16}
 	}
 	// QueueDepth is not a sweep axis, so run one engine grid per depth

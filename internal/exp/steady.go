@@ -67,7 +67,7 @@ type OversubscriptionRow struct {
 // and measures steady-state thrashing.
 func (h *Harness) Oversubscription() ([]OversubscriptionRow, error) {
 	cfg := embeddings.NCF()
-	if h.opts.Quick {
+	if h.opts.Effort.Quick() {
 		cfg.Tables[1].LookupsPerSample = 64
 	}
 	capacities := []int64{0, 1024, 256, 64, 16}

@@ -29,7 +29,7 @@ func benchDenseSuite(b *testing.B, workers int) {
 		// A fresh harness per iteration so every run pays the same plan
 		// and oracle cost; otherwise the memoized caches would make all
 		// iterations after the first nearly free.
-		h := New(Options{RepeatCap: 2, TileCap: 8, Workers: workers})
+		h := New(Options{Effort: Effort{RepeatCap: 2, TileCap: 8}, Workers: workers})
 		rows, err := h.Fig8()
 		if err != nil {
 			b.Fatal(err)
@@ -53,7 +53,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				h := New(Options{Quick: true, Workers: workers})
+				h := New(Options{Effort: Effort{Mode: EffortQuick}, Workers: workers})
 				rows, err := h.Sweep(Axes{
 					Kinds:     []core.Kind{core.Custom},
 					PTWs:      []int{32, 128},

@@ -15,11 +15,10 @@ import (
 // interleave.
 func sweepOptions(workers int) Options {
 	return Options{
-		Models:    []string{"CNN-1", "RNN-1"},
-		Batches:   []int{1, 4},
-		RepeatCap: 1,
-		TileCap:   4,
-		Workers:   workers,
+		Models:  []string{"CNN-1", "RNN-1"},
+		Batches: []int{1, 4},
+		Effort:  Effort{RepeatCap: 1, TileCap: 4},
+		Workers: workers,
 	}
 }
 
@@ -171,7 +170,7 @@ func TestSweepErrorDeterministic(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 4} {
 		h := New(Options{Models: []string{"CNN-1"}, Batches: []int{1},
-			RepeatCap: 1, TileCap: 2, Workers: workers})
+			Effort: Effort{RepeatCap: 1, TileCap: 2}, Workers: workers})
 		_, err := h.SweepPoints([]Point{
 			{Kind: core.NeuMMU, PageSize: vm.Page4K, Model: "CNN-1", Batch: 1},
 			{Kind: core.NeuMMU, PageSize: vm.Page4K, Model: "no-such-model", Batch: 1},

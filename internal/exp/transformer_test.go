@@ -11,7 +11,7 @@ import (
 // golden-determinism contract the dense sweep engine holds).
 func tfFingerprint(t *testing.T, workers int) string {
 	t.Helper()
-	h := New(Options{Quick: true, Workers: workers})
+	h := New(Options{Effort: Effort{Mode: EffortQuick}, Workers: workers})
 	var sb strings.Builder
 	suite, err := h.TFSuite()
 	if err != nil {
@@ -61,7 +61,7 @@ func TestTransformerStudiesDeterminism(t *testing.T) {
 // qualitative result on the new workload class — the baseline IOMMU
 // collapses, NeuMMU stays within a fraction of a percent of oracle.
 func TestTFSuiteSanity(t *testing.T) {
-	h := New(Options{Quick: true})
+	h := New(Options{Effort: Effort{Mode: EffortQuick}})
 	rows, err := h.TFSuite()
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestTFSuiteSanity(t *testing.T) {
 // TestKVCacheGrowth: the decode stream must attend one more token per
 // step, and the KV region's distinct-page count must grow with it.
 func TestKVCacheGrowth(t *testing.T) {
-	h := New(Options{Quick: true})
+	h := New(Options{Effort: Effort{Mode: EffortQuick}})
 	s, err := h.KVCache()
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestKVCacheGrowth(t *testing.T) {
 // TestSeqSweepAxes: rows must come back in ascending sequence order with
 // translation demand growing along the axis.
 func TestSeqSweepAxes(t *testing.T) {
-	h := New(Options{Quick: true})
+	h := New(Options{Effort: Effort{Mode: EffortQuick}})
 	rows, err := h.SeqSweep()
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // TestRenderEveryFigure renders every figure in quick mode; any harness
 // regression or formatting panic fails here before it reaches a user.
 func TestRenderEveryFigure(t *testing.T) {
-	h := exp.New(exp.Options{Quick: true})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
 	for _, f := range Registry() {
 		var buf bytes.Buffer
 		if err := Render(h, &buf, f.Name); err != nil {
@@ -29,7 +29,7 @@ func TestRenderEveryFigure(t *testing.T) {
 // error that lists every valid figure name (derived from the registry, so
 // the list can never go stale).
 func TestRenderUnknownFigure(t *testing.T) {
-	h := exp.New(exp.Options{Quick: true})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
 	err := Render(h, &bytes.Buffer{}, "fig99")
 	if err == nil {
 		t.Fatal("unknown figure accepted")
@@ -70,7 +70,7 @@ func TestFigureRegistryIndexed(t *testing.T) {
 // exactly the bytes Render streams — the contract `paperfigs -out` and
 // the service's artifact path both rely on.
 func TestWriteFiles(t *testing.T) {
-	h := exp.New(exp.Options{Quick: true})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
 	dir := t.TempDir()
 	names := []string{"table1", "fig8"}
 	if err := WriteFiles(h, filepath.Join(dir, "figs"), names); err != nil {

@@ -146,26 +146,20 @@ type CellsRequest struct {
 	Effort *WireEffort `json:"effort,omitempty"`
 }
 
-// legacyEffortUsed reports whether the request selected effort through
-// the deprecated flat fields.
-func (r CellsRequest) legacyEffortUsed() bool {
-	return r.Quick || r.RepeatCap != 0 || r.TileCap != 0
-}
-
 // NewCellsRequest builds the /v1/cells payload that evaluates points
 // under a harness's normalized options. The legacy flat fields are
 // always set, so legacy-shaped work keeps its pre-redesign payload
 // bytes; the effort object is added only for the epoch-structured
 // efforts the flat fields cannot express.
 func NewCellsRequest(opts exp.Options, points []exp.Point) CellsRequest {
-	e := EffortOf(opts)
+	e := opts.Effort
 	req := CellsRequest{
 		Points: make([]WirePoint, len(points)),
-		Quick:  e.Quick, RepeatCap: e.RepeatCap, TileCap: e.TileCap,
+		Quick:  e.Quick(), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
 	}
 	if e.Epoched() {
 		req.Effort = &WireEffort{IntraCellWorkers: e.IntraCellWorkers}
-		if e.Sampled {
+		if e.Sampled() {
 			req.Effort.Mode, req.Effort.TargetCI = exp.EffortSampled, e.TargetCI
 		}
 	}
@@ -207,15 +201,16 @@ type CellLine struct {
 // agree on placement. Epoch-structured efforts (sampled or
 // intra-cell-parallel) append a suffix keyed on the engine's semantics —
 // sampled-ness and CI target, never the worker count, which cannot
-// change result bytes.
-func CellHash64(p exp.Point, e Effort) uint64 {
+// change result bytes. e is a normalized effort (Harness.Options) or its
+// Identity; both hash the same.
+func CellHash64(p exp.Point, e exp.Effort) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		p.Kind, p.PageSize, p.Model, p.Batch,
 		p.PTWs, p.PRMBSlots, p.PTS, p.Path, p.TLBEntries,
 		e.RepeatCap, e.TileCap)
 	if e.Epoched() {
-		fmt.Fprintf(h, "|epoched|s=%t|ci=%g", e.Sampled, e.TargetCI)
+		fmt.Fprintf(h, "|epoched|s=%t|ci=%g", e.Sampled(), e.TargetCI)
 	}
 	return h.Sum64()
 }
@@ -286,33 +281,33 @@ func ExpandSweep(h *exp.Harness, req SweepRequest, maxCells int) ([]exp.Point, e
 // parseCells decodes and validates a /v1/cells payload: strict JSON, a
 // non-empty point list within the per-request bound, every wire point
 // convertible, a valid effort. Every error maps to a 400.
-func (s *Server) parseCells(r *http.Request) (CellsRequest, *exp.Harness, []exp.Point, error) {
+func (s *Server) parseCells(r *http.Request) (h *exp.Harness, points []exp.Point, deprecated bool, err error) {
 	var req CellsRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return req, nil, nil, fmt.Errorf("bad request body: %w", err)
+		return nil, nil, false, fmt.Errorf("bad request body: %w", err)
 	}
 	if len(req.Points) == 0 {
-		return req, nil, nil, errors.New("no points")
+		return nil, nil, false, errors.New("no points")
 	}
 	if n := s.cfg.MaxCellsPerRequest; len(req.Points) > n {
-		return req, nil, nil, fmt.Errorf("%d cells, above the per-request bound of %d",
+		return nil, nil, false, fmt.Errorf("%d cells, above the per-request bound of %d",
 			len(req.Points), n)
 	}
-	points := make([]exp.Point, len(req.Points))
+	points = make([]exp.Point, len(req.Points))
 	for i, wp := range req.Points {
 		p, err := wp.Point()
 		if err != nil {
-			return req, nil, nil, fmt.Errorf("point %d: %w", i, err)
+			return nil, nil, false, fmt.Errorf("point %d: %w", i, err)
 		}
 		points[i] = p
 	}
-	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
+	e, deprecated, err := requestEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
 	if err != nil {
-		return req, nil, nil, err
+		return nil, nil, false, err
 	}
-	return req, s.harnesses.Get(e), points, nil
+	return s.harnesses.Get(e), points, deprecated, nil
 }
 
 // handleCells streams one CellLine per requested point, in input order,
@@ -324,7 +319,7 @@ func (s *Server) parseCells(r *http.Request) (CellsRequest, *exp.Harness, []exp.
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	req, h, points, err := s.parseCells(r)
+	h, points, deprecated, err := s.parseCells(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
 		return
@@ -333,8 +328,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	setStreamHeaders(w, traceID, len(points), hits)
+	setStreamHeaders(w, traceID, len(points), hits, deprecated)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	var mergeNS int64

@@ -39,29 +39,14 @@ type storeKey struct {
 // newCellKey keys point p under a harness's normalized options: the one
 // place a cellKey is built, for the RAM cache and the durable tier alike.
 func newCellKey(opts exp.Options, p exp.Point) cellKey {
-	return cellKey{
-		point: p, repeatCap: opts.RepeatCap, tileCap: opts.TileCap,
-		sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
-		epoched: opts.Effort.Epoched(),
-	}
-}
-
-// effort reconstructs the canonical routing effort from a cache key: the
-// knobs that identify the result, with the worker count — which never
-// changes result bytes — canonicalized away (epoched-ness survives as a
-// single worker).
-func (k cellKey) effort() Effort {
-	e := Effort{RepeatCap: k.repeatCap, TileCap: k.tileCap, Sampled: k.sampled, TargetCI: k.targetCI}
-	if k.epoched && !e.Epoched() {
-		e.IntraCellWorkers = 1
-	}
-	return e
+	return cellKey{point: p, effort: opts.Effort.Identity()}
 }
 
 func storeKeyBytes(k cellKey) []byte {
+	e := k.effort
 	b, err := json.Marshal(storeKey{
-		Point: ToWire(k.point), RepeatCap: k.repeatCap, TileCap: k.tileCap,
-		Sampled: k.sampled, TargetCI: k.targetCI, Epoched: k.epoched,
+		Point: ToWire(k.point), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
+		Sampled: e.Sampled(), TargetCI: e.TargetCI, Epoched: e.Epoched(),
 	})
 	if err != nil {
 		// Marshal of plain structs with string/int/bool fields cannot fail.
@@ -89,7 +74,7 @@ func loadCell(st *store.Store, k cellKey) (CellValue, bool) {
 	if st == nil {
 		return CellValue{}, false
 	}
-	raw, ok := st.Get(CellHash64(k.point, k.effort()), storeKeyBytes(k))
+	raw, ok := st.Get(CellHash64(k.point, k.effort), storeKeyBytes(k))
 	if !ok {
 		return CellValue{}, false
 	}
@@ -111,5 +96,5 @@ func saveCell(st *store.Store, k cellKey, v CellValue) {
 	if err != nil {
 		panic("serve: encoding store value: " + err.Error())
 	}
-	st.Put(CellHash64(k.point, k.effort()), storeKeyBytes(k), raw)
+	st.Put(CellHash64(k.point, k.effort), storeKeyBytes(k), raw)
 }

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"net/http"
+	"runtime"
 
 	"neummu/internal/exp"
 	"neummu/internal/npu"
@@ -60,15 +60,26 @@ func sampleJSON(s *npu.SampleStats) *SampleJSON {
 	}
 }
 
+// Effort is exp.Effort, kept under this name for callers that compile
+// against the serve package.
+type Effort = exp.Effort
+
 // MergeEffort folds a request's effort object and its legacy flat fields
-// into the canonical harness-selecting Effort. The effort object wins
-// wherever both speak: an explicit mode overrides the legacy quick flag
-// (including "exact" turning it off), and non-zero caps override the
-// flat caps. A nil effort object reproduces the legacy behavior exactly.
-// Unknown modes and out-of-range knobs are an error (mapped to a
-// bad_request envelope by every handler), never a silent default.
-func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (Effort, error) {
-	e := Effort{Quick: quick, RepeatCap: repeatCap, TileCap: tileCap}
+// into the one exp.Effort that selects its harness: the only place the
+// legacy spelling is decoded. The effort object wins wherever both speak:
+// an explicit mode replaces the legacy quick flag, and non-zero caps
+// replace the flat caps. "exact" is canonicalized to the zero mode so the
+// two spellings of the default share every key, and IntraCellWorkers is
+// clamped to GOMAXPROCS: the count never changes result bytes, so a
+// larger one would only start more cold machines than the process has
+// cores and build another harness. Unknown modes and out-of-range knobs
+// are an error (a bad_request envelope on every endpoint), never a
+// silent default.
+func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (exp.Effort, error) {
+	e := exp.Effort{RepeatCap: repeatCap, TileCap: tileCap}
+	if quick {
+		e.Mode = exp.EffortQuick
+	}
 	if we == nil {
 		return e, nil
 	}
@@ -77,13 +88,11 @@ func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (Effort, er
 	}).Validate(); err != nil {
 		return e, err
 	}
-	switch we.Mode {
-	case exp.EffortExact:
-		e.Quick = false
-	case exp.EffortQuick:
-		e.Quick = true
-	case exp.EffortSampled:
-		e.Sampled = true
+	if we.Mode != "" {
+		e.Mode = we.Mode
+	}
+	if e.Mode == exp.EffortExact {
+		e.Mode = ""
 	}
 	if we.RepeatCap != 0 {
 		e.RepeatCap = we.RepeatCap
@@ -91,62 +100,27 @@ func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (Effort, er
 	if we.TileCap != 0 {
 		e.TileCap = we.TileCap
 	}
-	if we.TargetCI != 0 {
-		e.TargetCI = we.TargetCI
-	}
-	if e.Sampled && e.TargetCI == 0 {
+	e.TargetCI = we.TargetCI
+	if e.Sampled() && e.TargetCI == 0 {
 		e.TargetCI = 0.05
 	}
-	if we.IntraCellWorkers > 0 {
-		e.IntraCellWorkers = we.IntraCellWorkers
-	}
+	e.IntraCellWorkers = min(we.IntraCellWorkers, runtime.GOMAXPROCS(0))
 	return e, nil
 }
 
-// expEffort maps the serve-level effort to the harness's unified knob.
-func (e Effort) expEffort() exp.Effort {
-	mode := ""
-	switch {
-	case e.Sampled:
-		mode = exp.EffortSampled
-	case e.Quick:
-		mode = exp.EffortQuick
-	}
-	return exp.Effort{
-		Mode: mode, RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-		TargetCI: e.TargetCI, IntraCellWorkers: e.IntraCellWorkers,
-	}
-}
-
-// EffortOf returns the effort a harness's normalized options select: the
-// inverse of HarnessCache.Get, and the one conversion from exp.Options
-// back to an Effort. Cell routing and worker payloads both start here.
-func EffortOf(opts exp.Options) Effort {
-	return Effort{
-		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-		Sampled:          opts.Effort.Sampled(),
-		TargetCI:         opts.Effort.TargetCI,
-		IntraCellWorkers: opts.Effort.IntraCellWorkers,
-	}
-}
-
-// Epoched reports whether this effort selects the cold-epoch schedule
-// — the property cell keys and routing hashes carry, as opposed
-// to the worker count, which never changes result bytes.
-func (e Effort) Epoched() bool { return e.Sampled || e.IntraCellWorkers > 0 }
-
 // DeprecationHeader is set on responses to requests that selected effort
-// through the legacy flat quick/repeat_cap/tile_cap fields instead of the
-// effort object. It is a header, not a body field, so legacy response
-// bodies stay byte-identical.
+// only through the legacy flat fields (quick/repeat_cap/tile_cap in a
+// JSON body, quick on the figure endpoint) instead of the effort object.
+// It is a header, not a body field, so legacy response bodies stay
+// byte-identical.
 const DeprecationHeader = "X-Neuserve-Deprecated"
 
 const deprecationNote = "quick/repeat_cap/tile_cap are deprecated; use the effort object (see docs/API.md)"
 
-// markDeprecated flags a response whose request used the legacy flat
-// effort fields without the effort object.
-func markDeprecated(h http.Header, legacyUsed bool, we *WireEffort) {
-	if legacyUsed && we == nil {
-		h.Set(DeprecationHeader, deprecationNote)
-	}
+// requestEffort is MergeEffort plus the one deprecation rule, shared by
+// all four endpoints: a request is deprecated when it sets a legacy flat
+// field and no effort object.
+func requestEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (e exp.Effort, deprecated bool, err error) {
+	e, err = MergeEffort(we, quick, repeatCap, tileCap)
+	return e, we == nil && (quick || repeatCap != 0 || tileCap != 0), err
 }

@@ -2,22 +2,29 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // --- legacy compatibility: the golden-request contract ---
 
-// TestLegacyGoldenRequests replays pre-redesign JSON bodies — the flat
+// TestLegacyGoldenRequests replays pre-redesign requests — the flat
 // quick/repeat_cap/tile_cap spelling — against the redesigned server and
 // requires the response bytes to be identical to the equivalent
 // effort-object requests. This is the compatibility contract of the
 // effort API: old clients keep working forever, bit for bit. Each
 // request gets its own cold server so cache hits (the `hit` field on
-// cell lines) cannot leak between the two spellings.
+// cell lines) cannot leak between the two spellings. A case without a
+// body is a GET of its two paths.
 func TestLegacyGoldenRequests(t *testing.T) {
 	cases := []struct {
 		name, path, legacy, effort string
+		// mixed marks a legacy request that also sends the effort object:
+		// the object wins and no deprecation header is due.
+		mixed bool
 	}{
 		{
 			name:   "sweep",
@@ -37,25 +44,45 @@ func TestLegacyGoldenRequests(t *testing.T) {
 			legacy: `{"points":[{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}],"repeat_cap":1,"tile_cap":2}`,
 			effort: `{"points":[{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}],"effort":{"repeat_cap":1,"tile_cap":2}}`,
 		},
+		{
+			// An explicit mode replaces the legacy quick flag: the sampled
+			// run keeps the default caps, not quick's 2/6.
+			name:   "explicit mode wins",
+			path:   "/v1/sim",
+			legacy: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"quick":true,"effort":{"mode":"sampled"}}`,
+			effort: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"effort":{"mode":"sampled"}}`,
+			mixed:  true,
+		},
+		{
+			name:   "figure",
+			legacy: "/v1/figures/fig8?quick=1",
+			effort: "/v1/figures/fig8?mode=quick",
+		},
+	}
+	send := func(ts *httptest.Server, path, req string) (*http.Response, []byte) {
+		if path == "" {
+			return get(t, ts, req)
+		}
+		return post(t, ts, path, req)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, legacyTS := newTestServer(t, Config{Workers: 2})
-			respL, bodyL := post(t, legacyTS, tc.path, tc.legacy)
+			respL, bodyL := send(legacyTS, tc.path, tc.legacy)
 			if respL.StatusCode != 200 {
 				t.Fatalf("legacy status = %d: %s", respL.StatusCode, bodyL)
 			}
 			_, effortTS := newTestServer(t, Config{Workers: 2})
-			respE, bodyE := post(t, effortTS, tc.path, tc.effort)
+			respE, bodyE := send(effortTS, tc.path, tc.effort)
 			if respE.StatusCode != 200 {
 				t.Fatalf("effort status = %d: %s", respE.StatusCode, bodyE)
 			}
 			if string(bodyL) != string(bodyE) {
 				t.Errorf("legacy and effort-object responses differ:\nlegacy: %s\neffort: %s", bodyL, bodyE)
 			}
-			// The deprecation header marks exactly the legacy spelling.
-			if got := respL.Header.Get(DeprecationHeader); got == "" {
-				t.Errorf("legacy request missing %s header", DeprecationHeader)
+			// The deprecation header marks exactly the legacy-only spelling.
+			if got := respL.Header.Get(DeprecationHeader); (got == "") != tc.mixed {
+				t.Errorf("legacy request %s header = %q (mixed spelling: %t)", DeprecationHeader, got, tc.mixed)
 			}
 			if got := respE.Header.Get(DeprecationHeader); got != "" {
 				t.Errorf("effort-object request carries %s: %q", DeprecationHeader, got)
@@ -239,5 +266,35 @@ func TestEpochedSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	resp, _ = post(t, ts1, "/v1/sweep", req(4))
 	if got := resp.Header.Get("X-Neuserve-Cache"); got != "hits=1 misses=0" {
 		t.Errorf("worker count moved the cache identity: %q", got)
+	}
+}
+
+// TestIntraCellWorkersClamped: the wire boundary clamps intra_cell_workers
+// to GOMAXPROCS. The count never changes result bytes, so an absurd count
+// answers exactly like a small one, and it cannot start more cold
+// machines than the process has cores.
+func TestIntraCellWorkersClamped(t *testing.T) {
+	req := func(workers string) string {
+		return `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":1,"tile_cap":2,"intra_cell_workers":` + workers + `}}`
+	}
+	_, ts := newTestServer(t, Config{Workers: 2})
+	resp, small := post(t, ts, "/v1/sweep", req("4"))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d: %s", resp.StatusCode, small)
+	}
+	_, ts2 := newTestServer(t, Config{Workers: 2})
+	resp, huge := post(t, ts2, "/v1/sweep", req("1048576"))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d: %s", resp.StatusCode, huge)
+	}
+	if string(small) != string(huge) {
+		t.Errorf("intra_cell_workers 1<<20 answered differently from 4:\n4:     %s\n1<<20: %s", small, huge)
+	}
+	e, err := MergeEffort(&WireEffort{IntraCellWorkers: 1 << 20}, false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, max := NewHarnessCache(1).Get(e).Options().Effort.IntraCellWorkers, runtime.GOMAXPROCS(0); n < 1 || n > max {
+		t.Errorf("harness intra-cell workers = %d, want 1..GOMAXPROCS (%d)", n, max)
 	}
 }

@@ -39,7 +39,7 @@ func FuzzCellHash64(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, ps uint8, model string, batch, ptws, prmb int,
 		pts bool, path uint8, tlb, repeatCap, tileCap int) {
 		p := pointFrom(kind, ps, model, batch, ptws, prmb, pts, path, tlb)
-		eff := Effort{RepeatCap: repeatCap, TileCap: tileCap}
+		eff := exp.Effort{RepeatCap: repeatCap, TileCap: tileCap}
 		h := CellHash64(p, eff)
 		// Determinism: the hash is a pure function of the fields, so an
 		// identically rebuilt point (a coordinator restart, another
@@ -67,16 +67,16 @@ func FuzzCellHash64(f *testing.F) {
 				t.Fatalf("mutating field %d did not change the hash of %+v", i, p)
 			}
 		}
-		if CellHash64(p, Effort{RepeatCap: repeatCap + 1, TileCap: tileCap}) == h ||
-			CellHash64(p, Effort{RepeatCap: repeatCap, TileCap: tileCap + 1}) == h {
+		if CellHash64(p, exp.Effort{RepeatCap: repeatCap + 1, TileCap: tileCap}) == h ||
+			CellHash64(p, exp.Effort{RepeatCap: repeatCap, TileCap: tileCap + 1}) == h {
 			t.Fatalf("effort caps not part of the cell identity for %+v", p)
 		}
 		// Engine semantics must be part of the identity: sampled and
 		// exact-epoched cells may never alias the monolithic-exact cell
 		// (or each other), while the intra-cell worker count — which
 		// cannot change result bytes — must never move the route.
-		sampled := Effort{RepeatCap: repeatCap, TileCap: tileCap, Sampled: true, TargetCI: 0.05}
-		epoched := Effort{RepeatCap: repeatCap, TileCap: tileCap, IntraCellWorkers: 4}
+		sampled := exp.Effort{Mode: exp.EffortSampled, RepeatCap: repeatCap, TileCap: tileCap, TargetCI: 0.05}
+		epoched := exp.Effort{RepeatCap: repeatCap, TileCap: tileCap, IntraCellWorkers: 4}
 		hs, he := CellHash64(p, sampled), CellHash64(p, epoched)
 		if hs == h || he == h || hs == he {
 			t.Fatalf("exact/sampled/epoched efforts alias for %+v", p)
@@ -127,7 +127,7 @@ func TestCellHashCollisionRateAcrossRandomGrids(t *testing.T) {
 			continue
 		}
 		seen[c] = struct{}{}
-		h := CellHash64(c.p, Effort{RepeatCap: c.repeatCap, TileCap: c.tileCap})
+		h := CellHash64(c.p, exp.Effort{RepeatCap: c.repeatCap, TileCap: c.tileCap})
 		if prev, ok := hashes[h]; ok {
 			collisions++
 			t.Logf("collision: %+v and %+v both hash to %#x", prev, c, h)
@@ -144,8 +144,9 @@ func TestCellHashCollisionRateAcrossRandomGrids(t *testing.T) {
 // differing field — including the effort caps — gets its own.
 func TestCellKeyComparable(t *testing.T) {
 	p := exp.Point{Kind: core.NeuMMU, PageSize: vm.Page4K, Model: "CNN-1", Batch: 4}
-	a := cellKey{point: p, repeatCap: 2, tileCap: 6}
-	b := cellKey{point: p, repeatCap: 2, tileCap: 6}
+	caps := exp.Effort{RepeatCap: 2, TileCap: 6}
+	a := cellKey{point: p, effort: caps}
+	b := cellKey{point: p, effort: caps}
 	if a != b {
 		t.Fatal("identical cells produced distinct cache keys")
 	}
@@ -154,8 +155,8 @@ func TestCellKeyComparable(t *testing.T) {
 		t.Fatal("rebuilt key missed the cache slot")
 	}
 	for _, k := range []cellKey{
-		{point: p, repeatCap: 3, tileCap: 6},
-		{point: p, repeatCap: 2, tileCap: 7},
+		{point: p, effort: exp.Effort{RepeatCap: 3, TileCap: 6}},
+		{point: p, effort: exp.Effort{RepeatCap: 2, TileCap: 7}},
 	} {
 		if k == a {
 			t.Fatalf("effort caps not part of the cache identity: %+v", k)
@@ -163,7 +164,7 @@ func TestCellKeyComparable(t *testing.T) {
 	}
 	q := p
 	q.TLBEntries = 4096
-	if (cellKey{point: q, repeatCap: 2, tileCap: 6}) == a {
+	if (cellKey{point: q, effort: caps}) == a {
 		t.Fatal("TLB capacity not part of the cache identity")
 	}
 }

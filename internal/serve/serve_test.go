@@ -315,7 +315,7 @@ func TestHealthzAndFigureList(t *testing.T) {
 // and stays byte-identical on a warm one (hit).
 func TestFigureByteIdenticalColdAndWarm(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	h := exp.New(exp.Options{Quick: true})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
 	var want bytes.Buffer
 	if err := figures.Render(h, &want, "fig8"); err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestSweepDeterministicColdAndWarm(t *testing.T) {
 func TestSweepMatchesSerialReference(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	_, body := post(t, ts, "/v1/sweep", quickSweep)
-	h := exp.New(exp.Options{Quick: true, Workers: 1})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, Workers: 1})
 	rows, err := h.Sweep(exp.Axes{
 		Kinds:  []core.Kind{core.NeuMMU, core.IOMMU},
 		Models: []string{"CNN-1", "RNN-1"}, Batches: []int{4},
@@ -708,7 +708,7 @@ func TestSweepCancelledClientNeverSimulates(t *testing.T) {
 	if err := s.sched.Submit(func() { <-block }); err != nil {
 		t.Fatal(err)
 	}
-	h, points, err := s.expand(SweepRequest{
+	h, points, _, err := s.expand(SweepRequest{
 		Quick: true, Models: []string{"CNN-1", "RNN-1"}, Batches: []int{4},
 		MMUs: []string{"neummu", "iommu"},
 	})
@@ -822,7 +822,7 @@ func TestCellsBadRequests(t *testing.T) {
 // wire conversion unchanged — the coordinator depends on it to route and
 // re-route cells without altering their meaning.
 func TestWirePointRoundTrip(t *testing.T) {
-	h := exp.New(exp.Options{Quick: true})
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
 	points := h.Points(exp.Axes{
 		Kinds:      []core.Kind{core.Oracle, core.IOMMU, core.NeuMMU, core.Custom},
 		PTWs:       []int{8, 128},
@@ -840,7 +840,7 @@ func TestWirePointRoundTrip(t *testing.T) {
 		if rt != p {
 			t.Errorf("round trip changed %+v to %+v", p, rt)
 		}
-		if CellHash64(rt, Effort{RepeatCap: 2, TileCap: 6}) != CellHash64(p, Effort{RepeatCap: 2, TileCap: 6}) {
+		if CellHash64(rt, exp.Effort{RepeatCap: 2, TileCap: 6}) != CellHash64(p, exp.Effort{RepeatCap: 2, TileCap: 6}) {
 			t.Errorf("%s: hash changed across round trip", p.Label())
 		}
 	}

@@ -101,76 +101,47 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Effort identifies a harness configuration: the effort knobs a request
-// may set. Harnesses are memoized per effort so all requests at one effort
-// share plan/snapshot/oracle caches. Requests express it either through
-// the legacy flat quick/repeat_cap/tile_cap fields or the unified effort
-// object (WireEffort); mergeEffort folds both into this one type so the
-// two spellings can never diverge.
-type Effort struct {
-	Quick     bool
-	RepeatCap int
-	TileCap   int
-	// Sampled selects statistical simulation: a seeded, stratified subset
-	// of each cell's epochs, scaled up with confidence intervals.
-	Sampled bool
-	// TargetCI is the sampled-mode relative 95% CI half-width target
-	// (normalized to 0.05 when sampled and unset).
-	TargetCI float64
-	// IntraCellWorkers splits each cell across cores at epoch barriers.
-	// Any value ≥ 1 selects the cold-epoch schedule; the count itself
-	// never changes result bytes (results are identical for every worker
-	// count ≥ 1), so cell keys carry only the epoched-ness bit.
-	IntraCellWorkers int
-}
-
-// HarnessCache memoizes one exp.Harness per effort level: the one place
-// that decides what selects a harness, for both roles.
+// HarnessCache memoizes one exp.Harness per merged effort (MergeEffort's
+// result), so all requests at one effort share plan/snapshot/oracle
+// caches: the one place that decides what selects a harness, for both
+// roles.
 type HarnessCache struct {
 	workers int
 
 	mu sync.Mutex
-	m  map[Effort]*exp.Harness
+	m  map[exp.Effort]*exp.Harness
 }
 
 // NewHarnessCache returns a cache whose harnesses run sweeps on the given
 // worker count (1 = a pure expansion/normalization harness that never
 // simulates in parallel — what a coordinator wants).
 func NewHarnessCache(workers int) *HarnessCache {
-	return &HarnessCache{workers: workers, m: make(map[Effort]*exp.Harness)}
+	return &HarnessCache{workers: workers, m: make(map[exp.Effort]*exp.Harness)}
 }
 
 // Get returns the memoized harness for an effort level, building it on
 // first use.
-func (c *HarnessCache) Get(e Effort) *exp.Harness {
+func (c *HarnessCache) Get(e exp.Effort) *exp.Harness {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.m[e]
 	if !ok {
-		h = exp.New(exp.Options{
-			Quick: e.Quick, RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-			Effort:  e.expEffort(),
-			Workers: c.workers,
-		})
+		h = exp.New(exp.Options{Effort: e, Workers: c.workers})
 		c.m[e] = h
 	}
 	return h
 }
 
 // cellKey content-addresses one simulation cell: the full design Point
-// plus the normalized effort knobs that shape its result. Everything that
+// plus the Identity of the harness's normalized effort. Everything that
 // influences the result is in the key; nothing else is — in particular
 // the intra-cell worker count stays out (results are identical for every
 // count ≥ 1) while the epoched-ness of the schedule goes in (the
 // cold-epoch schedule is a distinct semantics from the serial one, so
 // exact, exact-epoched and sampled cells never alias).
 type cellKey struct {
-	point     exp.Point
-	repeatCap int
-	tileCap   int
-	sampled   bool
-	targetCI  float64
-	epoched   bool
+	point  exp.Point
+	effort exp.Effort
 }
 
 // CellValue is the result of one cell — the scalars the wire rows need
@@ -197,16 +168,12 @@ type CellValue struct {
 // map/list bookkeeping around them.
 const cellEntryCost = 640
 
-// figKey content-addresses one rendered figure body. Like cellKey it
+// figKey content-addresses one rendered figure body: the figure name and
+// the Identity of the harness's normalized effort, so like cellKey it
 // carries the epoched-ness of the engine, never the worker count.
 type figKey struct {
-	name     string
-	quick    bool
-	repeat   int
-	tileCap  int
-	sampled  bool
-	targetCI float64
-	epoched  bool
+	name   string
+	effort exp.Effort
 }
 
 // Server is the HTTP front end. Create with New (or NewWithResolver),
@@ -357,20 +324,20 @@ func (s *Server) handleFigureList(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(out)
 }
 
-// parseEffort reads the effort query parameters shared by the figure
-// endpoint: the legacy quick/repeat_cap/tile_cap trio plus the unified
-// mode/target_ci/intra_cell_workers knobs, folded through the same
-// mergeEffort path the JSON endpoints use so the two surfaces can never
-// diverge on validation or defaults.
-func parseEffort(r *http.Request) (Effort, error) {
-	var e Effort
+// parseEffort reads the figure endpoint's effort query parameters: the
+// effort object's fields (mode, repeat_cap, tile_cap, target_ci,
+// intra_cell_workers) plus the legacy quick flag, folded through the same
+// requestEffort path the JSON endpoints use so the two surfaces can never
+// diverge on validation, defaults or deprecation.
+func parseEffort(r *http.Request) (exp.Effort, bool, error) {
 	q := r.URL.Query()
+	quick := false
 	if v := q.Get("quick"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			return e, fmt.Errorf("bad quick value %q", v)
+			return exp.Effort{}, false, fmt.Errorf("bad quick value %q", v)
 		}
-		e.Quick = b
+		quick = b
 	}
 	var we WireEffort
 	wireSet := false
@@ -381,35 +348,28 @@ func parseEffort(r *http.Request) (Effort, error) {
 	if v := q.Get("target_ci"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return e, fmt.Errorf("bad target_ci value %q", v)
+			return exp.Effort{}, false, fmt.Errorf("bad target_ci value %q", v)
 		}
 		we.TargetCI = f
-		wireSet = true
-	}
-	if v := q.Get("intra_cell_workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return e, fmt.Errorf("bad intra_cell_workers value %q", v)
-		}
-		we.IntraCellWorkers = n
 		wireSet = true
 	}
 	for _, p := range []struct {
 		name string
 		dst  *int
-	}{{"repeat_cap", &e.RepeatCap}, {"tile_cap", &e.TileCap}} {
+	}{{"repeat_cap", &we.RepeatCap}, {"tile_cap", &we.TileCap}, {"intra_cell_workers", &we.IntraCellWorkers}} {
 		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return e, fmt.Errorf("bad %s value %q", p.name, v)
+				return exp.Effort{}, false, fmt.Errorf("bad %s value %q", p.name, v)
 			}
 			*p.dst = n
+			wireSet = true
 		}
 	}
 	if !wireSet {
-		return e, nil
+		return requestEffort(nil, quick, 0, 0)
 	}
-	return MergeEffort(&we, e.Quick, e.RepeatCap, e.TileCap)
+	return requestEffort(&we, quick, 0, 0)
 }
 
 // handleFigure renders one figure. The response body is byte-identical to
@@ -425,18 +385,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			figures.UnknownNameError(name).Error(), traceID)
 		return
 	}
-	e, err := parseEffort(r)
+	e, deprecated, err := parseEffort(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
 		return
 	}
 	h := s.harnesses.Get(e)
-	opts := h.Options()
-	key := figKey{
-		name: name, quick: e.Quick, repeat: opts.RepeatCap, tileCap: opts.TileCap,
-		sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
-		epoched: opts.Effort.Epoched(),
-	}
+	key := figKey{name, h.Options().Effort.Identity()}
 	fl, err := s.figs.Resolve(r.Context(), key, s.sched.Submit,
 		func() ([]byte, error) {
 			s.metrics.figsBuilt.Add(1)
@@ -455,6 +410,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
 		return
+	}
+	if deprecated {
+		w.Header().Set(DeprecationHeader, deprecationNote)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(body)
@@ -487,15 +445,9 @@ type SweepRequest struct {
 	TileCap   int  `json:"tile_cap,omitempty"`
 
 	// Effort is the unified effort object. When set, its fields win over
-	// the legacy flat ones (see mergeEffort). A pointer so unset efforts
+	// the legacy flat ones (see MergeEffort). A pointer so unset efforts
 	// marshal to nothing — pre-redesign payload bytes are unchanged.
 	Effort *WireEffort `json:"effort,omitempty"`
-}
-
-// legacyEffortUsed reports whether the request selected effort through
-// the deprecated flat fields.
-func (r SweepRequest) legacyEffortUsed() bool {
-	return r.Quick || r.RepeatCap != 0 || r.TileCap != 0
 }
 
 // CellRow is one NDJSON row of a sweep response (and the whole /v1/sim
@@ -544,18 +496,16 @@ func parseAll[T any](names []string, parse func(string) (T, error)) ([]T, error)
 }
 
 // expand validates the request and turns it into its deterministic point
-// grid plus the harness that will run it.
-func (s *Server) expand(req SweepRequest) (*exp.Harness, []exp.Point, error) {
-	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
+// grid plus the harness that will run it, reporting whether the request
+// used the deprecated effort spelling.
+func (s *Server) expand(req SweepRequest) (*exp.Harness, []exp.Point, bool, error) {
+	e, deprecated, err := requestEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	h := s.harnesses.Get(e)
 	points, err := ExpandSweep(h, req, s.cfg.MaxCellsPerRequest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, points, nil
+	return h, points, deprecated, err
 }
 
 // admit hands a request's points to the role's resolver. An admission
@@ -644,8 +594,11 @@ func setCacheHeader(w http.ResponseWriter, hit bool) {
 
 // setStreamHeaders sets the headers of an NDJSON response (/v1/sweep and
 // /v1/cells) carrying n cells, hits of them answered at admission.
-func setStreamHeaders(w http.ResponseWriter, traceID string, n, hits int) {
+func setStreamHeaders(w http.ResponseWriter, traceID string, n, hits int, deprecated bool) {
 	h := w.Header()
+	if deprecated {
+		h.Set(DeprecationHeader, deprecationNote)
+	}
 	h.Set(trace.Header, traceID)
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Neuserve-Cells", strconv.Itoa(n))
@@ -656,20 +609,21 @@ func setStreamHeaders(w http.ResponseWriter, traceID string, n, hits int) {
 // answering a 400 bad_request envelope itself on failure. traceID is the
 // caller's already-resolved request trace ID (resolving it here would
 // mint a second one).
-func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, traceID string) (req SweepRequest, h *exp.Harness, points []exp.Point, ok bool) {
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, traceID string) (h *exp.Harness, points []exp.Point, deprecated, ok bool) {
+	var req SweepRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	if err != nil {
 		err = fmt.Errorf("bad request body: %w", err)
 	} else {
-		h, points, err = s.expand(req)
+		h, points, deprecated, err = s.expand(req)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
-		return req, nil, nil, false
+		return nil, nil, false, false
 	}
-	return req, h, points, true
+	return h, points, deprecated, true
 }
 
 // handleSweep streams one NDJSON row per cell, in grid order, then a
@@ -679,7 +633,7 @@ func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, traceID str
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	req, h, points, ok := s.decodeSweep(w, r, traceID)
+	h, points, deprecated, ok := s.decodeSweep(w, r, traceID)
 	if !ok {
 		return
 	}
@@ -687,8 +641,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	setStreamHeaders(w, traceID, len(points), hits)
+	setStreamHeaders(w, traceID, len(points), hits, deprecated)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sum := 0.0
@@ -733,7 +686,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
-	req, h, points, ok := s.decodeSweep(w, r, traceID)
+	h, points, deprecated, ok := s.decodeSweep(w, r, traceID)
 	if !ok {
 		return
 	}
@@ -754,7 +707,9 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(trace.Header, traceID)
-	markDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
+	if deprecated {
+		w.Header().Set(DeprecationHeader, deprecationNote)
+	}
 	setCacheHeader(w, hit)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

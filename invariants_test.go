@@ -123,7 +123,7 @@ func TestInvariantEveryFigureStudyAudited(t *testing.T) {
 	var mu sync.Mutex
 	audited := 0
 	var violations []string
-	h := exp.New(exp.Options{Quick: true, OnResult: func(res *npu.Result) {
+	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}, OnResult: func(res *npu.Result) {
 		v := res.Counters.Violations()
 		mu.Lock()
 		audited++

@@ -236,11 +236,12 @@ func SimulateSparseIterations(model string, batch, iterations int, mode GatherMo
 // for the per-figure methods and EXPERIMENTS.md for the index.
 type Harness = exp.Harness
 
-// HarnessOptions tunes harness effort: the unified Effort knob (mode,
-// caps, CI target, intra-cell parallelism — the legacy flat
-// Quick/RepeatCap/TileCap fields remain accepted and are folded in) and
-// Workers, which bounds the sweep engine's cross-cell parallelism
-// (0 = GOMAXPROCS).
+// HarnessOptions tunes a harness: Effort (mode, caps, CI target,
+// intra-cell parallelism; Effort{Mode: EffortQuick} selects the reduced
+// smoke grid), the Models/Batches suite, and Workers, which bounds the
+// sweep engine's cross-cell parallelism (0 = GOMAXPROCS). RepeatCap and
+// TileCap are not inputs: Harness.Options reads the normalized caps out
+// through them.
 type HarnessOptions = exp.Options
 
 // NewHarness returns a figure-regeneration harness.

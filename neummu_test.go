@@ -85,7 +85,7 @@ func TestModelLists(t *testing.T) {
 }
 
 func TestNewHarnessQuick(t *testing.T) {
-	h := NewHarness(HarnessOptions{Quick: true})
+	h := NewHarness(HarnessOptions{Effort: Effort{Mode: EffortQuick}})
 	rows, err := h.Fig6()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSweepFacade(t *testing.T) {
 		PTWs:      []int{8, 128},
 		PRMBSlots: []int{32},
 		Paths:     []PathKind{PathTPreg},
-	}, HarnessOptions{RepeatCap: 1, TileCap: 4, Workers: 0})
+	}, HarnessOptions{Effort: Effort{RepeatCap: 1, TileCap: 4}, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
