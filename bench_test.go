@@ -21,7 +21,7 @@ func quick() *exp.Harness { return exp.New(exp.Options{Effort: exp.Effort{Mode: 
 // one dense workload on the fully configured baseline NPU.
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{TileCap: 6, RepeatCap: 2})
+		res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{Effort: Effort{RepeatCap: 2, TileCap: 6}})
 		if err != nil {
 			b.Fatal(err)
 		}

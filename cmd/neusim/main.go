@@ -9,7 +9,6 @@
 //	neusim -model CNN-3 -batch 8 -mmu custom -ptws 128 -prmb 32 -tpreg
 //	neusim -model TF-2 -batch 1 -mmu iommu -repeat-cap 3
 //	neusim -model CNN-1,RNN-1,TF-1 -batches 1,4,8 -mmu iommu -parallel
-//	neusim -model TF-3 -batch 16 -mmu neummu -intra-cell-workers 8
 //	neusim -model TF-3 -batch 16 -mmu neummu -effort sampled -target-ci 0.05
 //
 // Workloads cover the paper's dense suite (CNN-1..3, RNN-1..3) and the
@@ -23,11 +22,9 @@
 // default; -workers N bounds the pool and -workers 1 gives the serial
 // reference run (the rows are identical at every count, in grid order).
 //
-// The -effort/-target-ci/-intra-cell-workers flags select the unified
-// effort API: -intra-cell-workers N splits each simulation into epochs
-// evaluated in parallel (byte-identical results at every N >= 1), and
-// -effort sampled simulates a seeded statistical subset of epochs and
-// reports a 95% confidence interval alongside the estimate.
+// The -effort/-target-ci flags select the unified effort API: -effort
+// sampled simulates a seeded statistical subset of epochs and reports a
+// 95% confidence interval alongside the estimate.
 package main
 
 import (
@@ -66,7 +63,6 @@ func main() {
 		tileCap   = flag.Int("tile-cap", 0, "cap simulated tiles per layer instance (0 = all)")
 		effort    = flag.String("effort", "", "effort mode: exact, sampled, or quick (sweep mode); empty = exact")
 		targetCI  = flag.Float64("target-ci", 0, "sampled: target relative 95% CI half-width (0 = default 0.05)")
-		intraWork = flag.Int("intra-cell-workers", 0, "epoch-parallel workers inside each cell (0 = off; result bytes are identical at every count >= 1)")
 		useSpat   = flag.Bool("spatial", false, "use the spatial-array compute model instead of systolic")
 		compare   = flag.Bool("oracle-baseline", true, "also run the oracle and report normalized performance")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of text")
@@ -92,7 +88,7 @@ func main() {
 
 	// The effort flags assemble the same unified exp.Effort the library and
 	// service APIs take; validating here gives flag-shaped errors up front.
-	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI, IntraCellWorkers: *intraWork}
+	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI}
 	if err := eff.Validate(); err != nil {
 		fail(err)
 	}
@@ -391,9 +387,8 @@ func buildConfig(mmuKind, pages string, ptws, prmb int, tpreg bool,
 		RepeatCap: repeatCap,
 		TileCap:   tileCap,
 
-		IntraCellWorkers: eff.IntraCellWorkers,
-		Sampled:          eff.Sampled(),
-		SampleTargetCI:   eff.TargetCI,
+		Sampled:        eff.Sampled(),
+		SampleTargetCI: eff.TargetCI,
 	}
 	if useSpatial {
 		cfg.Compute = spatial.Baseline()

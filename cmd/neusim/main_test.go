@@ -82,15 +82,15 @@ func TestEffortModes(t *testing.T) {
 	// The unified effort knobs thread through both entry points: sweep mode
 	// via exp.Options, single-run mode via npu.Config directly.
 	if err := runSweep([]string{"CNN-1"}, []int{1}, "neummu", "4KB",
-		32, 8, true, 2048, 1, 2, 0, exp.Effort{IntraCellWorkers: 2}, false, true, false); err != nil {
-		t.Fatalf("epoch-parallel sweep: %v", err)
+		32, 8, true, 2048, 1, 2, 0, exp.Effort{Mode: exp.EffortExact}, false, true, false); err != nil {
+		t.Fatalf("exact sweep: %v", err)
 	}
 	if err := runSweep([]string{"CNN-1"}, []int{1}, "neummu", "4KB",
 		32, 8, true, 2048, 1, 2, 0, exp.Effort{Mode: exp.EffortSampled}, false, true, false); err != nil {
 		t.Fatalf("sampled sweep: %v", err)
 	}
 	if err := run("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2,
-		exp.Effort{Mode: exp.EffortSampled, IntraCellWorkers: 2}, false, true); err != nil {
+		exp.Effort{Mode: exp.EffortSampled}, false, true); err != nil {
 		t.Fatalf("sampled single run: %v", err)
 	}
 }

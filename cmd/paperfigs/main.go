@@ -48,7 +48,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sweep for smoke testing")
 		effort     = flag.String("effort", "", "effort mode: exact, sampled, or quick; empty = exact (-quick is the legacy spelling of quick)")
 		targetCI   = flag.Float64("target-ci", 0, "sampled: target relative 95% CI half-width (0 = default 0.05)")
-		intraWork  = flag.Int("intra-cell-workers", 0, "epoch-parallel workers inside each simulation (0 = off; output is byte-identical at every count >= 1)")
 		parallel   = flag.Bool("parallel", false, "fan sweeps out over all CPUs (the default; kept for explicitness)")
 		workers    = flag.Int("workers", 0, "exact simulation-worker count (0 = all CPUs, 1 = serial reference)")
 		clusterURL = flag.String("cluster", "", "delegate sweep evaluation to a neuserve cluster coordinator at this base URL (remote-safe figures only)")
@@ -86,7 +85,7 @@ func main() {
 	// The effort flags assemble the same exp.Effort the library and
 	// service APIs take; -quick is the legacy spelling of -effort quick,
 	// so it cannot be combined with another mode.
-	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI, IntraCellWorkers: *intraWork}
+	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI}
 	if *quick {
 		if eff.Mode != "" && eff.Mode != exp.EffortQuick {
 			fail(fmt.Errorf("-quick conflicts with -effort %s", eff.Mode))

@@ -19,7 +19,7 @@ import (
 func main() {
 	fmt.Println("--- dense workload (CNN-1, batch 4): large pages help ---")
 	fmt.Printf("%-10s %-8s %12s\n", "pages", "mmu", "norm perf")
-	opts := neummu.Options{RepeatCap: 3}
+	opts := neummu.Options{Effort: neummu.Effort{RepeatCap: 3}}
 	for _, ps := range []neummu.PageSize{neummu.Page4K, neummu.Page2M} {
 		o := opts
 		o.PageSize = ps

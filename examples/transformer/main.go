@@ -21,10 +21,10 @@ import (
 )
 
 func main() {
-	// RepeatCap/TileCap keep this demo to seconds; ratios are unaffected
+	// The effort caps keep this demo to seconds; ratios are unaffected
 	// because every row is normalized against an oracle run of the same
 	// truncated schedule.
-	opts := neummu.Options{RepeatCap: 2, TileCap: 8}
+	opts := neummu.Options{Effort: neummu.Effort{RepeatCap: 2, TileCap: 8}}
 
 	fmt.Printf("%-8s %-22s %14s %12s\n", "model", "MMU", "cycles", "norm. perf")
 	for _, model := range []string{"TF-1", "TF-2"} {

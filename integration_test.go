@@ -16,7 +16,7 @@ import (
 // (workload planning → DMA → MMU → memory → results). Unit tests live in
 // each internal package; these check the composed system.
 
-func integOpts() Options { return Options{TileCap: 8, RepeatCap: 2} }
+func integOpts() Options { return Options{Effort: Effort{RepeatCap: 2, TileCap: 8}} }
 
 // TestEveryModelEveryMMUCompletes is the broad smoke matrix: all six
 // dense models under all three canonical MMUs at two batch sizes.
@@ -198,11 +198,11 @@ func TestSparseIterationsFacade(t *testing.T) {
 // TestCrossPageSizeConsistency: the same workload moves the same bytes
 // regardless of page size; only translation structure changes.
 func TestCrossPageSizeConsistency(t *testing.T) {
-	o4, err := Simulate("CNN-1", 1, OracleMMU, Options{TileCap: 4, PageSize: Page4K})
+	o4, err := Simulate("CNN-1", 1, OracleMMU, Options{Effort: Effort{TileCap: 4}, PageSize: Page4K})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := Simulate("CNN-1", 1, OracleMMU, Options{TileCap: 4, PageSize: Page2M})
+	o2, err := Simulate("CNN-1", 1, OracleMMU, Options{Effort: Effort{TileCap: 4}, PageSize: Page2M})
 	if err != nil {
 		t.Fatal(err)
 	}

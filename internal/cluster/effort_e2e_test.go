@@ -8,30 +8,28 @@ import (
 	"neummu/internal/serve"
 )
 
-// an epoch-parallel quick-sized sweep: exact mode, so the fleet must
-// reproduce the single process bit for bit.
-const epochedSweep = `{"models":["CNN-1","RNN-1"],"batches":[1,4],"mmus":["neummu","iommu"],"effort":{"repeat_cap":1,"tile_cap":2,"intra_cell_workers":4}}`
-
-// TestClusterEpochedByteIdenticalToSingleProcess extends the cluster's
-// core byte-identity guarantee to the epoch-parallel engine: an
-// exact-mode sweep with intra_cell_workers set returns the same bytes
-// from a 3-worker fleet as from one process, and the worker count is
-// free to differ between the two (it is not part of any cell identity).
+// TestClusterEpochedByteIdenticalToSingleProcess: intra_cell_workers,
+// which once selected an epoch-parallel schedule, is accepted and
+// ignored. A 3-worker fleet sweep that sets it returns the bytes of the
+// single-process exact sweep without it, with the deprecation header,
+// at any count.
 func TestClusterEpochedByteIdenticalToSingleProcess(t *testing.T) {
-	ref := referenceBody(t, epochedSweep)
+	const exact = `{"models":["CNN-1","RNN-1"],"batches":[1,4],"mmus":["neummu","iommu"],"effort":{"repeat_cap":1,"tile_cap":2}}`
+	ref := referenceBody(t, exact)
 	w1, w2, w3 := newWorker(t, nil), newWorker(t, nil), newWorker(t, nil)
 	_, ts := newCoordinator(t, Config{Workers: []string{w1.ts.URL, w2.ts.URL, w3.ts.URL}})
-	resp, got := post(t, ts.URL, "/v1/sweep", epochedSweep)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d: %s", resp.StatusCode, got)
-	}
-	if string(got) != string(ref) {
-		t.Errorf("cluster epoched sweep differs from single process:\ncluster: %s\nsingle:  %s", got, ref)
-	}
-	// A different intra-cell worker count changes nothing: same bytes.
-	other := strings.Replace(epochedSweep, `"intra_cell_workers":4`, `"intra_cell_workers":2`, 1)
-	if _, got2 := post(t, ts.URL, "/v1/sweep", other); string(got2) != string(ref) {
-		t.Error("intra-cell worker count changed cluster sweep bytes")
+	for _, n := range []string{"4", "2"} {
+		body := strings.Replace(exact, `"tile_cap":2`, `"tile_cap":2,"intra_cell_workers":`+n, 1)
+		resp, got := post(t, ts.URL, "/v1/sweep", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("intra_cell_workers %s: status = %d: %s", n, resp.StatusCode, got)
+		}
+		if string(got) != string(ref) {
+			t.Errorf("intra_cell_workers %s: cluster sweep differs from the single-process exact sweep:\ncluster: %s\nsingle:  %s", n, got, ref)
+		}
+		if resp.Header.Get(serve.DeprecationHeader) == "" {
+			t.Errorf("intra_cell_workers %s: no %s header", n, serve.DeprecationHeader)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func TestNoDeadlockProperty(t *testing.T) {
 		issue = func(now sim.Cycle) {
 			for issued < want && !m.Stalled() {
 				va := vm.VirtAddr(rng.Intn(pages))<<12 + vm.VirtAddr(rng.Intn(4096))
-				m.Translate(va, func(vm.Entry, sim.Cycle) { done++ })
+				translate(m, va, func(vm.Entry, sim.Cycle) { done++ })
 				issued++
 				// Give the TLB probe a chance to land so stalls surface.
 				q.RunUntil(q.Now() + 1)
@@ -110,7 +110,7 @@ func TestFaultStormLiveness(t *testing.T) {
 	issue = func(now sim.Cycle) {
 		for issued < want && !m.Stalled() {
 			va := vm.VirtAddr(rng.Intn(64)) << 12
-			m.Translate(va, func(vm.Entry, sim.Cycle) { done++ })
+			translate(m, va, func(vm.Entry, sim.Cycle) { done++ })
 			issued++
 			q.RunUntil(q.Now() + 1)
 		}

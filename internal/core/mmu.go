@@ -254,24 +254,14 @@ func (m *MMU) InvalidateTLB(va vm.VirtAddr) {
 // must not issue new translations until OnUnblocked fires.
 func (m *MMU) Stalled() bool { return m.stalled }
 
-// Translate requests the VA→PA translation for va; done fires when the
-// physical entry is available. The entry's frame is the page base — the
-// caller applies the page offset. Translate must not be called while
-// Stalled() is true.
-//
-// Each call allocates an adapter closure; per-transaction issuers should
-// use TranslateTag with one persistent TranslateFn instead.
-func (m *MMU) Translate(va vm.VirtAddr, done func(e vm.Entry, now sim.Cycle)) {
-	m.TranslateTag(va, 0, func(e vm.Entry, _ int64, now sim.Cycle) { done(e, now) })
-}
-
-// TranslateTag is the allocation-free translation entry point: done is
-// invoked with the caller's tag, so a single long-lived callback serves
-// any number of concurrent requests. TranslateTag must not be called
-// while Stalled() is true.
+// TranslateTag requests the VA→PA translation for va; done fires with
+// the caller's tag when the physical entry is available, so a single
+// long-lived callback serves any number of concurrent requests. The
+// entry's frame is the page base — the caller applies the page offset.
+// TranslateTag must not be called while Stalled() is true.
 func (m *MMU) TranslateTag(va vm.VirtAddr, tag int64, done TranslateFn) {
 	if m.stalled {
-		panic("core: Translate called while stalled")
+		panic("core: TranslateTag called while stalled")
 	}
 	now := m.q.Now()
 	if m.cfg.Kind == Oracle {

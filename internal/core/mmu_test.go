@@ -28,6 +28,12 @@ func newMMURig(t *testing.T, cfg Config, pages int) *mmuRig {
 	return r
 }
 
+// translate issues one translation through TranslateTag, adapting the
+// tag-carrying callback to done.
+func translate(m *MMU, va vm.VirtAddr, done func(e vm.Entry, now sim.Cycle)) {
+	m.TranslateTag(va, 0, func(e vm.Entry, _ int64, now sim.Cycle) { done(e, now) })
+}
+
 func (r *mmuRig) page(i int) vm.VirtAddr {
 	return rigBase + vm.VirtAddr(i)*vm.VirtAddr(vm.Page4K.Bytes())
 }
@@ -36,7 +42,7 @@ func TestOracleResolvesInstantly(t *testing.T) {
 	r := newMMURig(t, Config{Kind: Oracle, PageSize: vm.Page4K}, 2)
 	var got vm.Entry
 	var at sim.Cycle = -1
-	r.mmu.Translate(r.page(1), func(e vm.Entry, now sim.Cycle) { got, at = e, now })
+	translate(r.mmu, r.page(1), func(e vm.Entry, now sim.Cycle) { got, at = e, now })
 	if at != 0 {
 		t.Fatalf("oracle completion at %d, want immediate (cycle 0)", at)
 	}
@@ -53,13 +59,13 @@ func TestTLBHitLatency(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 2)
 	// Cold miss walks (5 probe + 400 walk); second access hits in 5.
 	var first, second sim.Cycle
-	r.mmu.Translate(r.page(0), func(_ vm.Entry, now sim.Cycle) { first = now })
+	translate(r.mmu, r.page(0), func(_ vm.Entry, now sim.Cycle) { first = now })
 	r.q.Run()
 	if first != 405 {
 		t.Fatalf("cold translation at %d, want 405 (5 TLB + 4×100 walk)", first)
 	}
 	start := r.q.Now()
-	r.mmu.Translate(r.page(0), func(_ vm.Entry, now sim.Cycle) { second = now })
+	translate(r.mmu, r.page(0), func(_ vm.Entry, now sim.Cycle) { second = now })
 	r.q.Run()
 	if second-start != 5 {
 		t.Fatalf("warm translation took %d, want 5", second-start)
@@ -72,12 +78,12 @@ func TestTLBHitLatency(t *testing.T) {
 
 func TestTPregAcceleratesSecondWalk(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 2)
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	var at sim.Cycle
 	start := r.q.Now()
 	// Adjacent page: TLB miss, but TPreg holds the upper path → 1 level.
-	r.mmu.Translate(r.page(1), func(_ vm.Entry, now sim.Cycle) { at = now })
+	translate(r.mmu, r.page(1), func(_ vm.Entry, now sim.Cycle) { at = now })
 	r.q.Run()
 	if at-start != 105 {
 		t.Fatalf("TPreg walk took %d, want 105 (5 TLB + 1×100)", at-start)
@@ -102,7 +108,7 @@ func TestBackPressureAndUnblock(t *testing.T) {
 		if r.mmu.Stalled() {
 			break
 		}
-		r.mmu.Translate(r.page(i), func(vm.Entry, sim.Cycle) { done++ })
+		translate(r.mmu, r.page(i), func(vm.Entry, sim.Cycle) { done++ })
 		issued++
 		// Let the TLB probes land so misses reach the pool.
 		r.q.RunUntil(r.q.Now() + 5)
@@ -138,7 +144,7 @@ func TestTranslateWhileStalledPanics(t *testing.T) {
 	}
 	r := newMMURig(t, cfg, 4)
 	for i := 0; i < 3 && !r.mmu.Stalled(); i++ {
-		r.mmu.Translate(r.page(i), func(vm.Entry, sim.Cycle) {})
+		translate(r.mmu, r.page(i), func(vm.Entry, sim.Cycle) {})
 		r.q.RunUntil(r.q.Now() + 5)
 	}
 	if !r.mmu.Stalled() {
@@ -149,7 +155,7 @@ func TestTranslateWhileStalledPanics(t *testing.T) {
 			t.Fatal("Translate while stalled must panic")
 		}
 	}()
-	r.mmu.Translate(r.page(3), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(3), func(vm.Entry, sim.Cycle) {})
 }
 
 func TestFaultHandlerResolvesAndRetries(t *testing.T) {
@@ -172,7 +178,7 @@ func TestFaultHandlerResolvesAndRetries(t *testing.T) {
 	}
 	var got vm.Entry
 	var at sim.Cycle
-	r.mmu.Translate(va, func(e vm.Entry, now sim.Cycle) { got, at = e, now })
+	translate(r.mmu, va, func(e vm.Entry, now sim.Cycle) { got, at = e, now })
 	r.q.Run()
 	if faults != 1 {
 		t.Fatalf("faults = %d", faults)
@@ -198,7 +204,7 @@ func TestOracleFaultsStillSurface(t *testing.T) {
 		resolve()
 	}
 	done := false
-	r.mmu.Translate(va, func(e vm.Entry, _ sim.Cycle) {
+	translate(r.mmu, va, func(e vm.Entry, _ sim.Cycle) {
 		done = true
 		if e.Frame != 0x3000 {
 			t.Fatalf("frame = %#x", e.Frame)
@@ -217,7 +223,7 @@ func TestInstantCountsLikeTranslate(t *testing.T) {
 	a, b := newMMURig(t, cfg, 2), newMMURig(t, cfg, 2)
 	got, ok := a.mmu.Instant(a.page(1))
 	var want vm.Entry
-	b.mmu.Translate(b.page(1), func(e vm.Entry, _ sim.Cycle) { want = e })
+	translate(b.mmu, b.page(1), func(e vm.Entry, _ sim.Cycle) { want = e })
 	if !ok || got != want || a.mmu.Stats() != b.mmu.Stats() {
 		t.Fatalf("Instant = %+v, %v with stats %+v; Translate gave %+v with %+v",
 			got, ok, a.mmu.Stats(), want, b.mmu.Stats())
@@ -239,7 +245,7 @@ func TestUnhandledFaultPanics(t *testing.T) {
 			t.Fatal("unhandled fault must panic")
 		}
 	}()
-	r.mmu.Translate(rigBase, func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, rigBase, func(vm.Entry, sim.Cycle) {})
 }
 
 // A probe event with no probe in the ring can only come from a mis-wired
@@ -257,10 +263,10 @@ func TestProbeEventWithoutProbePanics(t *testing.T) {
 
 func TestInvalidateTLBForcesRewalk(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 1)
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	r.mmu.InvalidateTLB(r.page(0))
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	if r.mmu.Stats().TLBMisses != 2 {
 		t.Fatalf("misses = %d, want 2 after invalidation", r.mmu.Stats().TLBMisses)
@@ -295,7 +301,7 @@ func TestIOMMURedundantWalksVisible(t *testing.T) {
 	// Burst of same-page misses on the baseline: every one walks.
 	r := newMMURig(t, ConfigFor(IOMMU, vm.Page4K), 1)
 	for i := 0; i < 4; i++ {
-		r.mmu.Translate(r.page(0)+vm.VirtAddr(i*64), func(vm.Entry, sim.Cycle) {})
+		translate(r.mmu, r.page(0)+vm.VirtAddr(i*64), func(vm.Entry, sim.Cycle) {})
 	}
 	r.q.Run()
 	ws := r.mmu.WalkerStats()
@@ -305,7 +311,7 @@ func TestIOMMURedundantWalksVisible(t *testing.T) {
 	// NeuMMU merges the same burst into one walk.
 	r2 := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 1)
 	for i := 0; i < 4; i++ {
-		r2.mmu.Translate(r2.page(0)+vm.VirtAddr(i*64), func(vm.Entry, sim.Cycle) {})
+		translate(r2.mmu, r2.page(0)+vm.VirtAddr(i*64), func(vm.Entry, sim.Cycle) {})
 	}
 	r2.q.Run()
 	ws2 := r2.mmu.WalkerStats()
@@ -317,7 +323,7 @@ func TestIOMMURedundantWalksVisible(t *testing.T) {
 func TestLatencyDistributionRecorded(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 4)
 	for i := 0; i < 4; i++ {
-		r.mmu.Translate(r.page(i), func(vm.Entry, sim.Cycle) {})
+		translate(r.mmu, r.page(i), func(vm.Entry, sim.Cycle) {})
 		r.q.Run()
 	}
 	lat := r.mmu.Stats().Latency

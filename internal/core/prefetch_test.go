@@ -15,7 +15,7 @@ func prefetchCfg() Config {
 
 func TestPrefetchFillsNextPage(t *testing.T) {
 	r := newMMURig(t, prefetchCfg(), 4)
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	if r.mmu.Stats().Prefetches == 0 {
 		t.Fatal("no prefetch issued after a demand walk")
@@ -23,7 +23,7 @@ func TestPrefetchFillsNextPage(t *testing.T) {
 	// The next page's translation should now hit in the TLB.
 	start := r.q.Now()
 	var at sim.Cycle
-	r.mmu.Translate(r.page(1), func(_ vm.Entry, now sim.Cycle) { at = now })
+	translate(r.mmu, r.page(1), func(_ vm.Entry, now sim.Cycle) { at = now })
 	r.q.Run()
 	if at-start != 5 {
 		t.Fatalf("prefetched page took %d cycles, want a 5-cycle TLB hit", at-start)
@@ -35,7 +35,7 @@ func TestPrefetchCascadeIsBounded(t *testing.T) {
 	// demand walk chain; with 4 mapped pages the chain must stop at the
 	// region edge (faulting prefetches are dropped silently).
 	r := newMMURig(t, prefetchCfg(), 4)
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	s := r.mmu.Stats()
 	if s.Faults != 0 {
@@ -49,11 +49,11 @@ func TestPrefetchCascadeIsBounded(t *testing.T) {
 func TestPrefetchSkipsCachedPages(t *testing.T) {
 	r := newMMURig(t, prefetchCfg(), 4)
 	// Warm pages 0 and 1.
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	before := r.mmu.Stats().Prefetches
 	// Page 1 now hits in the TLB; a hit issues no walk and no prefetch.
-	r.mmu.Translate(r.page(1), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(1), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	if got := r.mmu.Stats().Prefetches; got != before {
 		t.Fatalf("TLB hit issued %d extra prefetches", got-before)
@@ -62,7 +62,7 @@ func TestPrefetchSkipsCachedPages(t *testing.T) {
 
 func TestPrefetchDisabledByDefault(t *testing.T) {
 	r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 4)
-	r.mmu.Translate(r.page(0), func(vm.Entry, sim.Cycle) {})
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
 	r.q.Run()
 	if r.mmu.Stats().Prefetches != 0 {
 		t.Fatal("prefetches issued without PrefetchNext")
@@ -80,7 +80,7 @@ func TestPrefetchNeverBlocksDemandTraffic(t *testing.T) {
 		if r.mmu.Stalled() {
 			r.q.Run()
 		}
-		r.mmu.Translate(r.page(2*i), func(vm.Entry, sim.Cycle) { done++ })
+		translate(r.mmu, r.page(2*i), func(vm.Entry, sim.Cycle) { done++ })
 		r.q.Run()
 	}
 	if done != 4 {

@@ -3,7 +3,7 @@ package exp
 import "fmt"
 
 // Effort modes. The zero value ("") means exact: full simulation of the
-// (possibly cap-truncated) schedule on the engine the other knobs pick.
+// (possibly cap-truncated) schedule on one machine, in order.
 const (
 	// EffortExact fully simulates every cell.
 	EffortExact = "exact"
@@ -31,12 +31,6 @@ type Effort struct {
 	// TargetCI is the requested relative 95% CI half-width for sampled
 	// mode (0 = 0.05); it sizes the sampling fraction.
 	TargetCI float64
-	// IntraCellWorkers, when positive, splits every single-cell
-	// simulation across that many cores at epoch barriers. Results are
-	// byte-identical for every worker count ≥ 1, but the cold-epoch
-	// schedule is a distinct semantics from the serial one and is keyed
-	// separately in every cache/store tier.
-	IntraCellWorkers int
 }
 
 // Sampled reports whether the effort selects statistical simulation.
@@ -45,25 +39,13 @@ func (e Effort) Sampled() bool { return e.Mode == EffortSampled }
 // Quick reports whether the effort selects the shrunken smoke grid.
 func (e Effort) Quick() bool { return e.Mode == EffortQuick }
 
-// Epoched reports whether cells run on the cold-epoch schedule —
-// the property that must be keyed, as opposed to the worker count,
-// which only trades wall-clock time.
-func (e Effort) Epoched() bool { return e.IntraCellWorkers > 0 || e.Sampled() }
-
 // Identity is the effort's canonical identity: everything that can change
-// a result's bytes and nothing else. It keeps the mode (with "exact"
-// spelled as the zero value), the caps and TargetCI, and reduces
-// IntraCellWorkers to the epoched bit — 1 for the cold-epoch schedule, 0
-// for the serial one — since the worker count only trades wall-clock
-// time. Cell keys, figure keys and CellHash64 are all built from it.
+// a result's bytes and nothing else — the mode (with "exact" spelled as
+// the zero value), the caps and TargetCI. Cell keys, figure keys and
+// CellHash64 are all built from it.
 func (e Effort) Identity() Effort {
-	epoched := e.Epoched()
 	if e.Mode == EffortExact {
 		e.Mode = ""
-	}
-	e.IntraCellWorkers = 0
-	if epoched {
-		e.IntraCellWorkers = 1
 	}
 	return e
 }
@@ -79,9 +61,6 @@ func (e Effort) Validate() error {
 	}
 	if e.TargetCI < 0 || e.TargetCI >= 1 {
 		return fmt.Errorf("effort target_ci %g out of range [0, 1)", e.TargetCI)
-	}
-	if e.IntraCellWorkers < 0 {
-		return fmt.Errorf("effort intra_cell_workers %d is negative", e.IntraCellWorkers)
 	}
 	if e.TargetCI > 0 && e.Mode != EffortSampled {
 		return fmt.Errorf("effort target_ci requires mode \"sampled\" (mode is %q)", e.Mode)

@@ -36,8 +36,8 @@ type Options struct {
 	Models []string
 	// Batches lists batch sizes (default 1, 4, 8 as in the paper).
 	Batches []int
-	// Effort is the simulation effort: mode (exact/sampled/quick), caps,
-	// sampling CI target and intra-cell parallelism. Quick mode also
+	// Effort is the simulation effort: mode (exact/sampled/quick), caps
+	// and sampling CI target. Quick mode also
 	// shrinks the default grid: CNN-1 and RNN-1 only, batch 4, caps 2/6.
 	// Zero caps take the mode's defaults (3/0, or 2/6 in quick mode).
 	Effort Effort
@@ -228,14 +228,13 @@ func (h *Harness) translations(model string, batch int, ps vm.PageSize) (*vm.Sna
 
 func (h *Harness) npuConfig(mmu core.Config) npu.Config {
 	return npu.Config{
-		MMU:              mmu,
-		Memory:           memsys.Baseline(),
-		Compute:          systolic.Baseline(),
-		RepeatCap:        h.opts.Effort.RepeatCap,
-		TileCap:          h.opts.Effort.TileCap,
-		IntraCellWorkers: h.opts.Effort.IntraCellWorkers,
-		Sampled:          h.opts.Effort.Sampled(),
-		SampleTargetCI:   h.opts.Effort.TargetCI,
+		MMU:            mmu,
+		Memory:         memsys.Baseline(),
+		Compute:        systolic.Baseline(),
+		RepeatCap:      h.opts.Effort.RepeatCap,
+		TileCap:        h.opts.Effort.TileCap,
+		Sampled:        h.opts.Effort.Sampled(),
+		SampleTargetCI: h.opts.Effort.TargetCI,
 	}
 }
 

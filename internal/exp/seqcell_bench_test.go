@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"runtime"
 	"testing"
 
 	"neummu/internal/core"
@@ -12,68 +11,34 @@ import (
 	"neummu/internal/workloads"
 )
 
-// The headline straggler cell: one 8K-token single-block BERT-base-shaped
-// encoder at batch 1 on the NeuMMU — the largest cell of the seqsweep
-// study and the one that pins a worker core while the rest of a fleet
-// idles. The epoch-parallel engine exists to convert exactly this cell's
-// wall-clock into core-parallelism, so it is the benchmark of record for
-// intra-cell speedup.
+// BenchmarkSeqCell8K times the largest cell of the seqsweep study: one
+// 8K-token single-block BERT-base-shaped encoder at batch 1 on the
+// NeuMMU, on the exact serial schedule. It is the straggler that pins one
+// worker core while the rest of a sweep finishes.
 //
 // Run with
 //
-//	go test ./internal/exp -bench BenchmarkSeqCell8K -benchtime 3x
-//
-// BenchmarkSeqCell8K/epoched-1 is the committed-baseline entry (one
-// intra-cell worker — the engine's serial reference, deterministic at
-// any GOMAXPROCS, which CI pins to 1 for stable numbers).
-// BenchmarkSeqCell8K/epoched-ncpu additionally reports a speedup-vs-1
-// metric on multi-core hosts; at GOMAXPROCS = 1 the two are the same
-// configuration and the metric is omitted.
-func benchSeqCell8K(b *testing.B, workers int) float64 {
+//	go test ./internal/exp -run '^$' -bench BenchmarkSeqCell8K -benchtime 3x
+func BenchmarkSeqCell8K(b *testing.B) {
 	m := workloads.TransformerEncoder("SEQ-8192", 1, 768, 12, 3072, 8192)
 	plan, err := workloads.BuildPlan(m, 1, workloads.DefaultTiles())
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := npu.BuildTranslations(plan, vm.Page4K)
 	cfg := npu.Config{
-		MMU:              core.ConfigFor(core.NeuMMU, vm.Page4K),
-		Memory:           memsys.Baseline(),
-		Compute:          systolic.Baseline(),
-		Translations:     snap,
-		IntraCellWorkers: workers,
+		MMU:          core.ConfigFor(core.NeuMMU, vm.Page4K),
+		Memory:       memsys.Baseline(),
+		Compute:      systolic.Baseline(),
+		Translations: npu.BuildTranslations(plan, vm.Page4K),
 	}
 	b.ResetTimer()
-	var cycles int64
 	for i := 0; i < b.N; i++ {
 		res, err := npu.Run(plan, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = int64(res.Cycles)
-	}
-	b.StopTimer()
-	if cycles == 0 {
-		b.Fatal("simulation returned zero cycles")
-	}
-	return float64(b.Elapsed()) / float64(b.N)
-}
-
-func BenchmarkSeqCell8K(b *testing.B) {
-	var serialNS float64
-	b.Run("epoched-1", func(b *testing.B) {
-		serialNS = benchSeqCell8K(b, 1)
-	})
-	ncpu := runtime.NumCPU()
-	if ncpu < 2 || runtime.GOMAXPROCS(0) < 2 {
-		// One core (or a pinned-GOMAXPROCS gate run): the ncpu variant
-		// could not parallelize, so there is no speedup to measure.
-		return
-	}
-	b.Run("epoched-ncpu", func(b *testing.B) {
-		ns := benchSeqCell8K(b, ncpu)
-		if serialNS > 0 && ns > 0 {
-			b.ReportMetric(serialNS/ns, "speedup-vs-1")
+		if res.Cycles == 0 {
+			b.Fatal("simulation returned zero cycles")
 		}
-	})
+	}
 }

@@ -1,5 +1,5 @@
-// Epochs, the merge recurrence, and the cold-epoch schedules behind
-// Config.IntraCellWorkers and Config.Sampled.
+// Epochs, the merge recurrence, and the cold-epoch machines of sampled
+// mode (Config.Sampled).
 //
 // The planner tags natural barriers in the tile schedule
 // (workloads.Tile.Epoch: one weight/KV block for conv, GEMM and encoder
@@ -8,13 +8,13 @@
 // the capped schedule between two barriers. Every mode runs epochs on
 // the machine of npu.go:
 //
-//   - The serial schedule (exact runs, and every run with observers)
-//     runs all epochs in order on one machine, so MMU, TLB, path-cache,
-//     memory and double-buffer state carry from each epoch to the next.
-//   - The cold-epoch schedule (IntraCellWorkers ≥ 1) runs each epoch on
-//     a fresh machine seeded from the shared frozen translation
-//     snapshot, up to IntraCellWorkers epochs at a time.
-//   - Sampled runs simulate a seeded subset of the epochs the same way.
+//   - Exact runs (the default, and every run with observers) take the
+//     serial schedule: all epochs in order on one machine, so MMU, TLB,
+//     path-cache, memory and double-buffer state carry from each epoch
+//     to the next.
+//   - Sampled runs simulate a seeded subset of the epochs, each on a
+//     cold machine seeded from the shared frozen translation snapshot,
+//     one after another (runCold). Cold epochs exist only here.
 //
 // Each machine records its tiles' memory-phase and compute-phase
 // durations, and assembly merges them by replaying the paper's
@@ -28,12 +28,10 @@
 // because its DMA serializes memory phases and its queue is idle between
 // tiles, so the recurrence over its own durations reproduces its
 // event-driven end and its last memory-phase end (TestMergeLaw checks
-// both). The merge is pure arithmetic in schedule order, and a cold epoch
-// does not depend on how many others run beside it, so cold-epoch results
-// are byte-identical for every IntraCellWorkers ≥ 1. They differ from the
-// serial schedule only because each cold epoch starts with empty TLBs and
-// path caches; serve and cluster fold the choice into the cell key so the
-// two schedules never alias.
+// both). The merge is pure arithmetic in schedule order. Merged cold
+// epochs differ from the serial schedule only because each cold epoch
+// starts with empty TLBs and path caches, which is why sampled cells
+// carry their own cell key in serve and cluster.
 //
 // Sampled mode rides on the same partition: epochs are the sampling
 // population, stratified per layer, drawn by a seeded deterministic RNG
@@ -229,20 +227,18 @@ func assemble(plan *workloads.Plan, cfg Config, runs []*epochRun) *Result {
 	return sum.result(plan, cfg, cycles)
 }
 
-// runCold simulates each epoch on its own cold machine, up to
-// cfg.IntraCellWorkers at a time, and returns the runs in eps' order.
+// runCold simulates each epoch on its own cold machine, one after
+// another, and returns the runs in eps' order.
 func runCold(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch) ([]*epochRun, error) {
 	runs := make([]*epochRun, len(eps))
-	pool := sim.NewWorkerPool(max(cfg.IntraCellWorkers, 1))
-	err := pool.Do(len(eps), func(i int) error {
+	for i, ep := range eps {
 		m := newMachine(plan, cfg, snap)
-		if err := m.run(eps[i]); err != nil {
-			return err
+		if err := m.run(ep); err != nil {
+			return nil, err
 		}
 		runs[i] = m.finish()
-		return nil
-	})
-	return runs, err
+	}
+	return runs, nil
 }
 
 // addSources folds b's component stats into a, field-wise.

@@ -13,14 +13,13 @@ import (
 	"neummu/internal/workloads"
 )
 
-func epochTestConfig(kind core.Kind, workers int) Config {
+func epochTestConfig(kind core.Kind) Config {
 	return Config{
-		MMU:              core.Config{Kind: kind, PageSize: vm.Page4K},
-		Memory:           memsys.Baseline(),
-		Compute:          systolic.Baseline(),
-		RepeatCap:        2,
-		TileCap:          8,
-		IntraCellWorkers: workers,
+		MMU:       core.Config{Kind: kind, PageSize: vm.Page4K},
+		Memory:    memsys.Baseline(),
+		Compute:   systolic.Baseline(),
+		RepeatCap: 2,
+		TileCap:   8,
 	}
 }
 
@@ -33,42 +32,33 @@ func mustRunModel(t *testing.T, m workloads.Model, batch int, cfg Config) *Resul
 	return res
 }
 
-// TestEpochedDeterministicAcrossWorkerCounts: the epoch engine's merged
-// result must be identical for every worker count — the determinism
-// contract that lets intra_cell_workers stay out of the cell key.
-func TestEpochedDeterministicAcrossWorkerCounts(t *testing.T) {
-	models := []workloads.Model{
-		workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 512),
-		workloads.DenseSuite()[0],
+// runAllCold plans the model and runs every epoch on its own cold
+// machine, merged with assemble: the machinery sampled mode runs on its
+// subset, here over the whole population, so its totals and timeline can
+// be pinned exactly.
+func runAllCold(t *testing.T, m workloads.Model, batch int, cfg Config) *Result {
+	t.Helper()
+	plan, err := workloads.BuildPlan(m, batch, workloads.DefaultTiles())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range models {
-		ref := mustRunModel(t, m, 2, epochTestConfig(core.NeuMMU, 1))
-		if ref.Tiles == 0 || ref.Cycles == 0 {
-			t.Fatalf("%s: degenerate reference result %+v", m.Name, ref)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			got := mustRunModel(t, m, 2, epochTestConfig(core.NeuMMU, workers))
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: result differs between 1 and %d intra-cell workers", m.Name, workers)
-			}
-		}
+	snap := BuildTranslations(plan, cfg.MMU.PageSize)
+	runs, err := runCold(plan, cfg, snap, buildEpochs(plan, cfg.RepeatCap, cfg.TileCap))
+	if err != nil {
+		t.Fatalf("runCold(%s): %v", m.Name, err)
 	}
+	return assemble(plan, cfg, runs)
 }
 
-// TestEpochedMatchesMonolithicTotals: the epoch engine is a distinct
+// TestEpochedMatchesMonolithicTotals: merged cold epochs are a distinct
 // schedule semantics (cold per-epoch MMU state), but conserved
 // quantities that do not depend on cross-epoch cache state — tiles,
-// fetched bytes, DMA traffic — must agree exactly with the monolithic
-// engine, and its counter bundle must stay law-abiding.
+// fetched bytes, DMA traffic — must agree exactly with the serial
+// schedule, and the merged counter bundle must stay law-abiding.
 func TestEpochedMatchesMonolithicTotals(t *testing.T) {
 	m := workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 512)
-	mono := mustRunModel(t, m, 2, Config{
-		MMU:       core.Config{Kind: core.NeuMMU, PageSize: vm.Page4K},
-		Memory:    memsys.Baseline(),
-		Compute:   systolic.Baseline(),
-		RepeatCap: 2, TileCap: 8,
-	})
-	epoched := mustRunModel(t, m, 2, epochTestConfig(core.NeuMMU, 4))
+	mono := mustRunModel(t, m, 2, epochTestConfig(core.NeuMMU))
+	epoched := runAllCold(t, m, 2, epochTestConfig(core.NeuMMU))
 	if mono.Tiles != epoched.Tiles {
 		t.Errorf("tiles: monolithic %d, epoched %d", mono.Tiles, epoched.Tiles)
 	}
@@ -136,7 +126,7 @@ func TestEpochBuildCoversSchedule(t *testing.T) {
 // subset and produce the identical result.
 func TestSampledSeededDeterminism(t *testing.T) {
 	m := workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 2048)
-	cfg := epochTestConfig(core.NeuMMU, 2)
+	cfg := epochTestConfig(core.NeuMMU)
 	cfg.Sampled = true
 	cfg.SampleTargetCI = 0.05
 	a := mustRunModel(t, m, 1, cfg)
@@ -154,11 +144,12 @@ func TestSampledSeededDeterminism(t *testing.T) {
 
 // TestSampledEstimatesTrackExact: on a model whose epochs are
 // homogeneous enough, the sampled cycle estimate must land within a
-// loose factor of the exact epoched result, and the CI must be reported.
+// loose factor of the same epochs all run cold, and the CI must be
+// reported.
 func TestSampledEstimatesTrackExact(t *testing.T) {
 	m := workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 2048)
-	exact := mustRunModel(t, m, 1, epochTestConfig(core.NeuMMU, 2))
-	cfg := epochTestConfig(core.NeuMMU, 2)
+	exact := runAllCold(t, m, 1, epochTestConfig(core.NeuMMU))
+	cfg := epochTestConfig(core.NeuMMU)
 	cfg.Sampled = true
 	est := mustRunModel(t, m, 1, cfg)
 	lo, hi := float64(exact.Cycles)*0.5, float64(exact.Cycles)*2
@@ -178,7 +169,7 @@ func TestSampledBundleLawAbiding(t *testing.T) {
 		workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 512))
 	for _, m := range models {
 		for _, kind := range []core.Kind{core.Oracle, core.IOMMU, core.NeuMMU} {
-			cfg := epochTestConfig(kind, 1)
+			cfg := epochTestConfig(kind)
 			cfg.Sampled = true
 			res := mustRunModel(t, m, 2, cfg)
 			if v := res.Counters.Violations(); v != nil {
@@ -193,7 +184,7 @@ func TestSampledBundleLawAbiding(t *testing.T) {
 func TestSampledSharesSampleWithOracle(t *testing.T) {
 	m := workloads.TransformerEncoder("TF-TEST", 1, 256, 4, 1024, 2048)
 	mk := func(kind core.Kind) *Result {
-		cfg := epochTestConfig(kind, 1)
+		cfg := epochTestConfig(kind)
 		cfg.Sampled = true
 		return mustRunModel(t, m, 1, cfg)
 	}
@@ -209,17 +200,15 @@ func TestSampledSharesSampleWithOracle(t *testing.T) {
 }
 
 // TestObserversForceMonolithic: observer-carrying configs must take the
-// serial schedule on one machine even when intra-cell workers are
-// requested — the observer contract is a single global timeline — and
+// serial schedule on one machine even when sampled mode is requested —
+// the observer contract is a single global timeline — and
 // attaching every observer must not perturb that machine: the result
 // equals the unobserved exact run in every field but Timeline.
 func TestObserversForceMonolithic(t *testing.T) {
 	m := workloads.DenseSuite()[0]
-	cfg := epochTestConfig(core.NeuMMU, 4)
-	exact := mustRunModel(t, m, 2, Config{
-		MMU: cfg.MMU, Memory: cfg.Memory, Compute: cfg.Compute,
-		RepeatCap: cfg.RepeatCap, TileCap: cfg.TileCap,
-	})
+	exact := mustRunModel(t, m, 2, epochTestConfig(core.NeuMMU))
+	cfg := epochTestConfig(core.NeuMMU)
+	cfg.Sampled = true
 	plan, err := workloads.BuildPlan(m, 2, workloads.DefaultTiles())
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +245,7 @@ func TestObserversForceMonolithic(t *testing.T) {
 // cold state alone.
 func TestMergeLaw(t *testing.T) {
 	for _, c := range goldenGrid() {
-		if c.intraCellWorkers != 0 {
+		if c.cold {
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {

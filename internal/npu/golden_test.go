@@ -22,8 +22,11 @@ import (
 // The golden cycle table pins the absolute simulated results of a fixed
 // grid of cells: {CNN-1 b1, RNN-1 b4, TF-2 b1} × {oracle, iommu, neummu,
 // custom 32 PTWs × 32 PRMB slots, custom 8 PTWs × 2 PRMB slots} × {4KB,
-// 2MB}, on the monolithic engine and on the epoch engine, plus full-schedule TF-2 anchors and NUMA
-// gathers that route through dma.Engine.Router. A change to the host-side
+// 2MB}, on the serial schedule (the workers0 rows) and as cold epochs
+// merged by assemble (the workers1 rows, named for the retired
+// intra-cell worker count: the machinery sampled mode runs its subset
+// on), plus full-schedule TF-2 anchors and NUMA gathers that route
+// through dma.Engine.Router. A change to the host-side
 // mechanics of the simulator (event scheduling, memory booking, buffer
 // reuse) must leave every row unchanged; a deliberate model change
 // re-records the table and says why.
@@ -160,13 +163,13 @@ var goldenNUMA = []goldenRow{
 }
 
 type goldenCell struct {
-	name             string
-	model            string
-	batch            int
-	mmu              string
-	ps               vm.PageSize
-	tileCap          int
-	intraCellWorkers int
+	name    string
+	model   string
+	batch   int
+	mmu     string
+	ps      vm.PageSize
+	tileCap int
+	cold    bool // every epoch on its own cold machine (runAllCold)
 }
 
 func goldenGrid() []goldenCell {
@@ -181,7 +184,7 @@ func goldenGrid() []goldenCell {
 					cells = append(cells, goldenCell{
 						name:  fmt.Sprintf("%s/b%d/%s/%s/workers%d", m.name, m.batch, kind, ps, engine),
 						model: m.name, batch: m.batch, mmu: kind, ps: ps,
-						tileCap: m.tileCap, intraCellWorkers: engine,
+						tileCap: m.tileCap, cold: engine == 1,
 					})
 				}
 			}
@@ -210,15 +213,17 @@ func TestGoldenCycleTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunModel(m, c.batch, Config{
-				MMU:              goldenMMU(c.mmu, c.ps),
-				Memory:           memsys.Baseline(),
-				Compute:          systolic.Baseline(),
-				RepeatCap:        1,
-				TileCap:          c.tileCap,
-				IntraCellWorkers: c.intraCellWorkers,
-			})
-			if err != nil {
+			cfg := Config{
+				MMU:       goldenMMU(c.mmu, c.ps),
+				Memory:    memsys.Baseline(),
+				Compute:   systolic.Baseline(),
+				RepeatCap: 1,
+				TileCap:   c.tileCap,
+			}
+			var res *Result
+			if c.cold {
+				res = runAllCold(t, m, c.batch, cfg)
+			} else if res, err = RunModel(m, c.batch, cfg); err != nil {
 				t.Fatal(err)
 			}
 			got := goldenRow{c.name, res.Cycles, res.MemPhaseCycles, res.StallCycles,

@@ -81,26 +81,15 @@ type Config struct {
 	// Nil builds a private table (runs that fault or remap need one).
 	Translations *vm.Snapshot
 
-	// IntraCellWorkers, when positive, selects the cold-epoch schedule
-	// (see epoch.go): the tile schedule is partitioned at natural
-	// barriers (per weight/KV block for encoders, per decode step for KV
-	// streaming) and each epoch runs on its own cold machine seeded from
-	// the shared frozen translation snapshot, up to IntraCellWorkers
-	// epochs concurrently. The merged result is byte-identical for every
-	// worker count ≥ 1 but is a distinct, explicitly keyed schedule
-	// semantics from the serial schedule on one machine (TLB and
-	// path-cache state does not cross epoch boundaries). Runs carrying
-	// observers (Timeline/TraceVAs/Watch/TileTrace) always take the
-	// serial schedule regardless of this knob.
-	IntraCellWorkers int
 	// Sampled selects statistical simulation: only a seeded subset of
 	// epochs is simulated (stratified per layer) and totals are scaled up
 	// by per-stratum estimators, with a 95% confidence interval reported
-	// in Result.Sampled. Sampled runs imply cold epochs. The sampling
-	// seed derives from model, batch, caps and target CI — deliberately
-	// not the MMU kind, so an oracle normalization run samples exactly
-	// the same epochs as its candidate and the performance ratio stays
-	// paired.
+	// in Result.Sampled. Each sampled epoch runs on its own cold machine
+	// (see epoch.go); runs carrying observers ignore Sampled and take the
+	// exact serial schedule. The sampling seed derives from model, batch,
+	// caps and target CI — deliberately not the MMU kind, so an oracle
+	// normalization run samples exactly the same epochs as its candidate
+	// and the performance ratio stays paired.
 	Sampled bool
 	// SampleTargetCI is the desired relative half-width of the sampled
 	// cycle estimate's 95% CI; it sizes the sampling fraction (0 = 0.05).
@@ -201,16 +190,8 @@ func Run(plan *workloads.Plan, cfg Config) (*Result, error) {
 	if snap == nil {
 		snap = BuildTranslations(plan, cfg.MMU.PageSize)
 	}
-	if (cfg.IntraCellWorkers > 0 || cfg.Sampled) && !cfg.observed() {
-		eps := buildEpochs(plan, cfg.RepeatCap, cfg.TileCap)
-		if cfg.Sampled {
-			return runSampled(plan, cfg, snap, eps)
-		}
-		runs, err := runCold(plan, cfg, snap, eps)
-		if err != nil {
-			return nil, err
-		}
-		return assemble(plan, cfg, runs), nil
+	if cfg.Sampled && !cfg.observed() {
+		return runSampled(plan, cfg, snap, buildEpochs(plan, cfg.RepeatCap, cfg.TileCap))
 	}
 
 	// The serial schedule: every epoch in order on one machine.

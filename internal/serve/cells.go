@@ -149,19 +149,16 @@ type CellsRequest struct {
 // NewCellsRequest builds the /v1/cells payload that evaluates points
 // under a harness's normalized options. The legacy flat fields are
 // always set, so legacy-shaped work keeps its pre-redesign payload
-// bytes; the effort object is added only for the epoch-structured
-// efforts the flat fields cannot express.
+// bytes; the effort object is added only for sampled mode, which the
+// flat fields cannot express.
 func NewCellsRequest(opts exp.Options, points []exp.Point) CellsRequest {
 	e := opts.Effort
 	req := CellsRequest{
 		Points: make([]WirePoint, len(points)),
 		Quick:  e.Quick(), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
 	}
-	if e.Epoched() {
-		req.Effort = &WireEffort{IntraCellWorkers: e.IntraCellWorkers}
-		if e.Sampled() {
-			req.Effort.Mode, req.Effort.TargetCI = exp.EffortSampled, e.TargetCI
-		}
+	if e.Sampled() {
+		req.Effort = &WireEffort{Mode: exp.EffortSampled, TargetCI: e.TargetCI}
 	}
 	for i, p := range points {
 		req.Points[i] = ToWire(p)
@@ -198,19 +195,19 @@ type CellLine struct {
 // (the only kind that existed before the unified effort API) hash to
 // exactly their pre-redesign value — an upgraded coordinator keeps
 // routing legacy work to the same workers, and mixed-version fleets
-// agree on placement. Epoch-structured efforts (sampled or
-// intra-cell-parallel) append a suffix keyed on the engine's semantics —
-// sampled-ness and CI target, never the worker count, which cannot
-// change result bytes. e is a normalized effort (Harness.Options) or its
-// Identity; both hash the same.
+// agree on placement. Sampled efforts append a suffix with their CI
+// target; its "epoched" literal names the cold-epoch machines sampled
+// cells run on, and stays so every sampled hash keeps its value. e is a
+// normalized effort (Harness.Options) or its Identity; both hash the
+// same.
 func CellHash64(p exp.Point, e exp.Effort) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		p.Kind, p.PageSize, p.Model, p.Batch,
 		p.PTWs, p.PRMBSlots, p.PTS, p.Path, p.TLBEntries,
 		e.RepeatCap, e.TileCap)
-	if e.Epoched() {
-		fmt.Fprintf(h, "|epoched|s=%t|ci=%g", e.Sampled(), e.TargetCI)
+	if e.Sampled() {
+		fmt.Fprintf(h, "|epoched|s=true|ci=%g", e.TargetCI)
 	}
 	return h.Sum64()
 }

@@ -28,9 +28,10 @@ type storeKey struct {
 	Point     WirePoint `json:"point"`
 	RepeatCap int       `json:"repeat_cap"`
 	TileCap   int       `json:"tile_cap"`
-	// Cold-epoch identity, omitted for serial exact cells so every
-	// pre-redesign store entry keeps its exact key bytes (and stays
-	// readable after the upgrade).
+	// Sampled identity, omitted for exact cells so every pre-redesign
+	// store entry keeps its exact key bytes (and stays readable after
+	// the upgrade). Epoched is written from Sampled: sampled cells run on
+	// cold-epoch machines, and the field keeps their key bytes unchanged.
 	Sampled  bool    `json:"sampled,omitempty"`
 	TargetCI float64 `json:"target_ci,omitempty"`
 	Epoched  bool    `json:"epoched,omitempty"`
@@ -46,7 +47,7 @@ func storeKeyBytes(k cellKey) []byte {
 	e := k.effort
 	b, err := json.Marshal(storeKey{
 		Point: ToWire(k.point), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-		Sampled: e.Sampled(), TargetCI: e.TargetCI, Epoched: e.Epoched(),
+		Sampled: e.Sampled(), TargetCI: e.TargetCI, Epoched: e.Sampled(),
 	})
 	if err != nil {
 		// Marshal of plain structs with string/int/bool fields cannot fail.

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"runtime"
+	"fmt"
 
 	"neummu/internal/exp"
 	"neummu/internal/npu"
@@ -25,10 +25,11 @@ type WireEffort struct {
 	// TargetCI is the requested relative 95% CI half-width for sampled
 	// mode (0 = 0.05). Rejected outside sampled mode.
 	TargetCI float64 `json:"target_ci,omitempty"`
-	// IntraCellWorkers splits each cell's simulation across that many
-	// cores at epoch barriers. Any value ≥ 1 selects the cold-epoch
-	// schedule (keyed separately from the serial one); the count itself
-	// only trades wall-clock time and is never part of a cell's identity.
+	// IntraCellWorkers is a retired knob, accepted so that old payloads
+	// still decode under DisallowUnknownFields, and otherwise ignored: a
+	// request that sets it is answered with, and cached under, the exact
+	// cell, plus the deprecation header. A negative value is still a
+	// bad request.
 	IntraCellWorkers int `json:"intra_cell_workers,omitempty"`
 }
 
@@ -69,10 +70,8 @@ type Effort = exp.Effort
 // legacy spelling is decoded. The effort object wins wherever both speak:
 // an explicit mode replaces the legacy quick flag, and non-zero caps
 // replace the flat caps. "exact" is canonicalized to the zero mode so the
-// two spellings of the default share every key, and IntraCellWorkers is
-// clamped to GOMAXPROCS: the count never changes result bytes, so a
-// larger one would only start more cold machines than the process has
-// cores and build another harness. Unknown modes and out-of-range knobs
+// two spellings of the default share every key, and the retired
+// intra_cell_workers is dropped. Unknown modes and out-of-range knobs
 // are an error (a bad_request envelope on every endpoint), never a
 // silent default.
 func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (exp.Effort, error) {
@@ -83,10 +82,11 @@ func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (exp.Effort
 	if we == nil {
 		return e, nil
 	}
-	if err := (exp.Effort{
-		Mode: we.Mode, TargetCI: we.TargetCI, IntraCellWorkers: we.IntraCellWorkers,
-	}).Validate(); err != nil {
+	if err := (exp.Effort{Mode: we.Mode, TargetCI: we.TargetCI}).Validate(); err != nil {
 		return e, err
+	}
+	if we.IntraCellWorkers < 0 {
+		return e, fmt.Errorf("effort intra_cell_workers %d is negative", we.IntraCellWorkers)
 	}
 	if we.Mode != "" {
 		e.Mode = we.Mode
@@ -104,23 +104,25 @@ func MergeEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (exp.Effort
 	if e.Sampled() && e.TargetCI == 0 {
 		e.TargetCI = 0.05
 	}
-	e.IntraCellWorkers = min(we.IntraCellWorkers, runtime.GOMAXPROCS(0))
 	return e, nil
 }
 
 // DeprecationHeader is set on responses to requests that selected effort
 // only through the legacy flat fields (quick/repeat_cap/tile_cap in a
-// JSON body, quick on the figure endpoint) instead of the effort object.
-// It is a header, not a body field, so legacy response bodies stay
-// byte-identical.
+// JSON body, quick on the figure endpoint) instead of the effort object,
+// or that set the ignored intra_cell_workers. It is a header, not a body
+// field, so legacy response bodies stay byte-identical.
 const DeprecationHeader = "X-Neuserve-Deprecated"
 
-const deprecationNote = "quick/repeat_cap/tile_cap are deprecated; use the effort object (see docs/API.md)"
+const deprecationNote = "quick/repeat_cap/tile_cap are deprecated (use the effort object) and intra_cell_workers is ignored; see docs/API.md"
 
 // requestEffort is MergeEffort plus the one deprecation rule, shared by
 // all four endpoints: a request is deprecated when it sets a legacy flat
-// field and no effort object.
+// field and no effort object, or sets intra_cell_workers.
 func requestEffort(we *WireEffort, quick bool, repeatCap, tileCap int) (e exp.Effort, deprecated bool, err error) {
 	e, err = MergeEffort(we, quick, repeatCap, tileCap)
-	return e, we == nil && (quick || repeatCap != 0 || tileCap != 0), err
+	if we == nil {
+		return e, quick || repeatCap != 0 || tileCap != 0, err
+	}
+	return e, we.IntraCellWorkers != 0, err
 }

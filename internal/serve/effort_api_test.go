@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -241,60 +240,52 @@ func TestSampledSweepRows(t *testing.T) {
 	}
 }
 
-// TestEpochedSweepByteIdenticalAcrossWorkerCounts: the epoch-parallel
-// engine's worker count trades wall-clock only — rows are byte-identical
-// at every count ≥ 1, and all counts share one cache identity.
-func TestEpochedSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	req := func(workers int) string {
-		return `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":2,"tile_cap":4,"intra_cell_workers":` +
-			string(rune('0'+workers)) + `}}`
-	}
-	_, ts1 := newTestServer(t, Config{Workers: 2})
-	resp, one := post(t, ts1, "/v1/sweep", req(1))
-	if resp.StatusCode != 200 {
-		t.Fatalf("workers=1 status = %d: %s", resp.StatusCode, one)
-	}
-	_, ts4 := newTestServer(t, Config{Workers: 2})
-	resp, four := post(t, ts4, "/v1/sweep", req(4))
-	if resp.StatusCode != 200 {
-		t.Fatalf("workers=4 status = %d: %s", resp.StatusCode, four)
-	}
-	if string(one) != string(four) {
-		t.Errorf("epoched sweep differs across worker counts:\n1: %s\n4: %s", one, four)
-	}
-	// Same identity: on one server, workers=4 after workers=1 is a hit.
-	resp, _ = post(t, ts1, "/v1/sweep", req(4))
-	if got := resp.Header.Get("X-Neuserve-Cache"); got != "hits=1 misses=0" {
-		t.Errorf("worker count moved the cache identity: %q", got)
-	}
-}
-
-// TestIntraCellWorkersClamped: the wire boundary clamps intra_cell_workers
-// to GOMAXPROCS. The count never changes result bytes, so an absurd count
-// answers exactly like a small one, and it cannot start more cold
-// machines than the process has cores.
-func TestIntraCellWorkersClamped(t *testing.T) {
-	req := func(workers string) string {
-		return `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":1,"tile_cap":2,"intra_cell_workers":` + workers + `}}`
+// TestIntraCellWorkersIgnored: intra_cell_workers is a retired knob. A
+// request that sets it, at any count, is answered with the bytes of the
+// same request without it, from the same cache entry, plus the
+// deprecation header — on the JSON endpoints and the figure query alike.
+func TestIntraCellWorkersIgnored(t *testing.T) {
+	sweep := func(field string) string {
+		return `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":1,"tile_cap":2` + field + `}}`
 	}
 	_, ts := newTestServer(t, Config{Workers: 2})
-	resp, small := post(t, ts, "/v1/sweep", req("4"))
+	resp, want := post(t, ts, "/v1/sweep", sweep(""))
 	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d: %s", resp.StatusCode, small)
+		t.Fatalf("status = %d: %s", resp.StatusCode, want)
 	}
-	_, ts2 := newTestServer(t, Config{Workers: 2})
-	resp, huge := post(t, ts2, "/v1/sweep", req("1048576"))
+	if got := resp.Header.Get(DeprecationHeader); got != "" {
+		t.Errorf("request without the field carries %s: %q", DeprecationHeader, got)
+	}
+	for _, n := range []string{"1", "4", "1048576"} {
+		resp, got := post(t, ts, "/v1/sweep", sweep(`,"intra_cell_workers":`+n))
+		if resp.StatusCode != 200 {
+			t.Fatalf("intra_cell_workers %s: status = %d: %s", n, resp.StatusCode, got)
+		}
+		if string(got) != string(want) {
+			t.Errorf("intra_cell_workers %s changed the body:\n got  %s\n want %s", n, got, want)
+		}
+		if resp.Header.Get(DeprecationHeader) == "" {
+			t.Errorf("intra_cell_workers %s: no %s header", n, DeprecationHeader)
+		}
+		if c := resp.Header.Get("X-Neuserve-Cache"); c != "hits=1 misses=0" {
+			t.Errorf("intra_cell_workers %s: cache %q, want the exact cell's entry (hits=1 misses=0)", n, c)
+		}
+	}
+
+	const fig = "/v1/figures/fig8?mode=quick"
+	resp, wantFig := get(t, ts, fig)
 	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d: %s", resp.StatusCode, huge)
+		t.Fatalf("figure status = %d: %s", resp.StatusCode, wantFig)
 	}
-	if string(small) != string(huge) {
-		t.Errorf("intra_cell_workers 1<<20 answered differently from 4:\n4:     %s\n1<<20: %s", small, huge)
+	resp, gotFig := get(t, ts, fig+"&intra_cell_workers=4")
+	if resp.StatusCode != 200 {
+		t.Fatalf("figure with intra_cell_workers: status = %d: %s", resp.StatusCode, gotFig)
 	}
-	e, err := MergeEffort(&WireEffort{IntraCellWorkers: 1 << 20}, false, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	if string(gotFig) != string(wantFig) || resp.Header.Get("X-Neuserve-Cache") != "hit" {
+		t.Errorf("intra_cell_workers moved the figure: cache %q, bytes equal %t",
+			resp.Header.Get("X-Neuserve-Cache"), string(gotFig) == string(wantFig))
 	}
-	if n, max := NewHarnessCache(1).Get(e).Options().Effort.IntraCellWorkers, runtime.GOMAXPROCS(0); n < 1 || n > max {
-		t.Errorf("harness intra-cell workers = %d, want 1..GOMAXPROCS (%d)", n, max)
+	if resp.Header.Get(DeprecationHeader) == "" {
+		t.Errorf("figure with intra_cell_workers: no %s header", DeprecationHeader)
 	}
 }

@@ -71,25 +71,17 @@ func FuzzCellHash64(f *testing.F) {
 			CellHash64(p, exp.Effort{RepeatCap: repeatCap, TileCap: tileCap + 1}) == h {
 			t.Fatalf("effort caps not part of the cell identity for %+v", p)
 		}
-		// Engine semantics must be part of the identity: sampled and
-		// exact-epoched cells may never alias the monolithic-exact cell
-		// (or each other), while the intra-cell worker count — which
-		// cannot change result bytes — must never move the route.
+		// Sampled-ness is part of the identity: a sampled cell may never
+		// alias the exact cell, and its CI target keys it too.
 		sampled := exp.Effort{Mode: exp.EffortSampled, RepeatCap: repeatCap, TileCap: tileCap, TargetCI: 0.05}
-		epoched := exp.Effort{RepeatCap: repeatCap, TileCap: tileCap, IntraCellWorkers: 4}
-		hs, he := CellHash64(p, sampled), CellHash64(p, epoched)
-		if hs == h || he == h || hs == he {
-			t.Fatalf("exact/sampled/epoched efforts alias for %+v", p)
+		hs := CellHash64(p, sampled)
+		if hs == h {
+			t.Fatalf("exact and sampled efforts alias for %+v", p)
 		}
 		ci := sampled
 		ci.TargetCI = 0.1
 		if CellHash64(p, ci) == hs {
 			t.Fatalf("sampled CI target not part of the cell identity for %+v", p)
-		}
-		moreWorkers := epoched
-		moreWorkers.IntraCellWorkers = 9
-		if CellHash64(p, moreWorkers) != he {
-			t.Fatalf("intra-cell worker count moved the route for %+v", p)
 		}
 	})
 }

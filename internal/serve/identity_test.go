@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"neummu/internal/core"
@@ -48,11 +49,13 @@ func TestCellIdentityPinned(t *testing.T) {
 			cells: `{"points":[` + wire + `],"repeat_cap":3,"effort":{"mode":"sampled","target_ci":0.05}}`,
 		},
 		{
+			// The retired intra_cell_workers knob is ignored: the cell is
+			// the exact one, byte for byte.
 			name:  "epoched exact",
 			we:    &WireEffort{IntraCellWorkers: 1},
-			file:  "cell-2213f63ebcc0c783.neu",
-			key:   `{"point":` + wire + `,"repeat_cap":3,"tile_cap":0,"epoched":true}`,
-			cells: `{"points":[` + wire + `],"repeat_cap":3,"effort":{"intra_cell_workers":1}}`,
+			file:  "cell-ad6b17793f5b46cd.neu",
+			key:   `{"point":` + wire + `,"repeat_cap":3,"tile_cap":0}`,
+			cells: `{"points":[` + wire + `],"repeat_cap":3}`,
 		},
 	}
 	for _, tc := range cases {
@@ -108,5 +111,72 @@ func TestCellIdentityPinned(t *testing.T) {
 	st.Flush()
 	if files := cellFiles(t, dir); len(files) != 1 {
 		t.Errorf(`"mode":"exact" and no mode wrote %d store files, want 1: %v`, len(files), files)
+	}
+}
+
+// TestHarnessCacheBounded: any request can name a fresh effort, so the
+// harness cache keeps at most harnessCacheSize harnesses, evicting the
+// least recently used. A harness rebuilt after eviction answers the same
+// cell byte for byte.
+func TestHarnessCacheBounded(t *testing.T) {
+	p := exp.Point{Kind: core.IOMMU, PageSize: vm.Page4K, Model: "CNN-1", Batch: 1}
+	cell := func(h *exp.Harness) []byte {
+		t.Helper()
+		perf, res, err := h.NormPerf(p.Model, p.Batch, p.MMU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(CellValue{Cycles: int64(res.Cycles), Translations: res.Translations,
+			Perf: perf, Counters: res.Counters, Sampled: sampleJSON(res.Sampled)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	c := NewHarnessCache(1)
+	e0 := exp.Effort{RepeatCap: 1, TileCap: 1}
+	first := c.Get(e0)
+	want := cell(first)
+
+	hot := exp.Effort{RepeatCap: 1, TileCap: 2}
+	keep := c.Get(hot)
+	for cap := 2; cap < 2+120; cap++ {
+		c.Get(exp.Effort{RepeatCap: cap, TileCap: 1})
+		if c.Get(hot) != keep {
+			t.Fatalf("the most recently used harness was evicted after cap %d", cap)
+		}
+		if n := len(c.lru); n > harnessCacheSize {
+			t.Fatalf("%d harnesses resident after cap %d, bound %d", n, cap, harnessCacheSize)
+		}
+	}
+	again := c.Get(e0)
+	if again == first {
+		t.Fatal("120 newer efforts left the first harness resident")
+	}
+	if c.Get(e0) != again {
+		t.Error("a harness just built was not kept")
+	}
+	if got := cell(again); string(got) != string(want) {
+		t.Errorf("rebuilt harness answers differently:\n got  %s\n want %s", got, want)
+	}
+
+	// Request handlers share one cache: concurrent Gets over more efforts
+	// than the bound keep it bounded and hand each caller its own effort.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cap := 1; cap <= 40; cap++ {
+				e := exp.Effort{RepeatCap: cap, TileCap: 3 + g}
+				if got := c.Get(e).Options().Effort; got.RepeatCap != cap || got.TileCap != 3+g {
+					t.Errorf("Get(%+v) returned a harness for %+v", e, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(c.lru); n > harnessCacheSize {
+		t.Errorf("%d harnesses resident after concurrent Gets, bound %d", n, harnessCacheSize)
 	}
 }

@@ -101,44 +101,62 @@ func (c Config) normalized() Config {
 	return c
 }
 
+// harnessCacheSize bounds the harnesses a HarnessCache keeps. Each one
+// holds its own plan, snapshot and oracle memos, and any request can name
+// a fresh effort, so the cache keeps only the most recently used few.
+// Harnesses of one effort answer the same bytes, so an eviction costs a
+// rebuild, never a different answer.
+const harnessCacheSize = 16
+
 // HarnessCache memoizes one exp.Harness per merged effort (MergeEffort's
 // result), so all requests at one effort share plan/snapshot/oracle
 // caches: the one place that decides what selects a harness, for both
-// roles.
+// roles. It is an LRU of harnessCacheSize entries.
 type HarnessCache struct {
 	workers int
 
-	mu sync.Mutex
-	m  map[exp.Effort]*exp.Harness
+	mu  sync.Mutex
+	lru []harnessEntry // most recently used first
+}
+
+type harnessEntry struct {
+	e exp.Effort
+	h *exp.Harness
 }
 
 // NewHarnessCache returns a cache whose harnesses run sweeps on the given
 // worker count (1 = a pure expansion/normalization harness that never
 // simulates in parallel — what a coordinator wants).
 func NewHarnessCache(workers int) *HarnessCache {
-	return &HarnessCache{workers: workers, m: make(map[exp.Effort]*exp.Harness)}
+	return &HarnessCache{workers: workers}
 }
 
 // Get returns the memoized harness for an effort level, building it on
-// first use.
+// first use and evicting the least recently used harness when full.
 func (c *HarnessCache) Get(e exp.Effort) *exp.Harness {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.m[e]
-	if !ok {
-		h = exp.New(exp.Options{Effort: e, Workers: c.workers})
-		c.m[e] = h
+	i := 0
+	for i < len(c.lru) && c.lru[i].e != e {
+		i++
 	}
-	return h
+	if i == len(c.lru) {
+		if i < harnessCacheSize {
+			c.lru = append(c.lru, harnessEntry{})
+		} else {
+			i--
+		}
+		c.lru[i] = harnessEntry{e, exp.New(exp.Options{Effort: e, Workers: c.workers})}
+	}
+	ent := c.lru[i]
+	copy(c.lru[1:i+1], c.lru[:i])
+	c.lru[0] = ent
+	return ent.h
 }
 
 // cellKey content-addresses one simulation cell: the full design Point
 // plus the Identity of the harness's normalized effort. Everything that
-// influences the result is in the key; nothing else is — in particular
-// the intra-cell worker count stays out (results are identical for every
-// count ≥ 1) while the epoched-ness of the schedule goes in (the
-// cold-epoch schedule is a distinct semantics from the serial one, so
-// exact, exact-epoched and sampled cells never alias).
+// influences the result is in the key, and nothing else is.
 type cellKey struct {
 	point  exp.Point
 	effort exp.Effort
@@ -169,8 +187,7 @@ type CellValue struct {
 const cellEntryCost = 640
 
 // figKey content-addresses one rendered figure body: the figure name and
-// the Identity of the harness's normalized effort, so like cellKey it
-// carries the epoched-ness of the engine, never the worker count.
+// the Identity of the harness's normalized effort, like cellKey.
 type figKey struct {
 	name   string
 	effort exp.Effort
@@ -325,10 +342,10 @@ func (s *Server) handleFigureList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // parseEffort reads the figure endpoint's effort query parameters: the
-// effort object's fields (mode, repeat_cap, tile_cap, target_ci,
-// intra_cell_workers) plus the legacy quick flag, folded through the same
-// requestEffort path the JSON endpoints use so the two surfaces can never
-// diverge on validation, defaults or deprecation.
+// effort object's fields (mode, repeat_cap, tile_cap, target_ci, and the
+// ignored intra_cell_workers) plus the legacy quick flag, folded through
+// the same requestEffort path the JSON endpoints use so the two surfaces
+// can never diverge on validation, defaults or deprecation.
 func parseEffort(r *http.Request) (exp.Effort, bool, error) {
 	q := r.URL.Query()
 	quick := false

@@ -49,8 +49,9 @@ type Tile struct {
 	// within its layer: the weight/KV-stationary outer block for conv,
 	// GEMM and encoder attention, the decode step for autoregressive
 	// attention, 0 for single-pass layers. Tiles of one epoch form a
-	// contiguous run in schedule order; the epoch-parallel engine
-	// (internal/npu) simulates each run on its own event queue.
+	// contiguous run in schedule order; sampled mode (internal/npu)
+	// draws its sample from these runs and simulates each on its own
+	// event queue.
 	Epoch int
 }
 

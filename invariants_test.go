@@ -82,7 +82,7 @@ func TestInvariantCountersConserveAcrossWorkloads(t *testing.T) {
 	models := []string{"CNN-1", "RNN-2", "TF-1", "TF-2"}
 	kinds := []MMUKind{OracleMMU, BaselineIOMMU, ThroughputNeuMMU}
 	sizes := []PageSize{Page4K, Page2M}
-	opts := Options{RepeatCap: 2, TileCap: 6}
+	opts := Options{Effort: Effort{RepeatCap: 2, TileCap: 6}}
 	for _, model := range models {
 		for _, kind := range kinds {
 			for _, ps := range sizes {
@@ -209,7 +209,7 @@ func TestInvariantEmbeddingGatherCounters(t *testing.T) {
 // the DMA's burst splitting issues several translations per touched page
 // (§III-C — the premise of the whole design).
 func TestInvariantPaperRatios(t *testing.T) {
-	opts := Options{RepeatCap: 2, TileCap: 6}
+	opts := Options{Effort: Effort{RepeatCap: 2, TileCap: 6}}
 	io1, err := Simulate("CNN-1", 4, BaselineIOMMU, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestInvariantPaperRatios(t *testing.T) {
 // 2MB pages cut the walk to 3 levels, so per-walk DRAM reads must drop
 // accordingly (the large-page argument of §VI-A in counter form).
 func TestInvariantWalkDepthAcrossPageSizes(t *testing.T) {
-	opts := Options{RepeatCap: 2, TileCap: 6}
+	opts := Options{Effort: Effort{RepeatCap: 2, TileCap: 6}}
 	res4, err := Simulate("CNN-1", 4, BaselineIOMMU, opts)
 	if err != nil {
 		t.Fatal(err)

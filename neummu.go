@@ -102,8 +102,8 @@ const (
 )
 
 // Effort is the unified simulation-effort knob: mode ("exact",
-// "sampled", "quick"), schedule caps, the sampled-mode CI target, and
-// intra-cell parallelism. The same type is threaded through Options,
+// "sampled", "quick"), schedule caps and the sampled-mode CI target. The
+// same type is threaded through Options,
 // HarnessOptions, the neuserve request schema, and the cluster wire
 // protocol; see docs/API.md for the request form.
 type Effort = exp.Effort
@@ -130,20 +130,16 @@ type SampleStats = npu.SampleStats
 type Options struct {
 	// PageSize defaults to Page4K.
 	PageSize PageSize
-	// RepeatCap and TileCap truncate repeated layers / per-layer tiles to
-	// bound simulation time; zero simulates everything.
-	RepeatCap, TileCap int
 	// SpatialNPU switches the compute model from the TPU-style systolic
 	// array to the DaDianNao/Eyeriss-style spatial grid (§VI-B).
 	SpatialNPU bool
-	// Effort selects the simulation mode and intra-cell parallelism. The
-	// zero value simulates exactly: the serial schedule on one machine.
-	// Effort caps, when non-zero, win over the flat RepeatCap/TileCap
-	// above. Setting IntraCellWorkers > 0 splits the simulation across
-	// cores at epoch barriers, each epoch on a cold machine — results are
-	// identical for every worker count ≥ 1 but the cold-epoch schedule is
-	// a distinct semantics from the serial one; EffortSampled simulates a
-	// seeded epoch subset and fills Result.Sampled with the scaling audit.
+	// Effort selects the simulation mode and caps. The zero value
+	// simulates exactly: every epoch in order on one machine, the only
+	// exact schedule. Effort.RepeatCap and Effort.TileCap truncate
+	// repeated layers / per-layer tiles to bound simulation time; zero
+	// simulates everything. EffortSampled simulates a seeded epoch subset,
+	// each epoch on a cold machine, and fills Result.Sampled with the
+	// scaling audit.
 	Effort Effort
 }
 
@@ -180,22 +176,14 @@ func Simulate(model string, batch int, kind MMUKind, opts Options) (*Result, err
 	if kind == core.Oracle {
 		mcfg = core.Config{Kind: core.Oracle, PageSize: ps}
 	}
-	repeatCap, tileCap := opts.RepeatCap, opts.TileCap
-	if opts.Effort.RepeatCap != 0 {
-		repeatCap = opts.Effort.RepeatCap
-	}
-	if opts.Effort.TileCap != 0 {
-		tileCap = opts.Effort.TileCap
-	}
 	cfg := npu.Config{
-		MMU:              mcfg,
-		Memory:           memsys.Baseline(),
-		Compute:          systolic.Baseline(),
-		RepeatCap:        repeatCap,
-		TileCap:          tileCap,
-		IntraCellWorkers: opts.Effort.IntraCellWorkers,
-		Sampled:          opts.Effort.Sampled(),
-		SampleTargetCI:   opts.Effort.TargetCI,
+		MMU:            mcfg,
+		Memory:         memsys.Baseline(),
+		Compute:        systolic.Baseline(),
+		RepeatCap:      opts.Effort.RepeatCap,
+		TileCap:        opts.Effort.TileCap,
+		Sampled:        opts.Effort.Sampled(),
+		SampleTargetCI: opts.Effort.TargetCI,
 	}
 	if opts.SpatialNPU {
 		cfg.Compute = spatial.Baseline()
@@ -236,9 +224,8 @@ func SimulateSparseIterations(model string, batch, iterations int, mode GatherMo
 // for the per-figure methods and EXPERIMENTS.md for the index.
 type Harness = exp.Harness
 
-// HarnessOptions tunes a harness: Effort (mode, caps, CI target,
-// intra-cell parallelism; Effort{Mode: EffortQuick} selects the reduced
-// smoke grid), the Models/Batches suite, and Workers, which bounds the
+// HarnessOptions tunes a harness: Effort (mode, caps, CI target;
+// Effort{Mode: EffortQuick} selects the reduced smoke grid), the Models/Batches suite, and Workers, which bounds the
 // sweep engine's cross-cell parallelism (0 = GOMAXPROCS). RepeatCap and
 // TileCap are not inputs: Harness.Options reads the normalized caps out
 // through them.

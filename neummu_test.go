@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimulateDense(t *testing.T) {
-	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{TileCap: 4})
+	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{Effort: Effort{TileCap: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestSimulateDense(t *testing.T) {
 }
 
 func TestSimulateOracleNormalization(t *testing.T) {
-	opts := Options{TileCap: 4}
+	opts := Options{Effort: Effort{TileCap: 4}}
 	oracle, err := Simulate("RNN-2", 1, OracleMMU, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSimulateUnknownModel(t *testing.T) {
 }
 
 func TestSimulateSpatialOption(t *testing.T) {
-	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{TileCap: 2, SpatialNPU: true})
+	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{Effort: Effort{TileCap: 2}, SpatialNPU: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSimulateSpatialOption(t *testing.T) {
 }
 
 func TestSimulateLargePages(t *testing.T) {
-	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{TileCap: 2, PageSize: Page2M})
+	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{Effort: Effort{TileCap: 2}, PageSize: Page2M})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestModelLists(t *testing.T) {
 		t.Fatal("model lists wrong")
 	}
 	for _, m := range DenseModels() {
-		if _, err := Simulate(m, 1, OracleMMU, Options{TileCap: 1, RepeatCap: 1}); err != nil {
+		if _, err := Simulate(m, 1, OracleMMU, Options{Effort: Effort{RepeatCap: 1, TileCap: 1}}); err != nil {
 			t.Fatalf("Simulate(%q): %v", m, err)
 		}
 	}
