@@ -20,9 +20,18 @@
 //
 // Every TLB probe resolves a fixed hit latency after its lookup, hit or
 // miss, so probes resolve in the order they were made. The MMU parks each
-// probe's outcome in a FIFO ring and schedules one payload-free event on
-// a queue lane (sim.Queue.RegisterLane); the event takes the ring's
-// oldest probe. No probe needs a pooled slot or a heap entry.
+// probe's outcome in a FIFO ring, with the cycle and ticket its event
+// fires at, and schedules one payload-free event on a queue lane
+// (sim.Queue.RegisterLane); the event takes the ring's oldest probe. No
+// probe needs a pooled slot or a heap entry.
+//
+// A requester that fires the probes itself (the DMA engine's booking
+// loop, see internal/dma) holds them: HoldProbes holds their lane
+// (sim.Queue.Hold) and stops lookups from scheduling new events,
+// NextProbe and ResolveProbe fire the oldest probe at its booked cycle,
+// dropping its event, and ReleaseProbes schedules the probes booked
+// during the hold that are still pending, under their tickets. A held
+// probe resolves exactly as its event would have.
 package core
 
 import (
@@ -128,12 +137,15 @@ type pending struct {
 
 // probe parks a TLB probe's outcome between the lookup and its
 // HitLatency-delayed delivery: a hit's frame and device, or a miss to
-// route to the walkers.
+// route to the walkers. at and t are the cycle and ticket its event
+// fires at.
 type probe struct {
 	p     pending
 	frame vm.PhysAddr
 	dev   int
 	hit   bool
+	at    sim.Cycle
+	t     sim.Ticket
 }
 
 // MMU is the translation engine.
@@ -145,7 +157,7 @@ type MMU struct {
 	pool *walker.Pool
 
 	stats   Stats
-	blocked []pending
+	blocked sim.FIFO[pending]
 	stalled bool
 	// flight holds the pending request behind each in-flight walker
 	// submission; the slot index travels as walker.Request.Seq, so
@@ -157,9 +169,13 @@ type MMU struct {
 	// probes holds the outcomes of TLB probes whose hProbe event has not
 	// fired yet. Every probe is scheduled HitLatency after Now, a
 	// constant, so probes fire in the order they were scheduled and the
-	// event needs no payload: it takes the oldest probe.
+	// event needs no payload: it takes the oldest probe. While held is
+	// set, the holder fires the probes: the oldest onLane of them still
+	// have events on the held lane, and the ones booked since have none.
 	hProbe sim.HandlerID
 	probes sim.FIFO[probe]
+	held   bool
+	onLane int
 
 	// OnUnblocked fires when back-pressure releases; the DMA engine
 	// resumes issuing. OnFault, when set, receives page faults; when nil
@@ -264,48 +280,25 @@ func (m *MMU) TranslateTag(va vm.VirtAddr, tag int64, done TranslateFn) {
 		panic("core: TranslateTag called while stalled")
 	}
 	now := m.q.Now()
+	m.stats.Issued++
 	if m.cfg.Kind == Oracle {
-		if e, ok := m.Instant(va); ok {
-			done(e, tag, now)
+		// An oracle request is resolved at once, with zero latency.
+		m.stats.OracleHits++
+		m.stats.Latency.Add(0)
+		e, _, err := m.pt.Walk(va)
+		if err != nil {
+			m.fault(pending{va: va, tag: tag, issued: now, done: done}, now)
 			return
 		}
-		m.countInstant()
-		m.fault(pending{va: va, tag: tag, issued: now, done: done}, now)
+		done(e, tag, now)
 		return
 	}
-	m.stats.Issued++
 	m.lookup(pending{va: va, tag: tag, issued: now, done: done})
 }
 
-// Instant is the oracle's translation without a callback: when the MMU
-// is an oracle and va is mapped, it counts one issued, zero-latency
-// request and returns va's entry. Otherwise it counts nothing and
-// reports false; the caller then goes through TranslateTag, which
-// surfaces the fault. An oracle never stalls and schedules nothing on a
-// hit, so a requester may translate a run of addresses through Instant
-// without an event between them (the DMA engine books oracle tiles this
-// way).
-func (m *MMU) Instant(va vm.VirtAddr) (vm.Entry, bool) {
-	if m.cfg.Kind != Oracle {
-		return vm.Entry{}, false
-	}
-	e, _, err := m.pt.Walk(va)
-	if err != nil {
-		return vm.Entry{}, false
-	}
-	m.countInstant()
-	return e, true
-}
-
-// countInstant counts one oracle request: issued and resolved at once.
-func (m *MMU) countInstant() {
-	m.stats.Issued++
-	m.stats.OracleHits++
-	m.stats.Latency.Add(0)
-}
-
 // lookup probes the TLB. A hit is delivered, and a miss is routed to the
-// walker pool, after the probe latency.
+// walker pool, after the probe latency. The probe's ticket is taken here,
+// where its event is scheduled, also when the probes are held.
 func (m *MMU) lookup(p pending) {
 	frame, dev, hit := m.tlb.Lookup(p.va)
 	if hit {
@@ -313,15 +306,73 @@ func (m *MMU) lookup(p pending) {
 	} else {
 		m.stats.TLBMisses++
 	}
+	at, t := m.q.Now()+sim.Cycle(m.tlb.HitLatency()), m.q.Reserve()
 	pr := m.probes.Push()
-	pr.p, pr.frame, pr.dev, pr.hit = p, frame, dev, hit
-	m.q.CallAfter(sim.Cycle(m.tlb.HitLatency()), m.hProbe, 0)
+	pr.p, pr.frame, pr.dev, pr.hit, pr.at, pr.t = p, frame, dev, hit, at, t
+	if !m.held {
+		m.q.CallTicket(at, t, m.hProbe, 0)
+	}
+}
+
+// HoldProbes holds the probes' lane, so the caller can fire the probes
+// itself with NextProbe and ResolveProbe, and makes lookups book new
+// probes without scheduling them. It reports false, and holds nothing,
+// when some probe event is not on its lane. An oracle has no probes to
+// hold.
+func (m *MMU) HoldProbes() bool {
+	if m.tlb == nil {
+		return true
+	}
+	if !m.q.Hold(m.hProbe, m.probes.Len()) {
+		return false
+	}
+	m.held, m.onLane = true, m.probes.Len()
+	return true
+}
+
+// NextProbe returns the cycle and ticket of the oldest held probe, and
+// false when none is pending.
+func (m *MMU) NextProbe() (sim.Cycle, sim.Ticket, bool) {
+	if m.probes.Len() == 0 {
+		return 0, 0, false
+	}
+	pr := m.probes.At(0)
+	return pr.at, pr.t, true
+}
+
+// ResolveProbe resolves the oldest held probe as its event would, and
+// drops the event: the caller has advanced the queue's clock to the
+// probe's cycle.
+func (m *MMU) ResolveProbe() {
+	if m.onLane > 0 {
+		m.q.Drop()
+		m.onLane--
+	}
+	m.resolveProbe(m.q.Now())
+}
+
+// ReleaseProbes ends a hold: the probes booked during it that are still
+// pending get their events, at their cycles and under their tickets.
+func (m *MMU) ReleaseProbes() {
+	if !m.held {
+		return
+	}
+	for i := m.onLane; i < m.probes.Len(); i++ {
+		pr := m.probes.At(i)
+		m.q.CallTicket(pr.at, pr.t, m.hProbe, 0)
+	}
+	m.q.Release()
+	m.held, m.onLane = false, 0
 }
 
 func (m *MMU) fireProbe(now sim.Cycle, _ int64) {
 	if m.probes.Len() == 0 {
 		panic("core: TLB probe event fired with no probe pending (mis-wired model)")
 	}
+	m.resolveProbe(now)
+}
+
+func (m *MMU) resolveProbe(now sim.Cycle) {
 	pr := m.probes.Pop()
 	if !pr.hit {
 		m.submit(pr.p)
@@ -370,7 +421,7 @@ func (m *MMU) submit(p pending) {
 			m.stalled = true
 			m.stats.StallEnter++
 		}
-		m.blocked = append(m.blocked, p)
+		*m.blocked.Push() = p
 	}
 }
 
@@ -436,15 +487,14 @@ func (m *MMU) fault(p pending, now sim.Cycle) {
 func (m *MMU) capacityFreed(now sim.Cycle) {
 	// Drain as many blocked requests as the pool will take, preserving
 	// order; release back-pressure when empty.
-	for len(m.blocked) > 0 {
-		p := m.blocked[0]
+	for m.blocked.Len() > 0 {
+		p := *m.blocked.At(0)
 		seq := m.allocFlight(p)
 		if !m.pool.Submit(walker.Request{VA: p.va, Seq: seq}) {
 			m.releaseFlight(seq)
 			return
 		}
-		copy(m.blocked, m.blocked[1:])
-		m.blocked = m.blocked[:len(m.blocked)-1]
+		m.blocked.Pop()
 	}
 	if m.stalled {
 		m.stalled = false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"neummu/internal/sim"
@@ -216,25 +217,58 @@ func TestOracleFaultsStillSurface(t *testing.T) {
 	}
 }
 
-// Instant counts a mapped page exactly as TranslateTag's oracle branch
-// does, and counts nothing for an unmapped page or a non-oracle MMU.
-func TestInstantCountsLikeTranslate(t *testing.T) {
-	cfg := Config{Kind: Oracle, PageSize: vm.Page4K}
-	a, b := newMMURig(t, cfg, 2), newMMURig(t, cfg, 2)
-	got, ok := a.mmu.Instant(a.page(1))
-	var want vm.Entry
-	translate(b.mmu, b.page(1), func(e vm.Entry, _ sim.Cycle) { want = e })
-	if !ok || got != want || a.mmu.Stats() != b.mmu.Stats() {
-		t.Fatalf("Instant = %+v, %v with stats %+v; Translate gave %+v with %+v",
-			got, ok, a.mmu.Stats(), want, b.mmu.Stats())
+// Probes held and resolved by the caller, each at its booked cycle,
+// deliver exactly what their events deliver: the same completions at the
+// same cycles, the same stats, and the probes still pending at a cut go
+// back on the queue and fire where their events would have.
+func TestHeldProbesResolveLikeEvents(t *testing.T) {
+	type done struct {
+		tag int64
+		at  sim.Cycle
 	}
-	before := a.mmu.Stats()
-	if _, ok := a.mmu.Instant(a.page(5)); ok || a.mmu.Stats() != before {
-		t.Fatalf("Instant on an unmapped page reported %v and moved stats to %+v", ok, a.mmu.Stats())
+	run := func(held bool) ([]done, Stats) {
+		r := newMMURig(t, ConfigFor(NeuMMU, vm.Page4K), 4)
+		var got []done
+		fn := func(_ vm.Entry, tag int64, now sim.Cycle) { got = append(got, done{tag, now}) }
+		r.mmu.TranslateTag(r.page(0), 0, fn) // warm page 0 so later probes hit
+		r.q.Run()
+		if held && !r.mmu.HoldProbes() {
+			t.Fatal("HoldProbes declined with every probe on its lane")
+		}
+		for i := 1; i <= 6; i++ {
+			r.q.Advance(r.q.Now() + 1)
+			r.mmu.TranslateTag(r.page(i%4), int64(i), fn)
+		}
+		if held {
+			// Resolve the probes due in the next two cycles, then cut.
+			cut := r.q.Now() + 2
+			for at, _, ok := r.mmu.NextProbe(); ok && at <= cut; at, _, ok = r.mmu.NextProbe() {
+				r.q.Advance(at)
+				r.mmu.ResolveProbe()
+			}
+			r.mmu.ReleaseProbes()
+		}
+		r.q.Run()
+		return got, r.mmu.Stats()
 	}
-	io := newMMURig(t, ConfigFor(IOMMU, vm.Page4K), 2)
-	if _, ok := io.mmu.Instant(io.page(1)); ok || io.mmu.Stats() != (Stats{}) || io.q.Len() != 0 {
-		t.Fatal("Instant must decline on a non-oracle MMU without counting or scheduling")
+	chain, chainStats := run(false)
+	loop, loopStats := run(true)
+	if !reflect.DeepEqual(loop, chain) || loopStats != chainStats {
+		t.Fatalf("held probes delivered %v with %+v; events delivered %v with %+v", loop, loopStats, chain, chainStats)
+	}
+}
+
+// HoldProbes takes nothing when a probe event is off its lane.
+func TestHoldProbesDeclinesOffLane(t *testing.T) {
+	r := newMMURig(t, ConfigFor(IOMMU, vm.Page4K), 2)
+	translate(r.mmu, r.page(0), func(vm.Entry, sim.Cycle) {})
+	// A second probe whose event sorts before the lane's newest goes to
+	// the heap.
+	pr := r.mmu.probes.Push()
+	pr.at, pr.t = 1, r.q.Reserve()
+	r.q.CallTicket(pr.at, pr.t, r.mmu.hProbe, 0)
+	if r.mmu.HoldProbes() || r.q.Len() != 2 {
+		t.Fatalf("HoldProbes took probes with one off its lane (%d events left)", r.q.Len())
 	}
 }
 

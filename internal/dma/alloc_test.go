@@ -38,40 +38,48 @@ func TestAppendTransactionsSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestKVStreamFetchSteadyStateAllocFree drives the whole engine fetch
-// path — segment split, per-cycle issue, oracle translation, memory
-// completion — with KV-cache-decode-shaped tiles (one small query run
-// plus a long multi-page KV prefix) and asserts the steady state stays on
-// the PR-2 zero-allocation budget. The KV tile path is just view-shaped
-// input to the same hot path, and this pins that down.
+// path — segment split, the booked issue chain and TLB probes, walks,
+// stalls, memory completion — with KV-cache-decode-shaped tiles (one
+// small query run plus a long multi-page KV prefix) on every canonical
+// MMU, and asserts the steady state stays on the zero-allocation budget.
 func TestKVStreamFetchSteadyStateAllocFree(t *testing.T) {
-	q := &sim.Queue{}
-	pt := vm.NewPageTable()
-	fa := vm.NewFrameAllocator(64<<20, vm.Page4K, 0)
-	for va := vm.VirtAddr(0); va < 32<<20; va += 4096 {
-		pt.Map(va, fa.Alloc(), vm.Page4K, 0)
-	}
-	mmu := core.New(core.ConfigFor(core.Oracle, vm.Page4K), pt, q)
-	mem := memsys.New(memsys.Baseline(), q)
-	eng := New(q, mmu, mem)
+	for _, kind := range []core.Kind{core.Oracle, core.IOMMU, core.NeuMMU} {
+		q := &sim.Queue{}
+		pt := vm.NewPageTable()
+		fa := vm.NewFrameAllocator(64<<20, vm.Page4K, 0)
+		for va := vm.VirtAddr(0); va < 32<<20; va += 4096 {
+			pt.Map(va, fa.Alloc(), vm.Page4K, 0)
+		}
+		mmu := core.New(core.ConfigFor(kind, vm.Page4K), pt, q)
+		mem := memsys.New(memsys.Baseline(), q)
+		eng := New(q, mmu, mem)
 
-	// Decode-step shape: a 3 KB query row plus a 513-row KV prefix
-	// (513 × 6 KB ≈ 3 MB across ~770 pages).
-	kv := tensor.New("attn/KV", 0x10_0000, 4, 1, 576, 1536)
-	qrow := tensor.New("attn/Q", 0x1000, 4, 1, 64, 768)
-	views := []tensor.View{
-		tensor.ViewOf(kv, tensor.Full(1), tensor.Range{Lo: 0, Hi: 513}, tensor.Full(1536)),
-		tensor.ViewOf(qrow, tensor.Full(1), tensor.Range{Lo: 0, Hi: 1}, tensor.Full(768)),
-	}
-	done := func(TileStats) {}
-	fetch := func() {
-		eng.FetchViews(views, done)
-		q.Run()
-	}
-	fetch() // warm: grow txn/seg buffers, page set, and the event heap
-	fetch()
-	allocs := testing.AllocsPerRun(20, fetch)
-	if allocs != 0 {
-		t.Errorf("KV-stream tile fetch allocates %v objects per op, want 0", allocs)
+		// Decode-step shape: a 3 KB query row plus a 2600-row KV prefix
+		// (2600 × 6 KB ≈ 15 MB across ~3900 pages). That is more pages
+		// than the 2048-entry TLB holds, so every fetch misses, walks and,
+		// on the IOMMU, stalls.
+		kv := tensor.New("attn/KV", 0x10_0000, 4, 1, 2600, 1536)
+		qrow := tensor.New("attn/Q", 0x1000, 4, 1, 64, 768)
+		views := []tensor.View{
+			tensor.ViewOf(kv, tensor.Full(1), tensor.Range{Lo: 0, Hi: 2600}, tensor.Full(1536)),
+			tensor.ViewOf(qrow, tensor.Full(1), tensor.Range{Lo: 0, Hi: 1}, tensor.Full(768)),
+		}
+		done := func(TileStats) {}
+		fetch := func() {
+			eng.FetchViews(views, done)
+			q.Run()
+		}
+		// Warm: grow txn/seg buffers, the page set, the event heap and
+		// lanes, the probe ring and the walkers' buffers.
+		for i := 0; i < 3; i++ {
+			fetch()
+		}
+		if allocs := testing.AllocsPerRun(20, fetch); allocs != 0 {
+			t.Errorf("%s: KV-stream tile fetch allocates %v objects per op, want 0", kind, allocs)
+		}
+		if kind != core.Oracle && (mmu.TLBStats().Misses == 0 || (kind == core.IOMMU && mmu.Stats().StallEnter == 0)) {
+			t.Fatalf("%s: fetches never missed the TLB or stalled: %+v", kind, mmu.Stats())
+		}
 	}
 }
 

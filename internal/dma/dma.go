@@ -22,15 +22,16 @@
 // Memory arrivals are booked, not scheduled: each translated transaction
 // claims its channel bandwidth at translate time (memsys.Memory.Claim),
 // and the engine keeps only the tile's latest arrival. When the last
-// translation lands, one event at that arrival ends the tile. A tile of N
-// transactions therefore costs at most N issue events plus one, not 2N.
+// translation lands, one event at that arrival ends the tile.
 //
-// An oracle tile costs one event. An oracle translates instantly and
-// never stalls, so when nothing else is pending at fetch time the issue
-// chain's firing order is fixed in advance: transaction i issues at
-// start+i and is booked at once. The engine runs that chain as a loop
-// (issueInstant) and fires only the tile end. A fault falls back to the
-// event chain at the faulting transaction's cycle.
+// The issue chain and the MMU's TLB probes are booked, too, up to the
+// queue's horizon (book). Between two events from anything else — a walk
+// finish, a PRMB drain, a tile end, a fault resolution — the chain's
+// issues and the probes they make fire in an order fixed in advance, so
+// the engine fires them itself, in their (cycle, ticket) order, with the
+// queue's clock advanced to each. What is still due at the horizon goes
+// back on the queue under the tickets it reserved. Every MMU kind takes
+// this one path; an oracle tile, which has no probes, costs one event.
 package dma
 
 import (
@@ -161,9 +162,8 @@ type Engine struct {
 
 	cur    tile
 	active bool
-	// oracle is set when the MMU translates instantly (core.Oracle), so
-	// a tile fetched onto an empty queue is booked by issueInstant.
-	oracle bool
+	// issues counts the issue events pending on the queue.
+	issues int
 
 	// Reused scratch: transaction/segment buffers and the distinct-page
 	// set survive across tiles, and translated is the one persistent
@@ -181,8 +181,7 @@ type Engine struct {
 // back-pressure listener; only one tile fetch may be in flight at a time
 // (the DMA serializes tile fetches, §II-A).
 func New(q *sim.Queue, mmu *core.MMU, mem *memsys.Memory) *Engine {
-	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{}),
-		oracle: mmu.Config().Kind == core.Oracle}
+	e := &Engine{q: q, mmu: mmu, mem: mem, pageSet: make(map[uint64]struct{})}
 	e.translated = e.translateDone
 	e.hIssue = q.RegisterLane(sim.HandlerFunc(e.fireIssue))
 	e.hEnd = q.Register(sim.HandlerFunc(e.fireEnd))
@@ -218,6 +217,10 @@ func (e *Engine) StallCycles() sim.Cycle { return e.totalStall }
 // FetchViews fetches the given tensor views as one tile: the views'
 // segments are page-split, translated, and read. done fires with the
 // tile's statistics when the last byte arrives.
+//
+// The fetch books its first issues at once, up to the queue's horizon,
+// and moves the queue's clock with them: call it between events or as a
+// handler's last action, never before a handler goes on to schedule.
 func (e *Engine) FetchViews(views []tensor.View, done func(TileStats)) {
 	segs := e.segBuf[:0]
 	for _, v := range views {
@@ -273,48 +276,65 @@ func (e *Engine) fetch(txns []Transaction, ps vm.PageSize, done func(TileStats))
 		untranslated: len(txns),
 	}
 	e.active = true
-	if e.oracle && e.q.Len() == 0 {
-		e.issueInstant()
+	if e.issues == 0 && e.mmu.HoldProbes() {
+		e.book(e.q.Now(), e.q.Reserve())
 		return
 	}
 	e.q.CallAfter(0, e.hIssue, 0)
+	e.issues++
 }
 
-// issueInstant issues an oracle tile's transactions without an event
-// between them: transaction i issues at start+i, as the issue chain would
-// fire it, and is booked at that cycle by translateDone. Nothing else is
-// pending and an oracle schedules nothing on a hit, so no event could
-// have fired between two issues; the chain's order was fixed and only its
-// host cost is saved. The last booking schedules the tile end under the
-// usual ticket rule. An unmapped page hands the rest of the tile to the
-// event chain at that transaction's cycle, where TranslateTag surfaces
-// the fault.
-func (e *Engine) issueInstant() {
-	c := &e.cur
-	start := e.q.Now()
-	for c.next < len(c.txns) {
-		t := c.txns[c.next]
-		at := start + sim.Cycle(c.next)
-		entry, ok := e.mmu.Instant(t.VA)
-		if !ok {
-			e.q.Call(at, e.hIssue, 0)
-			return
+// book fires the issue chain and the MMU's held TLB probes in their
+// (cycle, ticket) order without events, up to the queue's horizon: the
+// next pending event from anything else. The chain's next issue is due
+// at (at, t). The items fire exactly as their events would have:
+//
+//   - The clock is advanced to each item (sim.Queue.Advance), so walk
+//     starts, issue cycles and latency statistics read the cycle the
+//     item's event would have fired at.
+//   - Each item takes its tickets where its event would have scheduled:
+//     a probe's inside the lookup, then the next issue's. Every other
+//     event therefore keeps its sequence number and its same-cycle order.
+//   - Nothing fires between two items before the horizon, and only an
+//     item that schedules an event (a walk start, a fault handler's
+//     event, the tile end) can bring the horizon earlier; it is re-read
+//     whenever the queue's scheduled count moves.
+//   - At the horizon, the next issue goes back on the queue under its
+//     ticket, and so do the probes booked in the run that are still
+//     pending (core.MMU.ReleaseProbes).
+//
+// Misses are routed to the walkers inline, so the loop runs through them;
+// a stall ends the chain as a stalled issue event would.
+func (e *Engine) book(at sim.Cycle, t sim.Ticket) {
+	issuing := true
+	gen := e.q.Scheduled()
+	hAt, hT := e.q.Horizon()
+	for {
+		pAt, pT, probing := e.mmu.NextProbe()
+		if issuing && (!probing || sim.Before(at, t, pAt, pT)) {
+			if !sim.Before(at, t, hAt, hT) {
+				break
+			}
+			e.q.Advance(at)
+			if issuing = e.issue(at); issuing {
+				at, t = at+1, e.q.Reserve()
+			}
+		} else if probing && sim.Before(pAt, pT, hAt, hT) {
+			e.q.Advance(pAt)
+			e.mmu.ResolveProbe()
+		} else {
+			break
 		}
-		tag := int64(c.next)
-		c.next++
-		e.observe(t.VA, at)
-		e.translateDone(entry, tag, at)
+		if g := e.q.Scheduled(); g != gen {
+			gen = g
+			hAt, hT = e.q.Horizon()
+		}
 	}
-}
-
-// observe reports one issue to the Timeline and VATrace observers.
-func (e *Engine) observe(va vm.VirtAddr, now sim.Cycle) {
-	if e.Timeline != nil {
-		e.Timeline.Record(int64(now), 1)
+	if issuing {
+		e.q.CallTicket(at, t, e.hIssue, 0)
+		e.issues++
 	}
-	if e.VATrace != nil {
-		e.VATrace(va, now)
-	}
+	e.mmu.ReleaseProbes()
 }
 
 // maxPageRuns bounds the ascending page runs countPages tracks before it
@@ -391,33 +411,58 @@ func (e *Engine) fireEnd(now sim.Cycle, _ int64) {
 	done(c.ts)
 }
 
-// fireIssue issues the next transaction's translation — one per cycle
-// (§III-C) — unless the MMU is applying back-pressure, in which case the
-// engine parks until unblocked resumes it.
+// fireIssue is the issue chain's event. It books the chain from this
+// issue on (book), or runs one plain link (chain) when booking could not
+// keep the chain's order: another issue event is pending (see unblocked),
+// or a probe event is off its lane.
 func (e *Engine) fireIssue(now sim.Cycle, _ int64) {
+	if e.issues--; e.issues == 0 && e.mmu.HoldProbes() {
+		// This issue's event is firing, so it orders before everything
+		// pending; ticket 0 keeps it there.
+		e.book(now, 0)
+		return
+	}
+	e.chain(now)
+}
+
+// chain issues one transaction and schedules the chain's next link.
+func (e *Engine) chain(now sim.Cycle) {
+	if e.issue(now) {
+		e.q.CallAfter(1, e.hIssue, 0)
+		e.issues++
+	}
+}
+
+// issue issues the next transaction's translation — one per cycle
+// (§III-C) — unless the MMU is applying back-pressure, in which case the
+// engine parks until unblocked resumes it. It reports whether another
+// issue follows, one cycle later.
+func (e *Engine) issue(now sim.Cycle) bool {
 	c := &e.cur
 	if c.next >= len(c.txns) {
-		return
+		return false
 	}
 	if e.mmu.Stalled() {
 		// Resume via the unblock hook; account the stall.
 		c.stallStart = now
-		return
+		return false
 	}
 	t := c.txns[c.next]
 	tag := int64(c.next)
 	c.next++
-	e.observe(t.VA, now)
-	e.mmu.TranslateTag(t.VA, tag, e.translated)
-	if c.next < len(c.txns) {
-		e.q.CallAfter(1, e.hIssue, 0)
+	if e.Timeline != nil {
+		e.Timeline.Record(int64(now), 1)
 	}
+	if e.VATrace != nil {
+		e.VATrace(t.VA, now)
+	}
+	e.mmu.TranslateTag(t.VA, tag, e.translated)
+	return c.next < len(c.txns)
 }
 
 // translateDone books one translated transaction on the memory system at
 // cycle now. It is installed once as e.translated; the tag identifies the
-// transaction, so no per-transaction closure is needed. issueInstant
-// calls it directly with each transaction's issue cycle.
+// transaction, so no per-transaction closure is needed.
 //
 // Bookings happen in translation order at translation time, so each
 // arrival depends only on the channel state its claim finds. Only the
@@ -443,7 +488,9 @@ func (e *Engine) translateDone(entry vm.Entry, tag int64, now sim.Cycle) {
 	}
 }
 
-// unblocked is the MMU's back-pressure release hook.
+// unblocked is the MMU's back-pressure release hook. It runs inside a
+// walker's event, which may go on to schedule, so it resumes the chain
+// with a plain link rather than booking.
 //
 // Known modeling quirk, preserved deliberately: if the MMU stalls and
 // unstalls within one cycle while an hIssue event is already pending,
@@ -451,7 +498,8 @@ func (e *Engine) translateDone(entry vm.Entry, tag int64, now sim.Cycle) {
 // exceeds one translation per cycle. The pre-refactor closure code
 // behaved identically, and every committed figure is golden-diffed
 // against that behaviour — fixing it means re-baselining all outputs, so
-// it is documented rather than changed in this pass.
+// it is documented rather than changed in this pass. While two chains
+// run, neither books.
 func (e *Engine) unblocked(now sim.Cycle) {
 	if !e.active {
 		return
@@ -461,5 +509,5 @@ func (e *Engine) unblocked(now sim.Cycle) {
 		c.ts.StallCycles += now - c.stallStart
 		c.stallStart = -1
 	}
-	e.fireIssue(now, 0)
+	e.chain(now)
 }

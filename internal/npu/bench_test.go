@@ -20,7 +20,8 @@ import (
 // dense-cold's walker-heavy shapes: their misses merge into PRMBs and
 // drain one per cycle, and the custom PRMBs overflow into redundant walks.
 // ns/xlat divides the time by the cell's DMA translations, so cells of
-// different sizes compare on one scale.
+// different sizes compare on one scale; events/xlat divides the queue
+// events the cell fired (Result.Events) the same way.
 func BenchmarkRunCell(b *testing.B) {
 	cells := []struct {
 		name      string
@@ -60,7 +61,7 @@ func BenchmarkRunCell(b *testing.B) {
 			}
 			cfg.RepeatCap = c.repeatCap
 			cfg.Translations = BuildTranslations(plan, vm.Page4K)
-			var xlats int64
+			var xlats, events int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -69,8 +70,10 @@ func BenchmarkRunCell(b *testing.B) {
 					b.Fatal(err)
 				}
 				xlats += res.Translations
+				events += res.Events
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(xlats), "ns/xlat")
+			b.ReportMetric(float64(events)/float64(xlats), "events/xlat")
 		})
 	}
 }

@@ -144,6 +144,7 @@ type epochRun struct {
 	memPhase, compute, stall sim.Cycle
 	translations, bytes      int64
 	tiles                    int
+	events                   int64 // queue events fired
 	pageDiv                  stats.Dist
 	src                      counters.Sources // Cycles left zero; assembly fills it
 }
@@ -161,6 +162,7 @@ func (r *epochRun) add(b *epochRun) {
 	r.translations += b.translations
 	r.bytes += b.bytes
 	r.tiles += b.tiles
+	r.events += b.events
 	r.pageDiv.Merge(b.pageDiv)
 	r.src = addSources(r.src, b.src)
 }
@@ -186,6 +188,7 @@ func (r *epochRun) result(plan *workloads.Plan, cfg Config, cycles sim.Cycle) *R
 		StallCycles:    r.stall,
 		Tiles:          r.tiles,
 		Translations:   r.translations,
+		Events:         r.events,
 		BytesFetched:   r.bytes,
 		PageDivergence: r.pageDiv,
 		MMU:            src.MMU,
@@ -482,6 +485,7 @@ func runSampled(plan *workloads.Plan, cfg Config, snap *vm.Snapshot, eps []epoch
 			translations: scaleCount(sum.translations, w),
 			bytes:        scaleCount(sum.bytes, w),
 			tiles:        int(scaleCount(int64(sum.tiles), w)),
+			events:       sum.events,
 			pageDiv:      sum.pageDiv,
 			src:          scaleSources(sum.src, w),
 		})

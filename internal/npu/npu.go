@@ -122,6 +122,11 @@ type Result struct {
 	Translations   int64
 	BytesFetched   int64
 	PageDivergence stats.Dist
+	// Events is the host-side cost of the run in queue events fired
+	// (sim.Queue.Fired), summed over its machines. A sampled run sums
+	// the cold machines it simulated, unscaled. It is a measure of the
+	// simulator, not of the simulated NPU, and travels in no row.
+	Events int64
 
 	MMU    core.Stats
 	TLB    tlb.Stats
@@ -291,6 +296,7 @@ func (m *machine) run(ep epoch) error {
 func (m *machine) finish() *epochRun {
 	r := m.rec
 	r.tiles = len(r.durs)
+	r.events = m.q.Fired()
 	r.pageDiv = m.eng.PageDivergence()
 	r.src = counters.Sources{
 		MMU:    m.mmu.Stats(),

@@ -30,6 +30,10 @@ func (f *FIFO[T]) Push() *T {
 	return slot
 }
 
+// At returns the slot of the i-th oldest value: At(0) holds the one Pop
+// would return. i must be below Len.
+func (f *FIFO[T]) At(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
+
 // Back returns the newest value. The FIFO must not be empty.
 func (f *FIFO[T]) Back() T { return f.buf[(f.head+f.n-1)&(len(f.buf)-1)] }
 

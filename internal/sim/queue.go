@@ -8,7 +8,9 @@
 // interconnect transfers) are expressed as events on a single queue.
 // Memory transactions are booked on RateLimiters, in exact integer
 // time, without events; only a tile's last arrival is scheduled (see
-// Reserve). Determinism matters for reproducibility: events scheduled for
+// Reserve). The DMA issue chain and the TLB probes are fired by their
+// owners up to the queue's horizon, in the order their events would
+// have fired (see Horizon). Determinism matters for reproducibility: events scheduled for
 // the same cycle fire in insertion order, so repeated runs of a seeded
 // experiment produce bit-identical statistics.
 //
@@ -44,6 +46,21 @@
 // never which event fires next. A lane's ring grows to its working size
 // once and then schedules and fires without allocating
 // (TestAllocLaneSteadyState).
+//
+// # Horizon
+//
+// A component that owns a fixed-delay chain can run it without events.
+// Horizon returns the firing key of the next pending event: every chain
+// link that sorts before it would fire before anything else could, so
+// the component may fire such links itself, in their (cycle, ticket)
+// order, moving the clock to each with Advance. Its links take their
+// tickets with Reserve exactly where they would have been scheduled, and
+// whatever is still due when the horizon is reached goes back on the
+// queue under those tickets (CallTicket), so every event keeps the key it
+// would have had. A component whose events ride a lane can hold that lane
+// for such a run (Hold): Horizon then skips it, and the component fires
+// the lane's events itself, dropping each as it does (Drop). The DMA
+// engine runs the issue chain and the TLB probes this way (internal/dma).
 //
 // docs/ARCHITECTURE.md describes how this queue composes with the rest
 // of the simulator: the handler contract, the worker model,
@@ -100,8 +117,17 @@ type Queue struct {
 	seq   uint64
 	now   Cycle
 
-	handlers []handler
-	fired    int64
+	handlers  []handler
+	fired     int64
+	scheduled int64
+
+	// bounded is set while RunUntil runs; limit is its last cycle, and
+	// Horizon does not reach past it.
+	bounded bool
+	limit   Cycle
+	// held is one more than the index of the lane Horizon skips (see
+	// Hold); zero holds none.
+	held int
 }
 
 // Now returns the current simulation time: the cycle of the most recently
@@ -119,6 +145,77 @@ func (q *Queue) Len() int {
 
 // Fired returns the number of events fired so far.
 func (q *Queue) Fired() int64 { return q.fired }
+
+// Scheduled returns the number of events scheduled so far. A component
+// running a chain up to the Horizon re-reads the horizon only when this
+// count moves: nothing else can bring the next pending event earlier.
+func (q *Queue) Scheduled() int64 { return q.scheduled }
+
+// Horizon returns the cycle and ticket of the next pending event, the one
+// Step would fire next: the least of the heap's top and the lane heads,
+// leaving out a held lane (see Hold). Under RunUntil it is no later than
+// the window's end, (limit, MaxTicket): nothing due after limit fires
+// before RunUntil returns. With nothing pending it returns (MaxCycle,
+// MaxTicket), a key after every event.
+func (q *Queue) Horizon() (Cycle, Ticket) {
+	at, t := MaxCycle, MaxTicket
+	if len(q.heap) > 0 {
+		at, t = q.heap[0].at, Ticket(q.heap[0].seq)
+	}
+	for i := range q.lanes {
+		if ln := &q.lanes[i]; ln.n > 0 && i != q.held-1 {
+			if head := &ln.buf[ln.head]; Before(head.at, Ticket(head.seq), at, t) {
+				at, t = head.at, Ticket(head.seq)
+			}
+		}
+	}
+	if q.bounded && at > q.limit {
+		at, t = q.limit, MaxTicket
+	}
+	return at, t
+}
+
+// Before reports whether the key (at, t) fires before the key (bat, bt):
+// the queue's (cycle, sequence) order.
+func Before(at Cycle, t Ticket, bat Cycle, bt Ticket) bool {
+	return at < bat || at == bat && t < bt
+}
+
+// Advance moves the clock forward to cycle at, without firing anything,
+// so a component firing its own chain links (see Horizon) schedules and
+// reads time from each link's cycle. at must not pass the Horizon; an at
+// before Now leaves the clock where it is.
+func (q *Queue) Advance(at Cycle) {
+	if at > q.now {
+		q.now = at
+	}
+}
+
+// Hold takes handler id's lane out of Horizon, so the lane's owner can
+// fire the lane's events itself, in order, dropping each with Drop. The
+// lane must hold exactly n events, the owner's count of its pending
+// events for id; otherwise some sit on the heap, and Hold holds nothing
+// and reports false. One lane is held at a time, until Release. The
+// queue fires no event while a lane is held: the holder runs inside a
+// handler or between Steps.
+func (q *Queue) Hold(id HandlerID, n int) bool {
+	l := q.handlers[id].lane
+	if l < 0 || q.lanes[l].n != n {
+		return false
+	}
+	q.held = int(l) + 1
+	return true
+}
+
+// Drop removes the oldest event on the held lane without firing it.
+func (q *Queue) Drop() {
+	ln := &q.lanes[q.held-1]
+	ln.head = (ln.head + 1) & (len(ln.buf) - 1)
+	ln.n--
+}
+
+// Release ends a Hold.
+func (q *Queue) Release() { q.held = 0 }
 
 // Grow reserves backing capacity for at least n simultaneously pending
 // events, so a simulation whose peak event population is known up front
@@ -173,6 +270,13 @@ func (q *Queue) CallAfter(delay Cycle, id HandlerID, arg int64) {
 // same cycle, taken by Reserve.
 type Ticket uint64
 
+// MaxCycle and MaxTicket form the key Horizon returns for an empty
+// queue: later than any event.
+const (
+	MaxCycle  = Cycle(math.MaxInt64)
+	MaxTicket = Ticket(math.MaxUint64)
+)
+
 // Reserve takes the firing-order position a Call made now would get,
 // without scheduling anything. A component that books many completion
 // times but needs only the last one delivered takes a ticket for each
@@ -213,6 +317,7 @@ func (q *Queue) CallTicket(at Cycle, t Ticket, id HandlerID, arg int64) {
 // Lane pushes and pops work on the ring's fields in place: FIFO's generic
 // methods are not inlined here, and these run once per event.
 func (q *Queue) schedule(it item) {
+	q.scheduled++
 	if l := q.handlers[it.hid].lane; l >= 0 {
 		ln := &q.lanes[l]
 		if ln.n == 0 || less(ln.Back(), it) {
@@ -228,10 +333,7 @@ func (q *Queue) schedule(it item) {
 }
 
 // Step fires the earliest pending event and reports whether one existed.
-func (q *Queue) Step() bool { return q.step(maxCycle) }
-
-// maxCycle is later than any event: step(maxCycle) fires whatever is next.
-const maxCycle = Cycle(math.MaxInt64)
+func (q *Queue) Step() bool { return q.step(MaxCycle) }
 
 // step fires the earliest pending event if it is due by limit, and reports
 // whether it fired one. Every lane is sorted and the heap's top is its
@@ -281,8 +383,10 @@ func (q *Queue) Run() Cycle {
 // RunUntil fires events up to and including cycle limit, returning true if
 // the queue drained before the limit was reached.
 func (q *Queue) RunUntil(limit Cycle) bool {
+	q.bounded, q.limit = true, limit
 	for q.step(limit) {
 	}
+	q.bounded = false
 	return q.Len() == 0
 }
 

@@ -141,7 +141,7 @@ type Pool struct {
 	q     *sim.Queue
 	ptws  []ptw
 	free  []int // indices of idle walkers (LIFO keeps TPreg locality)
-	queue []Request
+	queue sim.FIFO[Request]
 
 	inflight walkIndex // VPN → walks in flight and the lowest walker on it
 
@@ -249,7 +249,7 @@ func (p *Pool) FreeWalkers() int { return len(p.free) }
 // Pending reports the number of requests queued or merged but not yet
 // completed (excluding walk-initiating requests).
 func (p *Pool) Pending() int {
-	n := len(p.queue)
+	n := p.queue.Len()
 	for i := range p.ptws {
 		n += len(p.ptws[i].merged)
 	}
@@ -305,9 +305,9 @@ func (p *Pool) Submit(req Request) bool {
 		p.startWalk(req, vpn)
 		return true
 	}
-	if len(p.queue) < p.cfg.QueueDepth {
+	if p.queue.Len() < p.cfg.QueueDepth {
 		p.stats.Requests++
-		p.queue = append(p.queue, req)
+		*p.queue.Push() = req
 		return true
 	}
 	p.stats.Rejected++
@@ -448,10 +448,8 @@ func (p *Pool) release(w int, now sim.Cycle) {
 	pw.busy = false
 	p.free = append(p.free, w)
 	// Pull the next queued request, if any (baseline IOMMU mode).
-	if len(p.queue) > 0 {
-		next := p.queue[0]
-		copy(p.queue, p.queue[1:])
-		p.queue = p.queue[:len(p.queue)-1]
+	if p.queue.Len() > 0 {
+		next := p.queue.Pop()
 		p.startWalk(next, vm.PageNumber(next.VA, p.cfg.PageSize))
 	}
 	if p.rejectedSinceCapacity {
