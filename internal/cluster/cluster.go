@@ -155,7 +155,7 @@ type fleet struct {
 	reroutes    atomic.Int64
 	noWorkers   atomic.Int64
 	storedCells atomic.Int64 // cells answered from cfg.Store
-	resumes     atomic.Int64 // requests with at least one such cell
+	storedReqs  atomic.Int64 // requests with at least one such cell
 }
 
 // New returns a coordinator for the given worker fleet. The health
@@ -278,7 +278,7 @@ func (f *fleet) Resolve(ctx context.Context, traceID string, h *exp.Harness, poi
 	stored := len(points) - len(remaining)
 	if stored > 0 {
 		f.storedCells.Add(int64(stored))
-		f.resumes.Add(1)
+		f.storedReqs.Add(1)
 	}
 	if len(remaining) == 0 {
 		return cells, stored, nil
@@ -516,49 +516,41 @@ func (f *fleet) reroute(ctx context.Context, traceID string, h *exp.Harness, poi
 }
 
 // Metrics is the coordinator's /metrics response: fleet health, routing
-// counters, and per-worker detail.
+// counters, and per-worker detail. Like serve.Metrics it is the one
+// definition of the role's metrics, rendered as the neucoord_ families.
 type Metrics struct {
-	UptimeSec      float64 `json:"uptime_sec"`
-	Requests       int64   `json:"requests"`
-	Sweeps         int64   `json:"sweeps"`
-	CellsServed    int64   `json:"cells_served"`
-	CellsRerouted  int64   `json:"cells_rerouted"`
-	NoWorkerErrors int64   `json:"no_worker_errors"`
-	// JournalEnabled reports a coordinator store is configured;
-	// CellsFromJournal counts cells answered from that store without any
-	// dispatch; SweepsResumed counts requests with at least one such cell.
-	// (The names predate the store; the wire names are kept.)
-	JournalEnabled   bool  `json:"journal_enabled"`
-	CellsFromJournal int64 `json:"cells_from_journal"`
-	SweepsResumed    int64 `json:"sweeps_resumed"`
+	serve.RequestStats
+	CellsRerouted  int64 `json:"cells_rerouted" prom:"cells_rerouted_total counter" help:"Cells re-routed after worker failures."`
+	NoWorkerErrors int64 `json:"no_worker_errors" prom:"no_worker_errors_total counter" help:"Requests refused with no healthy workers."`
+	// StoreEnabled reports a coordinator store is configured;
+	// CellsFromStore counts cells answered from that store without any
+	// dispatch; RequestsFromStore counts requests (/v1/sweep, /v1/sim or
+	// /v1/cells) with at least one such cell.
+	StoreEnabled      bool  `json:"store_enabled" prom:"store_enabled gauge" help:"1 when the coordinator's cell store is configured."`
+	CellsFromStore    int64 `json:"cells_from_store" prom:"cells_from_store_total counter" help:"Cells answered from the coordinator's store without any dispatch."`
+	RequestsFromStore int64 `json:"requests_from_store" prom:"requests_from_store_total counter" help:"Requests with at least one cell answered from the coordinator's store."`
 
-	WorkersTotal   int             `json:"workers_total"`
-	WorkersHealthy int             `json:"workers_healthy"`
-	Workers        []WorkerMetrics `json:"workers"`
-
-	SweepLatencyMS serve.LatencyJSON `json:"sweep_latency_ms"`
+	WorkersTotal   int             `json:"workers_total" prom:"workers gauge" help:"Configured worker count."`
+	WorkersHealthy int             `json:"workers_healthy" prom:"workers_healthy gauge" help:"Workers currently routable."`
+	Workers        []WorkerMetrics `json:"workers" prom:"worker=URL"`
 }
 
 // Metrics snapshots the coordinator's operational state.
 func (c *Coordinator) Metrics() Metrics { return c.fleet.snapshot(c.srv.RequestStats()) }
 
-// Metrics implements serve.Resolver: the coordinator's JSON /metrics body.
-func (f *fleet) Metrics(rs serve.RequestStats) any { return f.snapshot(rs) }
+// Metrics implements serve.Resolver: the coordinator's /metrics snapshot.
+func (f *fleet) Metrics(rs serve.RequestStats) (any, string) { return f.snapshot(rs), "neucoord_" }
 
 func (f *fleet) snapshot(rs serve.RequestStats) Metrics {
 	return Metrics{
-		UptimeSec:        rs.UptimeSec,
-		Requests:         rs.Requests,
-		Sweeps:           rs.Sweeps,
-		CellsServed:      rs.CellsServed,
-		CellsRerouted:    f.reroutes.Load(),
-		NoWorkerErrors:   f.noWorkers.Load(),
-		JournalEnabled:   f.cfg.Store != nil,
-		CellsFromJournal: f.storedCells.Load(),
-		SweepsResumed:    f.resumes.Load(),
-		WorkersTotal:     len(f.pool.workers),
-		WorkersHealthy:   f.pool.healthyCount(),
-		Workers:          f.pool.metrics(),
-		SweepLatencyMS:   serve.ToLatencyJSON(rs.Latency),
+		RequestStats:      rs,
+		CellsRerouted:     f.reroutes.Load(),
+		NoWorkerErrors:    f.noWorkers.Load(),
+		StoreEnabled:      f.cfg.Store != nil,
+		CellsFromStore:    f.storedCells.Load(),
+		RequestsFromStore: f.storedReqs.Load(),
+		WorkersTotal:      len(f.pool.workers),
+		WorkersHealthy:    f.pool.healthyCount(),
+		Workers:           f.pool.metrics(),
 	}
 }

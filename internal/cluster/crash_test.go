@@ -181,9 +181,9 @@ func TestCrashRestartResumesByteIdentical(t *testing.T) {
 	if err := jsonDecode(mresp.Body, &m); err != nil {
 		t.Fatal(err)
 	}
-	if !m.JournalEnabled || m.SweepsResumed != 1 || m.CellsFromJournal < 2 {
-		t.Fatalf("restarted coordinator metrics: journal=%v resumed=%d fromJournal=%d",
-			m.JournalEnabled, m.SweepsResumed, m.CellsFromJournal)
+	if !m.StoreEnabled || m.RequestsFromStore != 1 || m.CellsFromStore < 2 {
+		t.Fatalf("restarted coordinator metrics: store_enabled=%v requests_from_store=%d cells_from_store=%d",
+			m.StoreEnabled, m.RequestsFromStore, m.CellsFromStore)
 	}
 
 	// And the restarted worker's disk tier is live: its store directory

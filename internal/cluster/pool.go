@@ -29,15 +29,15 @@ type workerState struct {
 // failure orphaned it and CellsAdopted on the worker that answered it
 // instead.
 type WorkerMetrics struct {
-	URL            string `json:"url"`
-	Healthy        bool   `json:"healthy"`
-	Shards         int64  `json:"shards"`
-	CellsAssigned  int64  `json:"cells_assigned"`
-	CellsCompleted int64  `json:"cells_completed"`
-	CellErrors     int64  `json:"cell_errors"`
-	Failures       int64  `json:"failures"`
-	CellsRerouted  int64  `json:"cells_rerouted"`
-	CellsAdopted   int64  `json:"cells_adopted"`
+	URL            string `json:"url" prom:"label"`
+	Healthy        bool   `json:"healthy" prom:"worker_healthy gauge" help:"Per-worker liveness (1 = routable)."`
+	Shards         int64  `json:"shards" prom:"worker_shards_total counter" help:"Shard dispatches sent to each worker."`
+	CellsAssigned  int64  `json:"cells_assigned" prom:"worker_cells_assigned_total counter" help:"Cells assigned to each worker (including re-routed ones)."`
+	CellsCompleted int64  `json:"cells_completed" prom:"worker_cells_completed_total counter" help:"Cells each worker answered successfully."`
+	CellErrors     int64  `json:"cell_errors" prom:"worker_cell_errors_total counter" help:"Cells each worker answered with a per-cell error."`
+	Failures       int64  `json:"failures" prom:"worker_failures_total counter" help:"Transport failures per worker (connection, status, timeout)."`
+	CellsRerouted  int64  `json:"cells_rerouted" prom:"worker_cells_rerouted_total counter" help:"Cells moved off each worker after its failure."`
+	CellsAdopted   int64  `json:"cells_adopted" prom:"worker_cells_adopted_total counter" help:"Re-routed cells each worker took over from a failed peer."`
 }
 
 func (w *workerState) metrics() WorkerMetrics {

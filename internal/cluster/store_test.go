@@ -87,7 +87,7 @@ func TestStoreCompleteSweepServesWithDeadFleet(t *testing.T) {
 	if resp.StatusCode != 200 || !bytes.Equal(body, ref) {
 		t.Fatalf("stored sweep = %d, identical = %v", resp.StatusCode, bytes.Equal(body, ref))
 	}
-	if m := c1.Metrics(); !m.JournalEnabled || m.SweepsResumed != 0 || m.CellsFromJournal != 0 {
+	if m := c1.Metrics(); !m.StoreEnabled || m.RequestsFromStore != 0 || m.CellsFromStore != 0 {
 		t.Fatalf("first run metrics: %+v", m)
 	}
 	st1.Close()
@@ -103,7 +103,7 @@ func TestStoreCompleteSweepServesWithDeadFleet(t *testing.T) {
 	if !bytes.Equal(body, ref) {
 		t.Fatalf("store-served body differs from reference:\nref:  %s\ngot:  %s", ref, body)
 	}
-	if m := c2.Metrics(); m.CellsFromJournal != 8 || m.SweepsResumed != 1 {
+	if m := c2.Metrics(); m.CellsFromStore != 8 || m.RequestsFromStore != 1 {
 		t.Fatalf("resume metrics: %+v", m)
 	}
 }
@@ -147,7 +147,7 @@ func TestStoreResumesPartialSweep(t *testing.T) {
 		t.Fatalf("resumed sweep = %d, identical = %v\nref: %s\ngot: %s",
 			resp.StatusCode, bytes.Equal(body, ref), ref, body)
 	}
-	if m := c2.Metrics(); m.CellsFromJournal != 3 || m.SweepsResumed != 1 {
+	if m := c2.Metrics(); m.CellsFromStore != 3 || m.RequestsFromStore != 1 {
 		t.Fatalf("partial resume metrics: %+v", m)
 	}
 	if q := st2.Stats().Quarantined; q != 1 {
@@ -176,7 +176,7 @@ func TestStoreRepeatSweepDispatchesNothing(t *testing.T) {
 	if got := cellLookups(w); got != before {
 		t.Fatalf("repeat sweep reached the worker: %d -> %d cell lookups", before, got)
 	}
-	if m := c.Metrics(); m.CellsFromJournal != 8 || m.SweepsResumed != 1 {
+	if m := c.Metrics(); m.CellsFromStore != 8 || m.RequestsFromStore != 1 {
 		t.Fatalf("repeat metrics: %+v", m)
 	}
 }
@@ -224,8 +224,8 @@ func TestStoreConcurrentIdenticalSweeps(t *testing.T) {
 		t.Fatalf("restart after concurrent sweeps = %d, identical = %v: %s",
 			resp.StatusCode, bytes.Equal(body, ref), body)
 	}
-	if m := c2.Metrics(); m.CellsFromJournal != 8 {
-		t.Fatalf("restart served %d cells from the store, want 8", m.CellsFromJournal)
+	if m := c2.Metrics(); m.CellsFromStore != 8 {
+		t.Fatalf("restart served %d cells from the store, want 8", m.CellsFromStore)
 	}
 }
 
@@ -247,8 +247,8 @@ func TestStoreQuickRetryResumesEffortSweep(t *testing.T) {
 		t.Fatalf("quick-spelled retry over dead fleet = %d, identical = %v: %s",
 			resp.StatusCode, bytes.Equal(body, ref), body)
 	}
-	if m := c2.Metrics(); m.CellsFromJournal != 8 {
-		t.Fatalf("retry served %d cells from the store, want 8", m.CellsFromJournal)
+	if m := c2.Metrics(); m.CellsFromStore != 8 {
+		t.Fatalf("retry served %d cells from the store, want 8", m.CellsFromStore)
 	}
 }
 
@@ -268,7 +268,7 @@ func TestStoreSubsetSweepDispatchesNothing(t *testing.T) {
 		t.Fatalf("subset sweep over dead fleet = %d, identical = %v: %s",
 			resp.StatusCode, bytes.Equal(body, ref), body)
 	}
-	if m := c2.Metrics(); m.CellsFromJournal != 4 || m.SweepsResumed != 1 {
+	if m := c2.Metrics(); m.CellsFromStore != 4 || m.RequestsFromStore != 1 {
 		t.Fatalf("subset metrics: %+v", m)
 	}
 }

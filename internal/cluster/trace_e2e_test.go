@@ -85,6 +85,22 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 	coord := startNeuserve(t, bin, freeAddr(t), "-role", "coordinator",
 		"-peers", strings.Join(peerURLs, ","), "-health-interval", "30s")
 
+	// Live Prometheus scrapes of the real processes, a coordinator's and a
+	// worker's, must pass the strict linter before the first sweep, and
+	// again after it with every counter monotone across the two.
+	scrape := func(url string) *trace.Exposition {
+		t.Helper()
+		e, err := trace.ParseProm(getBody(t, url+"/metrics?format=prometheus"))
+		if err != nil {
+			t.Fatalf("%s exposition invalid: %v", url, err)
+		}
+		return e
+	}
+	promBefore := map[string]*trace.Exposition{}
+	for _, url := range []string{coord.url(), workers[0].url()} {
+		promBefore[url] = scrape(url)
+	}
+
 	// --- Phase 1: healthy fleet. Every worker's local trace ring must
 	// hold spans for exactly its shard's cells under the injected ID.
 	const id1 = "e2e-trace-phase1"
@@ -143,6 +159,11 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 	}
 	if workerCells != refCells {
 		t.Fatalf("worker-side spans total %d, want %d", workerCells, refCells)
+	}
+	for url, before := range promBefore {
+		if err := trace.CheckMonotonic(before, scrape(url)); err != nil {
+			t.Errorf("%s: scrapes around the sweep not monotone: %v", url, err)
+		}
 	}
 
 	// --- Phase 2: SIGKILL the majority owner of the fresh grid

@@ -3,9 +3,17 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"neummu/internal/serve"
 
 	"neummu/internal/trace"
 )
@@ -128,10 +136,30 @@ func TestCoordinatorTracePropagation(t *testing.T) {
 	_ = c
 }
 
+// inventory lists an exposition's families as "name type label-keys",
+// sorted, leaving out the le and quantile labels of histograms and
+// summaries.
+func inventory(e *trace.Exposition) []string {
+	var out []string
+	for _, f := range e.Families {
+		keys := map[string]bool{}
+		for _, s := range f.Samples {
+			for k := range s.Labels {
+				if k != "le" && k != "quantile" {
+					keys[k] = true
+				}
+			}
+		}
+		out = append(out, strings.Join(append([]string{f.Name, f.Type}, slices.Sorted(maps.Keys(keys))...), " "))
+	}
+	slices.Sort(out)
+	return out
+}
+
 // TestCoordinatorMetricsPrometheus pins the coordinator's exposition: it
-// parses under the strict linter, carries the neucoord_ headline families
-// and per-worker counters (including both sides of re-route attribution),
-// and two scrapes separated by work are monotone.
+// parses under the strict linter, holds exactly the coordinator's family
+// inventory (per-worker counters include both sides of re-route
+// attribution), and two scrapes separated by work are monotone.
 func TestCoordinatorMetricsPrometheus(t *testing.T) {
 	w1, w2 := newWorker(t, nil), newWorker(t, nil)
 	_, ts := newCoordinator(t, Config{Workers: []string{w1.ts.URL, w2.ts.URL}})
@@ -139,31 +167,39 @@ func TestCoordinatorMetricsPrometheus(t *testing.T) {
 	post(t, ts.URL, "/v1/sweep", testSweep)
 	getProm := func() *trace.Exposition {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+		fams, err := trace.ParseProm(getBody(t, ts.URL+"/metrics?format=prometheus"))
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		fams, err := trace.ParseProm(buf.Bytes())
-		if err != nil {
-			t.Fatalf("exposition invalid: %v\n%s", err, buf.Bytes())
+			t.Fatalf("exposition invalid: %v", err)
 		}
 		return fams
 	}
 
 	prev := getProm()
-	for _, want := range []string{
-		"neucoord_requests_total", "neucoord_sweeps_total",
-		"neucoord_cells_served_total", "neucoord_cells_rerouted_total",
-		"neucoord_workers_healthy", "neucoord_worker_cells_completed_total",
-		"neucoord_worker_cells_rerouted_total", "neucoord_worker_cells_adopted_total",
-		"neucoord_sweep_latency_seconds", "neuserve_stage_duration_seconds",
-	} {
-		if _, ok := prev.Family(want); !ok {
-			t.Errorf("family %s missing from coordinator exposition", want)
-		}
+	want := []string{
+		"neucoord_cells_from_store_total counter",
+		"neucoord_cells_rerouted_total counter",
+		"neucoord_cells_served_total counter",
+		"neucoord_no_worker_errors_total counter",
+		"neucoord_requests_from_store_total counter",
+		"neucoord_requests_total counter",
+		"neucoord_store_enabled gauge",
+		"neucoord_sweep_latency_seconds summary",
+		"neucoord_sweeps_total counter",
+		"neucoord_uptime_seconds gauge",
+		"neucoord_worker_cell_errors_total counter worker",
+		"neucoord_worker_cells_adopted_total counter worker",
+		"neucoord_worker_cells_assigned_total counter worker",
+		"neucoord_worker_cells_completed_total counter worker",
+		"neucoord_worker_cells_rerouted_total counter worker",
+		"neucoord_worker_failures_total counter worker",
+		"neucoord_worker_healthy gauge worker",
+		"neucoord_worker_shards_total counter worker",
+		"neucoord_workers gauge",
+		"neucoord_workers_healthy gauge",
+		"neuserve_stage_duration_seconds histogram stage",
+	}
+	if got := inventory(prev); !slices.Equal(got, want) {
+		t.Errorf("family inventory:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	if f, _ := prev.Family("neucoord_worker_cells_completed_total"); f != nil {
 		var total float64
@@ -178,5 +214,140 @@ func TestCoordinatorMetricsPrometheus(t *testing.T) {
 	post(t, ts.URL, "/v1/sweep", testSweep)
 	if err := trace.CheckMonotonic(prev, getProm()); err != nil {
 		t.Errorf("scrapes not monotone: %v", err)
+	}
+}
+
+// getBody GETs url and returns the body of a 200 response.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d, %v: %s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// TestMetricsParity is the /metrics parity law for both roles: every
+// numeric leaf of a live JSON body has a Prometheus sample of the same
+// value, and every sample has a leaf. The worker has a store and has
+// served a figure so that no part of its body is empty.
+func TestMetricsParity(t *testing.T) {
+	ws := serve.New(serve.Config{Workers: 2, Store: openStore(t, t.TempDir())})
+	wts := httptest.NewServer(ws)
+	t.Cleanup(func() { wts.Close(); ws.Close() })
+	_, ts := newCoordinator(t, Config{Workers: []string{wts.URL}, Store: openStore(t, t.TempDir())})
+	post(t, ts.URL, "/v1/sweep", testSweep)
+	post(t, ts.URL, "/v1/sweep", testSweep)
+	getBody(t, wts.URL+"/v1/figures/fig8?quick=1")
+
+	checkParity(t, "neuserve_", serve.Metrics{}, getBody(t, wts.URL+"/metrics"),
+		"cells_per_sec", "simulated_per_sec", "cell_cache_hit_rate",
+		"sweep_latency_ms.max", "figure_latency_ms.max")
+	checkParity(t, "neucoord_", Metrics{}, getBody(t, ts.URL+"/metrics"),
+		"sweep_latency_ms.max")
+}
+
+// checkParity holds one role's JSON /metrics body against the
+// exposition trace.WriteMetrics renders from it, decoded into the role's
+// snapshot type (the type of like). Each numeric leaf is perturbed in turn and the
+// body re-rendered: the leaf must move a sample whose unperturbed value
+// is the leaf's — as is, in seconds for a latency in ms, or as a
+// summary's _sum for its mean — and every sample must move with some
+// leaf. The leaves in noSample (the derived ratios and latency maxima)
+// must move nothing.
+func checkParity(t *testing.T, prefix string, like any, body []byte, noSample ...string) {
+	t.Helper()
+	render := func(body []byte) map[string]float64 {
+		t.Helper()
+		m := reflect.New(reflect.TypeOf(like))
+		if err := json.Unmarshal(body, m.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteMetrics(trace.NewPromWriter(&buf), prefix, m.Elem().Interface()); err != nil {
+			t.Fatal(err)
+		}
+		e, err := trace.ParseProm(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, f := range e.Families {
+			for _, s := range f.Samples {
+				out[s.Name+fmt.Sprint(s.Labels)] = s.Value
+			}
+		}
+		return out
+	}
+	base := render(body)
+	var tree map[string]any
+	if err := json.Unmarshal(body, &tree); err != nil {
+		t.Fatal(err)
+	}
+	moved := map[string]bool{}
+	check := func(path string, obj map[string]any, key string, x float64, perturbed any) {
+		orig := obj[key]
+		obj[key] = perturbed
+		after, err := json.Marshal(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj[key] = orig
+		matched, movedAny := false, false
+		for id, v := range render(after) {
+			if v == base[id] {
+				continue
+			}
+			movedAny, moved[id] = true, true
+			count, _ := obj["count"].(float64)
+			switch b := base[id]; {
+			case strings.Contains(id, "_seconds_sum"): // a summary's mean
+				matched = matched || b == x/1e3*count
+			case strings.Contains(id, "quantile:"): // a percentile in ms
+				matched = matched || b == x/1e3
+			default:
+				matched = matched || b == x
+			}
+		}
+		switch {
+		case slices.Contains(noSample, path):
+			if movedAny {
+				t.Errorf("%s: JSON %s moved a sample but is listed as having none", prefix, path)
+			}
+		case !matched:
+			t.Errorf("%s: JSON %s = %v has no Prometheus sample of that value", prefix, path, x)
+		}
+	}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case []any:
+			for i, x := range v {
+				walk(fmt.Sprintf("%s.%d", path, i), x)
+			}
+		case map[string]any:
+			for k, x := range v {
+				p := strings.TrimPrefix(path+"."+k, ".")
+				switch x := x.(type) {
+				case float64:
+					check(p, v, k, x, x+1)
+				case bool:
+					check(p, v, k, map[bool]float64{true: 1}[x], !x)
+				default:
+					walk(p, x)
+				}
+			}
+		}
+	}
+	walk("", tree)
+	for id := range base {
+		if !moved[id] {
+			t.Errorf("%s: Prometheus %s has no JSON leaf", prefix, id)
+		}
 	}
 }

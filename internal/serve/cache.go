@@ -213,16 +213,16 @@ func (c *Cache[K, V]) add(key K, v V) {
 
 // CacheStats is an instrumentation snapshot.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Joins     int64 `json:"joins"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Hits      int64 `json:"hits" prom:"cache_hits_total counter" help:"Cache lookups answered from a resident entry."`
+	Joins     int64 `json:"joins" prom:"cache_joins_total counter" help:"Cache lookups that joined an in-flight computation."`
+	Misses    int64 `json:"misses" prom:"cache_misses_total counter" help:"Cache lookups that owned a new computation."`
+	Evictions int64 `json:"evictions" prom:"cache_evictions_total counter" help:"Entries evicted to hold the byte bound."`
 	// Cancels counts queued computations dropped at dequeue because every
 	// interested request had already disconnected.
-	Cancels  int64 `json:"cancels"`
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
+	Cancels  int64 `json:"cancels" prom:"cache_cancels_total counter" help:"Queued computations dropped because every waiter disconnected."`
+	Entries  int   `json:"entries" prom:"cache_entries gauge" help:"Entries resident in the cache."`
+	Bytes    int64 `json:"bytes" prom:"cache_bytes gauge" help:"Bytes resident in the cache."`
+	MaxBytes int64 `json:"max_bytes" prom:"cache_max_bytes gauge" help:"Cache byte bound."`
 }
 
 // HitRate returns the fraction of lookups served without a new

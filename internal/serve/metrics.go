@@ -8,6 +8,7 @@ import (
 	"neummu/internal/counters"
 	"neummu/internal/stats"
 	"neummu/internal/store"
+	"neummu/internal/trace"
 )
 
 // metrics aggregates the service's operational counters. Latencies are
@@ -58,88 +59,63 @@ func newMetrics() *metrics {
 	}
 }
 
-// LatencyJSON is the wire form of a stats.LatencySummary, shared by both
-// roles' /metrics bodies so they report latency in one shape. The float
-// fields are pointers so an empty window omits them entirely — the
-// recorder reports NaN for "no samples" (which JSON cannot carry), and a
-// dashboard must see absence, not a fake 0ms p99.
-type LatencyJSON struct {
-	Count int64    `json:"count"`
-	Mean  *float64 `json:"mean,omitempty"`
-	P50   *float64 `json:"p50,omitempty"`
-	P95   *float64 `json:"p95,omitempty"`
-	P99   *float64 `json:"p99,omitempty"`
-	Max   *float64 `json:"max,omitempty"`
-}
-
-// ToLatencyJSON converts a summary to its wire form, dropping the NaN
-// fields of an empty window.
-func ToLatencyJSON(s stats.LatencySummary) LatencyJSON {
-	out := LatencyJSON{Count: s.Count}
-	if !s.Valid() {
-		return out
-	}
-	mean, p50, p95, p99, max := s.Mean, s.P50, s.P95, s.P99, s.Max
-	out.Mean, out.P50, out.P95, out.P99, out.Max = &mean, &p50, &p95, &p99, &max
-	return out
-}
-
 // Metrics is the /metrics response: queue and cache state, throughput,
-// and request latency percentiles.
+// and request latency percentiles. It is the one definition of the
+// worker's metrics: the JSON body encodes it and trace.WriteMetrics
+// renders its prom tags as the neuserve_ Prometheus families.
 type Metrics struct {
-	UptimeSec float64 `json:"uptime_sec"`
-	Requests  int64   `json:"requests"`
-	Overloads int64   `json:"overloads"`
+	RequestStats
+	Overloads int64 `json:"overloads" prom:"overloads_total counter" help:"Requests rejected with 429 (job queue full)."`
 
-	QueueDepth int `json:"queue_depth"`
-	Workers    int `json:"workers"`
+	QueueDepth int `json:"queue_depth" prom:"queue_depth gauge" help:"Jobs waiting in the scheduler queue."`
+	Workers    int `json:"workers" prom:"workers gauge" help:"Simulation worker budget."`
 
-	CellsServed     int64   `json:"cells_served"`
-	CellsSimulated  int64   `json:"cells_simulated"`
-	CellsPerSec     float64 `json:"cells_per_sec"`
-	SimulatedPerSec float64 `json:"simulated_per_sec"`
+	CellsSimulated  int64   `json:"cells_simulated" prom:"cells_simulated_total counter" help:"Cell simulations actually executed."`
+	CellsPerSec     float64 `json:"cells_per_sec" prom:"-"`
+	SimulatedPerSec float64 `json:"simulated_per_sec" prom:"-"`
 
-	CellCache   CacheStats `json:"cell_cache"`
-	CellHitRate float64    `json:"cell_cache_hit_rate"`
+	CellCache   CacheStats `json:"cell_cache" prom:"cache=cell"`
+	CellHitRate float64    `json:"cell_cache_hit_rate" prom:"-"`
 	// DiskTier reports the durable result tier (internal/store) when one
 	// is configured: hits/misses, write-behind progress, GC evictions, and
 	// quarantined-corrupt counts. Zero-valued when DiskTierEnabled is
 	// false.
-	DiskTierEnabled bool        `json:"disk_tier_enabled"`
-	DiskTier        store.Stats `json:"disk_tier"`
-	FigureCache     CacheStats  `json:"figure_cache"`
-	FiguresServed   int64       `json:"figures_served"`
-	FiguresBuilt    int64       `json:"figures_built"`
+	DiskTierEnabled bool        `json:"disk_tier_enabled" prom:"disk_tier_enabled gauge" help:"1 when a durable result tier is configured."`
+	DiskTier        store.Stats `json:"disk_tier" prom:""`
+	FigureCache     CacheStats  `json:"figure_cache" prom:"cache=figure"`
+	FiguresServed   int64       `json:"figures_served" prom:"figures_served_total counter" help:"Figure bodies streamed."`
+	FiguresBuilt    int64       `json:"figures_built" prom:"figures_built_total counter" help:"Figure renders actually executed."`
 
-	SweepLatencyMS  LatencyJSON `json:"sweep_latency_ms"`
-	FigureLatencyMS LatencyJSON `json:"figure_latency_ms"`
+	FigureLatencyMS trace.LatencyJSON `json:"figure_latency_ms" prom:"figure_latency_seconds summary" help:"Figure request latency."`
 
 	// SimCounters is the audited counter bundle summed over every cell
 	// simulation this process executed — the operator-facing aggregate of
-	// the same record each NDJSON row carries.
-	SimCounters counters.Bundle `json:"sim_counters"`
+	// the same record each NDJSON row carries — as one family labeled
+	// counter=<json key>.
+	SimCounters counters.Bundle `json:"sim_counters" prom:"sim_counters_total counter counter" help:"Audited simulation counter bundle summed over executed cells."`
 }
 
-// RequestStats is the front end's request-layer state: the part of
-// /metrics that both roles report, passed to the Resolver that renders
-// the rest.
+// RequestStats is the front end's request-layer state: the block of
+// /metrics that both roles report, embedded in each role's body so its
+// JSON keys stay flat, and passed to the Resolver that snapshots the
+// rest.
 type RequestStats struct {
-	UptimeSec   float64
-	Requests    int64                // HTTP requests accepted (any endpoint)
-	Sweeps      int64                // /v1/sweep responses streamed to completion
-	CellsServed int64                // cells of completed sweep/sim/cells responses
-	Latency     stats.LatencySummary // their latency, in milliseconds
+	UptimeSec      float64           `json:"uptime_sec" prom:"uptime_seconds gauge" help:"Seconds since the process started."`
+	Requests       int64             `json:"requests" prom:"requests_total counter" help:"HTTP requests accepted (any endpoint)."`
+	Sweeps         int64             `json:"sweeps" prom:"sweeps_total counter" help:"/v1/sweep responses streamed to completion."`
+	CellsServed    int64             `json:"cells_served" prom:"cells_served_total counter" help:"Cells of completed /v1/sweep, /v1/sim and /v1/cells responses."`
+	SweepLatencyMS trace.LatencyJSON `json:"sweep_latency_ms" prom:"sweep_latency_seconds summary" help:"Sweep/sim/cells request latency."`
 }
 
 // RequestStats snapshots the front end's request counters.
 func (s *Server) RequestStats() RequestStats {
 	m := s.metrics
 	return RequestStats{
-		UptimeSec:   time.Since(m.start).Seconds(),
-		Requests:    m.requests.Load(),
-		Sweeps:      m.sweeps.Load(),
-		CellsServed: m.cellsServed.Load(),
-		Latency:     m.sweepLatency.Summary(),
+		UptimeSec:      time.Since(m.start).Seconds(),
+		Requests:       m.requests.Load(),
+		Sweeps:         m.sweeps.Load(),
+		CellsServed:    m.cellsServed.Load(),
+		SweepLatencyMS: trace.ToLatencyJSON(m.sweepLatency.Summary()),
 	}
 }
 
@@ -149,14 +125,12 @@ func (s *Server) snapshot(rs RequestStats) Metrics {
 	simulated := m.simulated.Load()
 	cellStats := s.cells.Stats()
 	out := Metrics{
-		UptimeSec: up,
-		Requests:  rs.Requests,
-		Overloads: m.overloads.Load(),
+		RequestStats: rs,
+		Overloads:    m.overloads.Load(),
 
 		QueueDepth: s.sched.QueueDepth(),
 		Workers:    s.sched.Workers(),
 
-		CellsServed:    cells,
 		CellsSimulated: simulated,
 
 		CellCache:     cellStats,
@@ -165,8 +139,7 @@ func (s *Server) snapshot(rs RequestStats) Metrics {
 		FiguresServed: m.figsServed.Load(),
 		FiguresBuilt:  m.figsBuilt.Load(),
 
-		SweepLatencyMS:  ToLatencyJSON(rs.Latency),
-		FigureLatencyMS: ToLatencyJSON(m.figureLatency.Summary()),
+		FigureLatencyMS: trace.ToLatencyJSON(m.figureLatency.Summary()),
 
 		SimCounters: m.countersSnapshot(),
 	}

@@ -20,11 +20,10 @@ type Resolver interface {
 	// (the RAM cache locally, the coordinator's store remotely). An error
 	// fails the whole request before anything is written.
 	Resolve(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point) (cells []Pending, hits int, err error)
-	// Metrics returns the role's JSON /metrics body.
-	Metrics(RequestStats) any
-	// WriteProm writes the role's Prometheus families; the front end
-	// appends the per-stage histograms both roles share.
-	WriteProm(*trace.PromWriter, RequestStats)
+	// Metrics returns the role's /metrics snapshot, a struct the front
+	// end encodes as JSON or renders with trace.WriteMetrics, and the
+	// prefix of its Prometheus family names.
+	Metrics(RequestStats) (m any, promPrefix string)
 }
 
 // Pending is one admitted cell.
@@ -39,7 +38,7 @@ type Pending interface {
 // then a simulation on the scheduler.
 type local struct{ s *Server }
 
-func (l local) Metrics(rs RequestStats) any { return l.s.snapshot(rs) }
+func (l local) Metrics(rs RequestStats) (any, string) { return l.s.snapshot(rs), "neuserve_" }
 
 // localCell is one cell pending on the local resolver: its flight plus
 // the per-stage durations it collects on the way through the cache, the

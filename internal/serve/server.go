@@ -303,15 +303,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics renders the role's /metrics body: JSON, or the
+// handleMetrics renders the role's /metrics snapshot: JSON, or the
 // Prometheus text format with ?format=prometheus, where the per-stage
 // histograms both roles share close the exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rs := s.RequestStats()
+	m, prefix := s.resolver.Metrics(s.RequestStats())
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		p := trace.NewPromWriter(w)
-		s.resolver.WriteProm(p, rs)
+		if err := trace.WriteMetrics(p, prefix, m); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		trace.WriteStageHistograms(p, "neuserve_stage_duration_seconds",
 			"Per-stage request latency attribution (queue, cache, disk, compute, retry, merge).",
 			s.tracer.Stages().Snapshot())
@@ -320,7 +323,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.resolver.Metrics(rs))
+	enc.Encode(m)
 }
 
 // figureInfo is one row of the GET /v1/figures listing.

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -198,9 +200,29 @@ func TestSlowCellLog(t *testing.T) {
 	}
 }
 
+// inventory lists an exposition's families as "name type label-keys",
+// sorted, leaving out the le and quantile labels of histograms and
+// summaries.
+func inventory(e *trace.Exposition) []string {
+	var out []string
+	for _, f := range e.Families {
+		keys := map[string]bool{}
+		for _, s := range f.Samples {
+			for k := range s.Labels {
+				if k != "le" && k != "quantile" {
+					keys[k] = true
+				}
+			}
+		}
+		out = append(out, strings.Join(append([]string{f.Name, f.Type}, slices.Sorted(maps.Keys(keys))...), " "))
+	}
+	slices.Sort(out)
+	return out
+}
+
 // TestMetricsPrometheus pins the machine-readable twin of /metrics: the
-// exposition parses under the strict linter, covers the headline families,
-// and two scrapes separated by work are monotone.
+// exposition parses under the strict linter, holds exactly the worker's
+// family inventory, and two scrapes separated by work are monotone.
 func TestMetricsPrometheus(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(store.Config{Dir: dir})
@@ -219,16 +241,38 @@ func TestMetricsPrometheus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first scrape invalid: %v\n%s", err, body1)
 	}
-	for _, want := range []string{
-		"neuserve_requests_total", "neuserve_cells_served_total",
-		"neuserve_cells_simulated_total", "neuserve_cache_hits_total",
-		"neuserve_disk_tier_ops_total", "neuserve_sim_counters_total",
-		"neuserve_stage_duration_seconds", "neuserve_sweep_latency_seconds",
-		"neuserve_queue_depth", "neuserve_uptime_seconds",
-	} {
-		if _, ok := prev.Family(want); !ok {
-			t.Errorf("family %s missing from exposition", want)
-		}
+	want := []string{
+		"neuserve_cache_bytes gauge cache",
+		"neuserve_cache_cancels_total counter cache",
+		"neuserve_cache_entries gauge cache",
+		"neuserve_cache_evictions_total counter cache",
+		"neuserve_cache_hits_total counter cache",
+		"neuserve_cache_joins_total counter cache",
+		"neuserve_cache_max_bytes gauge cache",
+		"neuserve_cache_misses_total counter cache",
+		"neuserve_cells_served_total counter",
+		"neuserve_cells_simulated_total counter",
+		"neuserve_disk_tier_bytes gauge",
+		"neuserve_disk_tier_enabled gauge",
+		"neuserve_disk_tier_entries gauge",
+		"neuserve_disk_tier_max_bytes gauge",
+		"neuserve_disk_tier_ops_total counter op",
+		"neuserve_disk_tier_pending_writes gauge",
+		"neuserve_figure_latency_seconds summary",
+		"neuserve_figures_built_total counter",
+		"neuserve_figures_served_total counter",
+		"neuserve_overloads_total counter",
+		"neuserve_queue_depth gauge",
+		"neuserve_requests_total counter",
+		"neuserve_sim_counters_total counter counter",
+		"neuserve_stage_duration_seconds histogram stage",
+		"neuserve_sweep_latency_seconds summary",
+		"neuserve_sweeps_total counter",
+		"neuserve_uptime_seconds gauge",
+		"neuserve_workers gauge",
+	}
+	if got := inventory(prev); !slices.Equal(got, want) {
+		t.Errorf("family inventory:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	if f, _ := prev.Family("neuserve_sim_counters_total"); f != nil {
 		var issued float64
@@ -261,5 +305,8 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	if err := trace.CheckMonotonic(prev, cur); err != nil {
 		t.Errorf("scrapes not monotone: %v", err)
+	}
+	if f, ok := cur.Family("neuserve_sweeps_total"); !ok || f.Samples[0].Value != 2 {
+		t.Errorf("neuserve_sweeps_total = %+v after two sweeps, want 2", f)
 	}
 }

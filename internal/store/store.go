@@ -416,18 +416,18 @@ func (s *Store) quarantine(hash uint64) {
 // Stats is the disk tier's instrumentation snapshot (surfaced through
 // the serving layer's /metrics).
 type Stats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Puts        int64 `json:"puts"`
-	Writes      int64 `json:"writes"`
-	DroppedPuts int64 `json:"dropped_puts"`
-	Evictions   int64 `json:"evictions"`
+	Hits        int64 `json:"hits" prom:"disk_tier_ops_total counter op" help:"Durable-tier operations by kind."`
+	Misses      int64 `json:"misses" prom:"disk_tier_ops_total counter op"`
+	Puts        int64 `json:"puts" prom:"disk_tier_ops_total counter op"`
+	Writes      int64 `json:"writes" prom:"disk_tier_ops_total counter op"`
+	DroppedPuts int64 `json:"dropped_puts" prom:"disk_tier_ops_total counter op"`
+	Evictions   int64 `json:"evictions" prom:"disk_tier_ops_total counter op"`
 	// Quarantined counts corrupt files set aside instead of served.
-	Quarantined   int64 `json:"quarantined"`
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	MaxBytes      int64 `json:"max_bytes"`
-	PendingWrites int   `json:"pending_writes"`
+	Quarantined   int64 `json:"quarantined" prom:"disk_tier_ops_total counter op"`
+	Entries       int   `json:"entries" prom:"disk_tier_entries gauge" help:"Entries resident in the durable tier."`
+	Bytes         int64 `json:"bytes" prom:"disk_tier_bytes gauge" help:"Bytes resident in the durable tier."`
+	MaxBytes      int64 `json:"max_bytes" prom:"disk_tier_max_bytes gauge" help:"Durable-tier byte bound."`
+	PendingWrites int   `json:"pending_writes" prom:"disk_tier_pending_writes gauge" help:"Write-behind puts not yet on disk."`
 }
 
 // Stats snapshots the counters.

@@ -1,10 +1,11 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -15,9 +16,10 @@ import (
 // free encoder for the exposition format (version 0.0.4) that enforces
 // the format's family discipline by construction — one HELP and one TYPE
 // line per family, emitted once, immediately followed by all of the
-// family's samples. The serving layers render their entire /metrics state
-// through it for GET /metrics?format=prometheus; promlint.go is the
-// matching strict parser CI scrapes are validated with.
+// family's samples. WriteMetrics renders a /metrics snapshot struct
+// through it from the prom tags on its fields, so the JSON body and
+// GET /metrics?format=prometheus come from one definition per metric;
+// promlint.go is the matching strict parser the tests scrape with.
 
 // PromWriter streams one exposition. Families must not repeat (the format
 // forbids it; Family panics on reuse — an exposition is assembled in one
@@ -51,15 +53,6 @@ func (p *PromWriter) Family(name, typ, help string) {
 // Sample emits one sample of the open family. labels alternate key, value.
 func (p *PromWriter) Sample(v float64, labels ...string) {
 	p.sample(p.family, v, labels...)
-}
-
-// SampleBool emits a boolean gauge sample: 1 for true, 0 for false.
-func (p *PromWriter) SampleBool(b bool, labels ...string) {
-	v := 0.0
-	if b {
-		v = 1
-	}
-	p.Sample(v, labels...)
 }
 
 // Histogram emits one histogram's full sample set (_bucket lines with an
@@ -150,40 +143,226 @@ func WriteStageHistograms(p *PromWriter, family, help string, hists []StageHisto
 	}
 }
 
-// WriteLatencySummary emits a summary family for a windowed latency
-// recorder: p50/p95/p99 quantiles (omitted entirely when the window is
-// empty — absence, not a fake zero, mirroring the JSON bodies), plus the
-// exact _sum/_count pair. The recorder works in milliseconds; the wire
-// is seconds per Prometheus convention.
-func WriteLatencySummary(p *PromWriter, family, help string, s stats.LatencySummary) {
-	p.Family(family, "summary", help)
+// LatencyJSON is the wire form of a stats.LatencySummary, shared by both
+// roles' /metrics bodies so they report latency in one shape. The float
+// fields are pointers so an empty window omits them entirely — the
+// recorder reports NaN for "no samples" (which JSON cannot carry), and a
+// dashboard must see absence, not a fake 0ms p99. WriteMetrics renders
+// it as a summary in seconds.
+type LatencyJSON struct {
+	Count int64    `json:"count"`
+	Mean  *float64 `json:"mean,omitempty"`
+	P50   *float64 `json:"p50,omitempty"`
+	P95   *float64 `json:"p95,omitempty"`
+	P99   *float64 `json:"p99,omitempty"`
+	Max   *float64 `json:"max,omitempty"`
+}
+
+// ToLatencyJSON converts a summary to its wire form, dropping the NaN
+// fields of an empty window.
+func ToLatencyJSON(s stats.LatencySummary) LatencyJSON {
+	out := LatencyJSON{Count: s.Count}
 	if !s.Valid() {
-		p.Summary(nil, nil, 0, 0)
-		return
+		return out
 	}
-	p.Summary([]float64{0.5, 0.95, 0.99},
-		[]float64{s.P50 / 1e3, s.P95 / 1e3, s.P99 / 1e3},
-		s.Mean/1e3*float64(s.Count), s.Count)
+	mean, p50, p95, p99, max := s.Mean, s.P50, s.P95, s.P99, s.Max
+	out.Mean, out.P50, out.P95, out.P99, out.Max = &mean, &p50, &p95, &p99, &max
+	return out
 }
 
-// LabeledInt64 is one (labels, value) sample of a labeled family, used by
-// the serving layers to emit the counter bundle and per-worker slices in
-// a deterministic order.
-type LabeledInt64 struct {
-	Labels []string
-	Value  int64
+// WriteMetrics writes snapshot m, a /metrics body struct, as Prometheus
+// families named prefix plus the name in each field's prom tag. The
+// struct is the one definition of every metric: the JSON body is the
+// same value through encoding/json. Every exported field carries one of
+// these prom tags:
+//
+//	"NAME TYPE"      a counter or gauge sample of the field (a bool is
+//	                 0 or 1), or, with TYPE summary, a LatencyJSON in
+//	                 seconds whose quantiles an empty window omits
+//	"NAME TYPE KEY"  the same, labeled KEY=<the field's json key>; on a
+//	                 struct, one such sample per field of it
+//	"KEY=VALUE"      a struct walked with the constant label KEY=VALUE,
+//	                 or a slice of structs walked element by element,
+//	                 each labeled KEY=<its field named VALUE>
+//	""               a struct walked with no label of its own
+//	"label"          the string a slice's KEY=VALUE rule reads
+//	"-"              a float64 derived from other fields (a ratio)
+//
+// The field that opens a family gives its HELP text in a help tag.
+// Embedded structs are walked in place, as encoding/json flattens them.
+// Several fields may feed one family (the cache families hold a sample
+// per cache), so the families are gathered before anything is written:
+// an untagged field, a malformed tag, or a family whose type or help
+// disagrees is an error, and then nothing is written.
+func WriteMetrics(p *PromWriter, prefix string, m any) error {
+	c := metricSet{prefix: prefix, byName: map[string]*metricFamily{}}
+	v := reflect.ValueOf(m)
+	if v.Kind() != reflect.Struct {
+		return fmt.Errorf("trace: metrics snapshot %T is not a struct", m)
+	}
+	if err := c.walk(v, nil); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	for _, f := range c.families {
+		p.Family(f.name, f.typ, f.help)
+		for _, s := range f.samples {
+			if f.typ != "summary" {
+				p.Sample(s.v, s.labels...)
+			} else if s.lat.Mean == nil {
+				p.Summary(nil, nil, 0, s.lat.Count, s.labels...)
+			} else {
+				l := s.lat
+				p.Summary([]float64{0.5, 0.95, 0.99}, []float64{*l.P50 / 1e3, *l.P95 / 1e3, *l.P99 / 1e3},
+					*l.Mean/1e3*float64(l.Count), l.Count, s.labels...)
+			}
+		}
+	}
+	return nil
 }
 
-// WriteLabeledCounter emits one counter family with sorted-by-label
-// samples (deterministic scrapes diff cleanly in CI).
-func WriteLabeledCounter(p *PromWriter, family, help string, samples []LabeledInt64) {
-	p.Family(family, "counter", help)
-	sorted := make([]LabeledInt64, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool {
-		return strings.Join(sorted[i].Labels, "\x00") < strings.Join(sorted[j].Labels, "\x00")
-	})
-	for _, s := range sorted {
-		p.Sample(float64(s.Value), s.Labels...)
+type metricSample struct {
+	labels []string
+	v      float64
+	lat    LatencyJSON // summary families
+}
+
+type metricFamily struct {
+	name, typ, help string
+	samples         []metricSample
+}
+
+type metricSet struct {
+	prefix   string
+	families []*metricFamily
+	byName   map[string]*metricFamily
+}
+
+func (c *metricSet) walk(v reflect.Value, labels []string) error {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, ok := f.Tag.Lookup("prom")
+		var err error
+		switch {
+		case !ok && f.Anonymous && f.Type.Kind() == reflect.Struct:
+			err = c.walk(v.Field(i), labels)
+		case !f.IsExported():
+			continue
+		case !ok:
+			err = errors.New("no prom tag")
+		default:
+			err = c.field(f, v.Field(i), tag, labels)
+		}
+		if err != nil {
+			return fmt.Errorf("%s.%s: %w", t, f.Name, err)
+		}
 	}
+	return nil
+}
+
+// field gathers one tagged field's samples (see WriteMetrics).
+func (c *metricSet) field(f reflect.StructField, v reflect.Value, tag string, labels []string) error {
+	words := strings.Fields(tag)
+	kind := v.Kind()
+	switch {
+	case tag == "-" && kind == reflect.Float64, tag == "label" && kind == reflect.String:
+		return nil
+	case tag == "" && kind == reflect.Struct:
+		return c.walk(v, labels)
+	case len(words) == 1 && strings.Contains(tag, "="):
+		key, val, _ := strings.Cut(tag, "=")
+		if kind == reflect.Struct {
+			return c.walk(v, with(labels, key, val))
+		}
+		if kind != reflect.Slice || v.Type().Elem().Kind() != reflect.Struct {
+			break
+		}
+		for j := 0; j < v.Len(); j++ {
+			lv := v.Index(j).FieldByName(val)
+			if lv.Kind() != reflect.String {
+				return fmt.Errorf("no string field %s to label %s by", val, key)
+			}
+			if err := c.walk(v.Index(j), with(labels, key, lv.String())); err != nil {
+				return err
+			}
+		}
+		return nil
+	case len(words) == 2 || len(words) == 3:
+		fam, err := c.family(words[0], words[1], f.Tag.Get("help"))
+		if err != nil {
+			return err
+		}
+		switch {
+		case fam.typ == "summary":
+			lat, ok := v.Interface().(LatencyJSON)
+			if !ok || len(words) == 3 {
+				return errors.New("a summary is one unlabeled LatencyJSON")
+			}
+			fam.samples = append(fam.samples, metricSample{labels: labels, lat: lat})
+			return nil
+		case len(words) == 2:
+			return fam.add(v, labels)
+		case kind != reflect.Struct:
+			return fam.add(v, with(labels, words[2], jsonKey(f)))
+		}
+		for j := 0; j < v.NumField(); j++ {
+			if err := fam.add(v.Field(j), with(labels, words[2], jsonKey(v.Type().Field(j)))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("prom tag %q does not fit a %s", tag, v.Type())
+}
+
+// family returns the named family, opening it on first use.
+func (c *metricSet) family(name, typ, help string) (*metricFamily, error) {
+	if typ != "counter" && typ != "gauge" && typ != "summary" {
+		return nil, fmt.Errorf("unknown metric type %q", typ)
+	}
+	name = c.prefix + name
+	f := c.byName[name]
+	switch {
+	case f == nil && help == "":
+		return nil, fmt.Errorf("family %s opens without a help tag", name)
+	case f == nil:
+		f = &metricFamily{name: name, typ: typ, help: help}
+		c.byName[name] = f
+		c.families = append(c.families, f)
+	case f.typ != typ || help != "" && help != f.help:
+		return nil, fmt.Errorf("family %s redefined as %s %q", name, typ, help)
+	}
+	return f, nil
+}
+
+// add appends one numeric sample.
+func (f *metricFamily) add(v reflect.Value, labels []string) error {
+	var x float64
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			x = 1
+		}
+	case reflect.Int, reflect.Int64:
+		x = float64(v.Int())
+	case reflect.Float64:
+		x = v.Float()
+	default:
+		return fmt.Errorf("a %s is not a sample value", v.Type())
+	}
+	f.samples = append(f.samples, metricSample{labels: labels, v: x})
+	return nil
+}
+
+// jsonKey is the field's JSON object key.
+func jsonKey(f reflect.StructField) string {
+	if k, _, _ := strings.Cut(f.Tag.Get("json"), ","); k != "" {
+		return k
+	}
+	return f.Name
+}
+
+// with returns a copy of labels with one more key/value pair.
+func with(labels []string, key, val string) []string {
+	return append(append([]string(nil), labels...), key, val)
 }

@@ -8,14 +8,14 @@ import (
 	"strings"
 )
 
-// This file is the strict Prometheus text-format parser and linter the CI
-// smoke jobs validate live scrapes with (via cmd/promlint) and the unit
-// tests validate the writer against. "Strict" means stricter than a
-// tolerant scraper: every sample's family must carry HELP and TYPE, a
-// family block may not repeat or interleave, histogram buckets must be
-// cumulative and carry an +Inf bucket, and counters must be finite and
-// non-negative. CheckMonotonic compares two scrapes of the same target
-// and fails if any counter went backwards.
+// This file is the strict Prometheus text-format parser and linter the
+// /metrics tests validate live scrapes and the writer's output with.
+// "Strict" means stricter than a tolerant scraper: every sample's family
+// must carry HELP and TYPE, a family block may not repeat or interleave,
+// a sample may not repeat, histogram buckets must be cumulative and
+// carry an +Inf bucket, and counters must be finite and non-negative.
+// CheckMonotonic compares two scrapes of the same target and fails if
+// any counter went backwards.
 
 // PromSample is one parsed sample line.
 type PromSample struct {
@@ -70,6 +70,7 @@ func ParseProm(data []byte) (*Exposition, error) {
 	e := &Exposition{byName: make(map[string]*PromFamily)}
 	var cur *PromFamily
 	pendingHelp := map[string]string{}
+	seen := map[string]bool{}
 	for ln, line := range strings.Split(string(data), "\n") {
 		lineNo := ln + 1
 		line = strings.TrimRight(line, "\r")
@@ -127,6 +128,10 @@ func ParseProm(data []byte) (*Exposition, error) {
 			return nil, fmt.Errorf("line %d: sample %s outside its family block (open family %s)",
 				lineNo, s.Name, cur.Name)
 		}
+		if seen[s.key()] {
+			return nil, fmt.Errorf("line %d: duplicate sample %s", lineNo, s.key())
+		}
+		seen[s.key()] = true
 		cur.Samples = append(cur.Samples, s)
 	}
 	if len(pendingHelp) > 0 {

@@ -8,8 +8,9 @@ import (
 )
 
 // buildExposition renders a representative exposition through the writer:
-// plain counters, a gauge, a labeled counter family, and the stage
-// histograms — the same shapes the serving layers emit.
+// plain counters, a gauge, a labeled counter family (through
+// WriteMetrics), and the stage histograms — the same shapes the serving
+// layers emit.
 func buildExposition(t *testing.T, cells float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -18,11 +19,16 @@ func buildExposition(t *testing.T, cells float64) []byte {
 	p.Sample(cells + 3)
 	p.Family("neuserve_queue_depth", "gauge", "queued jobs")
 	p.Sample(2)
-	WriteLabeledCounter(p, "neuserve_sim_counters_total", "audited counter bundle",
-		[]LabeledInt64{
-			{Labels: []string{"counter", "tlb_hits"}, Value: int64(cells * 10)},
-			{Labels: []string{"counter", "walks_issued"}, Value: int64(cells)},
-		})
+	var m struct {
+		Counters struct {
+			TLBHits     int64 `json:"tlb_hits"`
+			WalksIssued int64 `json:"walks_issued"`
+		} `json:"sim_counters" prom:"sim_counters_total counter counter" help:"audited counter bundle"`
+	}
+	m.Counters.TLBHits, m.Counters.WalksIssued = int64(cells*10), int64(cells)
+	if err := WriteMetrics(p, "neuserve_", m); err != nil {
+		t.Fatal(err)
+	}
 	h := NewStageHistograms()
 	var st Stages
 	st[StageCompute] = int64(5 * time.Millisecond)
@@ -51,7 +57,7 @@ func TestWriterOutputPassesStrictParse(t *testing.T) {
 	if !ok || len(f.Samples) != 2 {
 		t.Fatalf("labeled counter family = %+v", f)
 	}
-	// Labeled samples come out sorted by label value.
+	// Labeled samples come out in field order.
 	if f.Samples[0].Labels["counter"] != "tlb_hits" {
 		t.Fatalf("sample order: %+v", f.Samples)
 	}
@@ -84,6 +90,13 @@ func TestParseRejectsMissingHelpOrType(t *testing.T) {
 		if _, err := ParseProm([]byte(body)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+func TestParseRejectsDuplicateSample(t *testing.T) {
+	bad := "# HELP a one\n# TYPE a counter\na{k=\"x\"} 1\na{k=\"x\"} 2\n"
+	if _, err := ParseProm([]byte(bad)); err == nil || !strings.Contains(err.Error(), "duplicate sample") {
+		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -13,9 +13,10 @@
 // by the AllocsPerRun tests never see a span), and tracing never perturbs
 // response bytes — a traced sweep body is byte-identical to an untraced
 // one. On top of the same stage data the package provides per-stage
-// latency histograms and a strict Prometheus text-exposition writer and
-// linter (prom.go, promlint.go) so the JSON /metrics surface has a
-// machine-scrapable twin.
+// latency histograms, a strict Prometheus text-exposition writer and
+// linter (prom.go, promlint.go), and WriteMetrics, which renders a
+// /metrics snapshot struct from its prom tags, so the JSON /metrics body
+// and its machine-scrapable twin have one definition.
 package trace
 
 import (
