@@ -247,6 +247,16 @@ func (s *slot) Wait(ctx context.Context) (serve.CellValue, bool, error) {
 	}
 }
 
+// Ready implements serve.Pending.
+func (s *slot) Ready() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Resolve answers every point the coordinator's store holds at once and
 // shards the rest across healthy workers by consistent hash; slots
 // resolve as worker lines stream back. hits counts the stored cells. A

@@ -342,6 +342,10 @@ type truncatingWriter struct {
 
 func (t *truncatingWriter) Write(b []byte) (int, error) {
 	if t.remaining <= 0 {
+		// The lines already written reach the coordinator before the
+		// worker dies: the server flushes only before it waits, so rows
+		// of ready cells may still sit in its buffer here.
+		t.Flush()
 		panic(http.ErrAbortHandler)
 	}
 	t.remaining -= bytes.Count(b, []byte("\n"))

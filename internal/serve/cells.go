@@ -330,6 +330,9 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var mergeNS int64
 	for i, c := range cells {
+		if i > 0 {
+			mergeNS += flushBeforeWait(flusher, c)
+		}
 		v, hit, err := c.Wait(r.Context())
 		if err != nil && i == 0 && retryable(err) {
 			s.reject(w, traceID, err)
@@ -346,9 +349,6 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		}
 		te := time.Now()
 		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
 		mergeNS += int64(time.Since(te))
 	}
 	s.served(len(points), start)

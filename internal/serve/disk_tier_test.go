@@ -160,6 +160,52 @@ func TestDiskTierCorruptCellResimulated(t *testing.T) {
 	}
 }
 
+// TestDiskTierStaleValueIsMiss: a checksum-valid entry whose value bytes
+// are not a current CellValue (here an older schema without counters) is
+// booked as a miss, not a hit; the cell is simulated and its write-behind
+// Put overwrites the entry with the current value.
+func TestDiskTierStaleValueIsMiss(t *testing.T) {
+	const one = `{"quick":true,"models":["CNN-1"],"batches":[4],"mmus":["iommu"]}`
+	dir := t.TempDir()
+	st1 := openStore(t, dir, 0)
+	s1, ts1 := newTestServer(t, Config{Workers: 1, Store: st1})
+	_, cold := post(t, ts1, "/v1/sweep", one)
+	ts1.Close()
+	s1.Close()
+	st1.Close()
+
+	files := cellFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d cell files, want 1", len(files))
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := store.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := store.Encode(store.Entry{Key: fresh.Key, Value: []byte(`{"cycles":1,"translations":1,"perf":0.5}`)})
+	if err := os.WriteFile(files[0], stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir, 0)
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
+	if _, warm := post(t, ts2, "/v1/sweep", one); !bytes.Equal(cold, warm) {
+		t.Fatalf("body over a stale entry differs:\ncold: %s\nwarm: %s", cold, warm)
+	}
+	m := s2.Metrics()
+	if m.CellsSimulated != 1 || m.DiskTier.Hits != 0 || m.DiskTier.Misses != 1 || m.DiskTier.Quarantined != 0 {
+		t.Fatalf("simulated %d, disk stats %+v: want the stale entry booked as one miss", m.CellsSimulated, m.DiskTier)
+	}
+	st2.Flush()
+	if got, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("stale entry not overwritten with the current value (err %v):\n%s", err, got)
+	}
+}
+
 // TestDiskTierEvictedCellFallsThrough reopens a warm store under a budget
 // too small for the full grid: evicted cells fall through to simulation,
 // surviving cells serve from disk, and the merged body — counters and all

@@ -32,6 +32,10 @@ type Pending interface {
 	// whether it was answered without new work. A resolver that can stop
 	// waiting when ctx ends returns ctx's error then.
 	Wait(ctx context.Context) (v CellValue, hit bool, err error)
+	// Ready reports whether Wait would return without blocking. A
+	// streaming handler flushes what it has written before it waits on a
+	// cell that is not ready, and not otherwise.
+	Ready() bool
 }
 
 // local is the resolver New installs: the RAM cache, then the store,
@@ -100,6 +104,16 @@ func (c *localCell) Wait(context.Context) (CellValue, bool, error) {
 	}
 	c.tracer.Record(sp)
 	return v, c.fl.Hit, err
+}
+
+// Ready implements Pending.
+func (c *localCell) Ready() bool {
+	select {
+	case <-c.fl.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Resolve schedules every point through the cell cache, deduplicating

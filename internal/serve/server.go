@@ -646,10 +646,27 @@ func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, traceID str
 	return h, points, deprecated, true
 }
 
+// flushBeforeWait sends the rows written so far when the stream is about
+// to wait on cell c, so a client consumes early cells while later ones
+// still simulate. Rows of cells that are already resolved are written
+// together and leave with the next flush (or the handler's end), one
+// write for an all-hit stream instead of one per row. It returns the
+// time the flush took. Callers skip it before the first cell: a flush
+// there would commit the 200 status while a retryable failure of that
+// cell must still answer the envelope.
+func flushBeforeWait(f http.Flusher, c Pending) int64 {
+	if f == nil || c.Ready() {
+		return 0
+	}
+	t0 := time.Now()
+	f.Flush()
+	return int64(time.Since(t0))
+}
+
 // handleSweep streams one NDJSON row per cell, in grid order, then a
-// summary line. Rows are written as their cells resolve in order, so a
-// client consumes early cells while later ones still simulate; the bytes
-// are identical whether every cell was a cache hit, a miss, or a mix.
+// summary line. Rows are written as their cells resolve in order and
+// flushed before each wait (flushBeforeWait); the bytes are identical
+// whether every cell was a cache hit, a miss, or a mix.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := trace.FromRequest(r)
@@ -668,6 +685,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var agg counters.Bundle
 	var mergeNS int64
 	for i, c := range cells {
+		if i > 0 {
+			mergeNS += flushBeforeWait(flusher, c)
+		}
 		v, _, err := c.Wait(r.Context())
 		if err != nil {
 			if i == 0 && retryable(err) {
@@ -684,9 +704,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		agg = agg.Add(v.Counters)
 		te := time.Now()
 		enc.Encode(pointRow(points[i], v))
-		if flusher != nil {
-			flusher.Flush()
-		}
 		mergeNS += int64(time.Since(te))
 	}
 	te := time.Now()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -125,6 +126,22 @@ func TestDecodeErrorsAreErrCorrupt(t *testing.T) {
 		"huge-length":  []byte("neustore1 99999999 99999999 00000000\n"),
 		"short":        enc[:len(enc)-1],
 		"bad-checksum": append([]byte("neustore1 1 1 00000000\n"), "kv"...),
+	}
+	// The header has one spelling: each respelling below keeps the
+	// checksum right, so only the spelling itself can refuse it.
+	nl := bytes.IndexByte(enc, '\n')
+	crc := string(enc[nl-8 : nl])
+	for name, header := range map[string]string{
+		"leading-zero": "neustore1 01 1 " + crc,
+		"plus-sign":    "neustore1 +1 1 " + crc,
+		"extra-space":  "neustore1  1 1 " + crc,
+		"tab":          "neustore1\t1 1 " + crc,
+		"trailing-ws":  "neustore1 1 1 " + crc + " ",
+		"upper-hex":    "neustore1 1 1 " + strings.ToUpper(crc),
+		"short-hex":    "neustore1 1 1 " + crc[1:],
+		"long-hex":     "neustore1 1 1 0" + crc,
+	} {
+		bad[name] = append([]byte(header), enc[nl:]...)
 	}
 	for name, b := range bad {
 		if _, err := Decode(b); err == nil {

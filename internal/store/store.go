@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -153,11 +154,8 @@ func (s *Store) scan() error {
 	}
 	var files []found
 	for _, de := range des {
-		var hash uint64
-		if n, err := fmt.Sscanf(de.Name(), "cell-%016x.neu", &hash); n != 1 || err != nil {
-			continue
-		}
-		if de.Name() != fileName(hash) { // suffixed names (.tmp, .quarantine) and padding drift
+		hash, ok := parseFileName(de.Name()) // skips .tmp, .quarantine and foreign names
+		if !ok {
 			continue
 		}
 		info, err := de.Info()
@@ -176,7 +174,26 @@ func (s *Store) scan() error {
 	return nil
 }
 
-func fileName(hash uint64) string { return fmt.Sprintf("cell-%016x.neu", hash) }
+// fileName is a cell's file name, cell-<hash as 16 lowercase hex
+// digits>.neu; parseFileName is its exact inverse and refuses any other
+// name.
+func fileName(hash uint64) string {
+	b := make([]byte, 0, len("cell-.neu")+16)
+	b = append(b, "cell-"...)
+	b = appendHex(b, hash, 16)
+	return string(append(b, ".neu"...))
+}
+
+func parseFileName(name string) (uint64, bool) {
+	h, ok := strings.CutPrefix(name, "cell-")
+	if !ok {
+		return 0, false
+	}
+	if h, ok = strings.CutSuffix(h, ".neu"); !ok {
+		return 0, false
+	}
+	return parseHex(h, 16)
+}
 
 // FilePath returns the on-disk path for a cell hash. Exposed so tests
 // (and operators) can inspect or corrupt specific entries.
@@ -240,6 +257,17 @@ func (s *Store) Get(hash uint64, key []byte) ([]byte, bool) {
 	s.hits++
 	s.mu.Unlock()
 	return ent.Value, true
+}
+
+// Reject books the value a Get just returned as a miss after all: the
+// caller could not use its bytes (a checksum-valid entry written under
+// an older value schema, say). The entry stays in place for the
+// caller's own Put of the recomputed value to overwrite.
+func (s *Store) Reject() {
+	s.mu.Lock()
+	s.hits--
+	s.misses++
+	s.mu.Unlock()
 }
 
 // Put schedules (hash, key, value) for write-behind persistence and
