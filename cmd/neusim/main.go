@@ -9,7 +9,6 @@
 //	neusim -model CNN-3 -batch 8 -mmu custom -ptws 128 -prmb 32 -tpreg
 //	neusim -model TF-2 -batch 1 -mmu iommu -repeat-cap 3
 //	neusim -model CNN-1,RNN-1,TF-1 -batches 1,4,8 -mmu iommu -parallel
-//	neusim -model TF-3 -batch 16 -mmu neummu -effort sampled -target-ci 0.05
 //
 // Workloads cover the paper's dense suite (CNN-1..3, RNN-1..3) and the
 // post-paper transformer family (TF-1 BERT-base encoder, TF-2 GPT-2-style
@@ -22,9 +21,8 @@
 // default; -workers N bounds the pool and -workers 1 gives the serial
 // reference run (the rows are identical at every count, in grid order).
 //
-// The -effort/-target-ci flags select the unified effort API: -effort
-// sampled simulates a seeded statistical subset of epochs and reports a
-// 95% confidence interval alongside the estimate.
+// The -effort flag selects the unified effort API: exact (the default)
+// simulates every cell in full, and quick shrinks a sweep's grid.
 package main
 
 import (
@@ -61,8 +59,7 @@ func main() {
 		tlbSize   = flag.Int("tlb", 2048, "TLB entries")
 		repeatCap = flag.Int("repeat-cap", 0, "cap simulated repeats per layer (0 = all)")
 		tileCap   = flag.Int("tile-cap", 0, "cap simulated tiles per layer instance (0 = all)")
-		effort    = flag.String("effort", "", "effort mode: exact, sampled, or quick (sweep mode); empty = exact")
-		targetCI  = flag.Float64("target-ci", 0, "sampled: target relative 95% CI half-width (0 = default 0.05)")
+		effort    = flag.String("effort", "", "effort mode: exact, or quick (sweep mode); empty = exact")
 		useSpat   = flag.Bool("spatial", false, "use the spatial-array compute model instead of systolic")
 		compare   = flag.Bool("oracle-baseline", true, "also run the oracle and report normalized performance")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of text")
@@ -88,7 +85,7 @@ func main() {
 
 	// The effort flags assemble the same unified exp.Effort the library and
 	// service APIs take; validating here gives flag-shaped errors up front.
-	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI}
+	eff := exp.Effort{Mode: *effort}
 	if err := eff.Validate(); err != nil {
 		fail(err)
 	}
@@ -121,13 +118,13 @@ func main() {
 	}
 	if *asJSON {
 		if err := runJSON(*model, *batch, *mmuKind, *pages, *ptws, *prmb, *tpreg,
-			*tlbSize, *repeatCap, *tileCap, eff, *useSpat); err != nil {
+			*tlbSize, *repeatCap, *tileCap, *useSpat); err != nil {
 			fail(err)
 		}
 		return
 	}
 	if err := run(*model, *batch, *mmuKind, *pages, *ptws, *prmb, *tpreg,
-		*tlbSize, *repeatCap, *tileCap, eff, *useSpat, *compare); err != nil {
+		*tlbSize, *repeatCap, *tileCap, *useSpat, *compare); err != nil {
 		fail(err)
 	}
 }
@@ -190,38 +187,13 @@ func sweepAxes(mmuKind, pages string, ptws, prmb int, tpreg bool, tlbSize int,
 
 // sweepCell is the machine-readable row emitted by sweep mode with -json.
 type sweepCell struct {
-	Model          string       `json:"model"`
-	Batch          int          `json:"batch"`
-	MMU            string       `json:"mmu"`
-	PageSize       string       `json:"page_size"`
-	Cycles         int64        `json:"cycles"`
-	Translations   int64        `json:"translations"`
-	NormalizedPerf float64      `json:"normalized_perf"`
-	Sampled        *sweepSample `json:"sampled,omitempty"`
-}
-
-// sweepSample is the sampled-mode block attached to JSON rows; nil (and
-// omitted) in exact mode. Cycle bounds are the 95% confidence interval of
-// the stratified estimate.
-type sweepSample struct {
-	Population int     `json:"population"`
-	Simulated  int     `json:"simulated"`
-	Seed       uint64  `json:"seed"`
-	TargetCI   float64 `json:"target_ci"`
-	RelCI95    float64 `json:"rel_ci95"`
-	CyclesLo   int64   `json:"cycles_lo"`
-	CyclesHi   int64   `json:"cycles_hi"`
-}
-
-func sampleOut(s *npu.SampleStats) *sweepSample {
-	if s == nil {
-		return nil
-	}
-	return &sweepSample{
-		Population: s.Population, Simulated: s.Simulated, Seed: s.Seed,
-		TargetCI: s.TargetCI, RelCI95: s.RelCI95,
-		CyclesLo: int64(s.CyclesLo), CyclesHi: int64(s.CyclesHi),
-	}
+	Model          string  `json:"model"`
+	Batch          int     `json:"batch"`
+	MMU            string  `json:"mmu"`
+	PageSize       string  `json:"page_size"`
+	Cycles         int64   `json:"cycles"`
+	Translations   int64   `json:"translations"`
+	NormalizedPerf float64 `json:"normalized_perf"`
 }
 
 func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prmb int,
@@ -259,7 +231,6 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 			Cycles:         int64(r.Result.Cycles),
 			Translations:   r.Result.Translations,
 			NormalizedPerf: r.Perf,
-			Sampled:        sampleOut(r.Result.Sampled),
 		}
 	}
 	if asJSON {
@@ -281,13 +252,13 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 }
 
 func run(model string, batch int, mmuKind, pages string, ptws, prmb int,
-	tpreg bool, tlbSize, repeatCap, tileCap int, eff exp.Effort, useSpatial, compare bool) error {
+	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial, compare bool) error {
 	m, err := workloads.ByName(model)
 	if err != nil {
 		return err
 	}
 	cfg, err := buildConfig(mmuKind, pages, ptws, prmb, tpreg, tlbSize,
-		repeatCap, tileCap, eff, useSpatial)
+		repeatCap, tileCap, useSpatial)
 	if err != nil {
 		return err
 	}
@@ -308,10 +279,6 @@ func run(model string, batch int, mmuKind, pages string, ptws, prmb int,
 	fmt.Printf("tiles            %d\n", res.Tiles)
 	fmt.Printf("translations     %d\n", res.Translations)
 	fmt.Printf("bytes fetched    %d\n", res.BytesFetched)
-	if s := res.Sampled; s != nil {
-		fmt.Printf("sampled          %d/%d epochs (seed %d), rel 95%% CI %.4f, cycles in [%d, %d]\n",
-			s.Simulated, s.Population, s.Seed, s.RelCI95, s.CyclesLo, s.CyclesHi)
-	}
 	fmt.Printf("page divergence  avg %.0f max %.0f per tile\n",
 		res.PageDivergence.Mean(), res.PageDivergence.Max)
 	if res.MMUKind != core.Oracle {
@@ -353,7 +320,7 @@ func parsePageSize(pages string) (vm.PageSize, error) {
 // buildConfig assembles the npu configuration shared by the text and JSON
 // paths.
 func buildConfig(mmuKind, pages string, ptws, prmb int, tpreg bool,
-	tlbSize, repeatCap, tileCap int, eff exp.Effort, useSpatial bool) (npu.Config, error) {
+	tlbSize, repeatCap, tileCap int, useSpatial bool) (npu.Config, error) {
 	ps, err := parsePageSize(pages)
 	if err != nil {
 		return npu.Config{}, err
@@ -386,9 +353,6 @@ func buildConfig(mmuKind, pages string, ptws, prmb int, tpreg bool,
 		Compute:   systolic.Baseline(),
 		RepeatCap: repeatCap,
 		TileCap:   tileCap,
-
-		Sampled:        eff.Sampled(),
-		SampleTargetCI: eff.TargetCI,
 	}
 	if useSpatial {
 		cfg.Compute = spatial.Baseline()
@@ -420,18 +384,16 @@ type jsonResult struct {
 	SkippedLevels   int64   `json:"skipped_levels"`
 	OracleCycles    int64   `json:"oracle_cycles"`
 	NormalizedPerf  float64 `json:"normalized_perf"`
-
-	Sampled *sweepSample `json:"sampled,omitempty"`
 }
 
 func runJSON(model string, batch int, mmuKind, pages string, ptws, prmb int,
-	tpreg bool, tlbSize, repeatCap, tileCap int, eff exp.Effort, useSpatial bool) error {
+	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial bool) error {
 	m, err := workloads.ByName(model)
 	if err != nil {
 		return err
 	}
 	cfg, err := buildConfig(mmuKind, pages, ptws, prmb, tpreg, tlbSize,
-		repeatCap, tileCap, eff, useSpatial)
+		repeatCap, tileCap, useSpatial)
 	if err != nil {
 		return err
 	}
@@ -466,7 +428,6 @@ func runJSON(model string, batch int, mmuKind, pages string, ptws, prmb int,
 		SkippedLevels:   res.Walker.SkippedLevels,
 		OracleCycles:    int64(oracle.Cycles),
 		NormalizedPerf:  res.NormalizedPerf(oracle),
-		Sampled:         sampleOut(res.Sampled),
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

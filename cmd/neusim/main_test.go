@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"neummu/internal/exp"
@@ -8,7 +9,7 @@ import (
 
 func TestRunAllMMUKinds(t *testing.T) {
 	for _, kind := range []string{"oracle", "iommu", "neummu", "custom"} {
-		err := run("CNN-1", 1, kind, "4KB", 32, 8, true, 2048, 1, 2, exp.Effort{}, false, false)
+		err := run("CNN-1", 1, kind, "4KB", 32, 8, true, 2048, 1, 2, false, false)
 		if err != nil {
 			t.Fatalf("kind %s: %v", kind, err)
 		}
@@ -16,25 +17,25 @@ func TestRunAllMMUKinds(t *testing.T) {
 }
 
 func TestRunLargePages(t *testing.T) {
-	if err := run("RNN-2", 1, "neummu", "2MB", 128, 32, true, 2048, 1, 2, exp.Effort{}, false, true); err != nil {
+	if err := run("RNN-2", 1, "neummu", "2MB", 128, 32, true, 2048, 1, 2, false, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSpatial(t *testing.T) {
-	if err := run("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, exp.Effort{}, true, false); err != nil {
+	if err := run("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, true, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunJSON(t *testing.T) {
-	if err := runJSON("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, exp.Effort{}, false); err != nil {
+	if err := runJSON("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := runJSON("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, exp.Effort{}, false); err == nil {
+	if err := runJSON("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false); err == nil {
 		t.Fatal("unknown model accepted by JSON path")
 	}
-	if err := runJSON("CNN-1", 1, "neummu", "3MB", 128, 32, true, 2048, 1, 2, exp.Effort{}, false); err == nil {
+	if err := runJSON("CNN-1", 1, "neummu", "3MB", 128, 32, true, 2048, 1, 2, false); err == nil {
 		t.Fatal("bad page size accepted by JSON path")
 	}
 }
@@ -79,30 +80,28 @@ func TestRunSweepRejectsBadInput(t *testing.T) {
 }
 
 func TestEffortModes(t *testing.T) {
-	// The unified effort knobs thread through both entry points: sweep mode
-	// via exp.Options, single-run mode via npu.Config directly.
-	if err := runSweep([]string{"CNN-1"}, []int{1}, "neummu", "4KB",
-		32, 8, true, 2048, 1, 2, 0, exp.Effort{Mode: exp.EffortExact}, false, true, false); err != nil {
-		t.Fatalf("exact sweep: %v", err)
+	// The unified effort knobs thread through sweep mode via exp.Options.
+	for _, mode := range []string{exp.EffortExact, exp.EffortQuick} {
+		if err := runSweep([]string{"CNN-1"}, []int{1}, "neummu", "4KB",
+			32, 8, true, 2048, 1, 2, 0, exp.Effort{Mode: mode}, false, true, false); err != nil {
+			t.Fatalf("%s sweep: %v", mode, err)
+		}
 	}
-	if err := runSweep([]string{"CNN-1"}, []int{1}, "neummu", "4KB",
-		32, 8, true, 2048, 1, 2, 0, exp.Effort{Mode: exp.EffortSampled}, false, true, false); err != nil {
-		t.Fatalf("sampled sweep: %v", err)
-	}
-	if err := run("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2,
-		exp.Effort{Mode: exp.EffortSampled}, false, true); err != nil {
-		t.Fatalf("sampled single run: %v", err)
+	// The retired sampled mode is an unknown mode to -effort, which main
+	// validates before anything runs.
+	if err := (exp.Effort{Mode: "sampled"}).Validate(); err == nil || !strings.Contains(err.Error(), "unknown effort mode") {
+		t.Fatalf("-effort sampled: %v, want an unknown effort mode error", err)
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 1, exp.Effort{}, false, false); err == nil {
+	if err := run("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 1, false, false); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if err := run("CNN-1", 1, "tlb-only", "4KB", 128, 32, true, 2048, 1, 1, exp.Effort{}, false, false); err == nil {
+	if err := run("CNN-1", 1, "tlb-only", "4KB", 128, 32, true, 2048, 1, 1, false, false); err == nil {
 		t.Fatal("unknown MMU kind accepted")
 	}
-	if err := run("CNN-1", 1, "neummu", "1GB", 128, 32, true, 2048, 1, 1, exp.Effort{}, false, false); err == nil {
+	if err := run("CNN-1", 1, "neummu", "1GB", 128, 32, true, 2048, 1, 1, false, false); err == nil {
 		t.Fatal("unknown page size accepted")
 	}
 }

@@ -46,8 +46,7 @@ func main() {
 		fig        = flag.String("fig", "all", "figure to regenerate ('all', 'list', or comma-separated names)")
 		out        = flag.String("out", "", "write each figure to <dir>/<name>.txt instead of stdout")
 		quick      = flag.Bool("quick", false, "reduced sweep for smoke testing")
-		effort     = flag.String("effort", "", "effort mode: exact, sampled, or quick; empty = exact (-quick is the legacy spelling of quick)")
-		targetCI   = flag.Float64("target-ci", 0, "sampled: target relative 95% CI half-width (0 = default 0.05)")
+		effort     = flag.String("effort", "", "effort mode: exact or quick; empty = exact (-quick is the legacy spelling of quick)")
 		parallel   = flag.Bool("parallel", false, "fan sweeps out over all CPUs (the default; kept for explicitness)")
 		workers    = flag.Int("workers", 0, "exact simulation-worker count (0 = all CPUs, 1 = serial reference)")
 		clusterURL = flag.String("cluster", "", "delegate sweep evaluation to a neuserve cluster coordinator at this base URL (remote-safe figures only)")
@@ -85,7 +84,7 @@ func main() {
 	// The effort flags assemble the same exp.Effort the library and
 	// service APIs take; -quick is the legacy spelling of -effort quick,
 	// so it cannot be combined with another mode.
-	eff := exp.Effort{Mode: *effort, TargetCI: *targetCI}
+	eff := exp.Effort{Mode: *effort}
 	if *quick {
 		if eff.Mode != "" && eff.Mode != exp.EffortQuick {
 			fail(fmt.Errorf("-quick conflicts with -effort %s", eff.Mode))

@@ -445,7 +445,7 @@ func (f *fleet) dispatch(ctx context.Context, traceID string, h *exp.Harness, po
 		w.completed.Add(1)
 		sl.v = serve.CellValue{
 			Cycles: line.Cycles, Translations: line.Translations, Perf: line.Perf,
-			Counters: line.Counters, Sampled: line.Sampled,
+			Counters: line.Counters,
 		}
 		sl.hit = line.Hit
 		cellSpan(idxs[line.I], sl, "")

@@ -33,41 +33,36 @@ func TestClusterEpochedByteIdenticalToSingleProcess(t *testing.T) {
 	}
 }
 
-// TestClusterSampledSweep: sampled-mode sweeps work through the fleet —
-// every row carries the sampling audit verbatim from the worker that
-// simulated it, and the deterministic seeding makes the fleet body
-// byte-identical to the single-process one even in sampled mode.
+// TestClusterSampledSweep: the retired sampled mode is a deprecated
+// alias of exact through the fleet too. A 2-worker fleet sweep that
+// names it, with or without an in-range target_ci, returns the bytes of
+// the single-process exact sweep with the deprecation header, and a
+// target_ci out of range or without the sampled mode is still a bad
+// request.
 func TestClusterSampledSweep(t *testing.T) {
-	body := `{"models":["CNN-1","RNN-1"],"batches":[1,4],"mmus":["neummu","iommu"],"effort":{"mode":"sampled","repeat_cap":2,"tile_cap":4}}`
-	ref := referenceBody(t, body)
+	const exact = `{"models":["CNN-1","RNN-1"],"batches":[1,4],"mmus":["neummu","iommu"],"effort":{"repeat_cap":2,"tile_cap":4}}`
+	ref := referenceBody(t, exact)
 	w1, w2 := newWorker(t, nil), newWorker(t, nil)
 	_, ts := newCoordinator(t, Config{Workers: []string{w1.ts.URL, w2.ts.URL}})
-	resp, got := post(t, ts.URL, "/v1/sweep", body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d: %s", resp.StatusCode, got)
-	}
-	if string(got) != string(ref) {
-		t.Errorf("cluster sampled sweep differs from single process:\ncluster: %s\nsingle:  %s", got, ref)
-	}
-	lines := strings.Split(strings.TrimSpace(string(got)), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("got %d lines, want 8 rows + summary", len(lines))
-	}
-	for _, line := range lines[:8] {
-		var row serve.CellRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			t.Fatal(err)
+	for _, effort := range []string{`"mode":"sampled",`, `"mode":"sampled","target_ci":0.05,`} {
+		body := strings.Replace(exact, `"effort":{`, `"effort":{`+effort, 1)
+		resp, got := post(t, ts.URL, "/v1/sweep", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status = %d: %s", body, resp.StatusCode, got)
 		}
-		s := row.Sampled
-		if s == nil {
-			t.Fatalf("sampled row missing audit: %s", line)
+		if string(got) != string(ref) {
+			t.Errorf("%s: cluster sweep differs from the single-process exact sweep:\ncluster: %s\nsingle:  %s", body, got, ref)
 		}
-		if s.Simulated < 1 || s.Simulated > s.Population || s.Seed == 0 ||
-			s.TargetCI <= 0 || s.RelCI95 < 0 {
-			t.Errorf("bogus sampling audit %+v", s)
+		if resp.Header.Get(serve.DeprecationHeader) == "" {
+			t.Errorf("%s: no %s header", body, serve.DeprecationHeader)
 		}
-		if s.CyclesLo > row.Cycles || row.Cycles > s.CyclesHi {
-			t.Errorf("cycles %d outside CI [%d, %d]", row.Cycles, s.CyclesLo, s.CyclesHi)
+	}
+	for _, effort := range []string{`"mode":"sampled","target_ci":1,`, `"target_ci":0.05,`} {
+		body := strings.Replace(exact, `"effort":{`, `"effort":{`+effort, 1)
+		resp, got := post(t, ts.URL, "/v1/sweep", body)
+		var env serve.ErrorBody
+		if resp.StatusCode != 400 || json.Unmarshal(got, &env) != nil || env.Error.Code != serve.ErrCodeBadRequest {
+			t.Errorf("%s: status %d, body %s; want a bad_request envelope", body, resp.StatusCode, got)
 		}
 	}
 }

@@ -10,16 +10,13 @@
 // phase to release its scratchpad buffer.
 //
 // There is one simulation engine: a machine (queue, MMU, memory, DMA
-// engine and the double-buffer waits) that runs the plan's epochs (see
-// epoch.go). An exact run is the serial schedule on one machine: every
-// epoch in order, with all machine state carried from one epoch to the
-// next. Epoch-parallel and sampled runs give each epoch a cold machine.
-// Every mode assembles its Result the same way.
+// engine and the double-buffer waits) that runs the capped schedule in
+// order, so TLB, path-cache, memory and double-buffer state carry from
+// each tile to the next. Every run is that serial schedule.
 package npu
 
 import (
 	"fmt"
-	"slices"
 
 	"neummu/internal/core"
 	"neummu/internal/counters"
@@ -80,26 +77,6 @@ type Config struct {
 	// included — instead of rebuilding identical tables per simulation.
 	// Nil builds a private table (runs that fault or remap need one).
 	Translations *vm.Snapshot
-
-	// Sampled selects statistical simulation: only a seeded subset of
-	// epochs is simulated (stratified per layer) and totals are scaled up
-	// by per-stratum estimators, with a 95% confidence interval reported
-	// in Result.Sampled. Each sampled epoch runs on its own cold machine
-	// (see epoch.go); runs carrying observers ignore Sampled and take the
-	// exact serial schedule. The sampling seed derives from model, batch,
-	// caps and target CI — deliberately not the MMU kind, so an oracle
-	// normalization run samples exactly the same epochs as its candidate
-	// and the performance ratio stays paired.
-	Sampled bool
-	// SampleTargetCI is the desired relative half-width of the sampled
-	// cycle estimate's 95% CI; it sizes the sampling fraction (0 = 0.05).
-	SampleTargetCI float64
-}
-
-// observed reports whether any per-event observer is attached; observer
-// studies require the single global timeline of the serial schedule.
-func (c Config) observed() bool {
-	return c.TimelineWindow > 0 || c.TraceVAs != nil || c.Watch != nil || c.TileTrace != nil
 }
 
 // Result summarizes one simulation.
@@ -123,9 +100,8 @@ type Result struct {
 	BytesFetched   int64
 	PageDivergence stats.Dist
 	// Events is the host-side cost of the run in queue events fired
-	// (sim.Queue.Fired), summed over its machines. A sampled run sums
-	// the cold machines it simulated, unscaled. It is a measure of the
-	// simulator, not of the simulated NPU, and travels in no row.
+	// (sim.Queue.Fired). It is a measure of the simulator, not of the
+	// simulated NPU, and travels in no row.
 	Events int64
 
 	MMU    core.Stats
@@ -138,11 +114,6 @@ type Result struct {
 	// into the standard record that travels through serve/cluster rows and
 	// that the invariants suite cross-checks (see internal/counters).
 	Counters counters.Bundle
-
-	// Sampled carries the sampling audit of a sampled-mode run — epoch
-	// population, simulated subset, seed and the achieved confidence
-	// interval; nil for exact runs.
-	Sampled *SampleStats
 
 	Timeline *stats.TimeSeries
 }
@@ -195,25 +166,16 @@ func Run(plan *workloads.Plan, cfg Config) (*Result, error) {
 	if snap == nil {
 		snap = BuildTranslations(plan, cfg.MMU.PageSize)
 	}
-	if cfg.Sampled && !cfg.observed() {
-		return runSampled(plan, cfg, snap, buildEpochs(plan, cfg.RepeatCap, cfg.TileCap))
-	}
-
-	// The serial schedule: every epoch in order on one machine.
 	m := newMachine(plan, cfg, snap)
-	if err := eachEpoch(plan, cfg.RepeatCap, cfg.TileCap, m.run); err != nil {
+	if err := m.run(); err != nil {
 		return nil, err
 	}
-	res := assemble(plan, cfg, []*epochRun{m.finish()})
-	res.Timeline = m.eng.Timeline
-	return res, nil
+	return m.result(), nil
 }
 
 // machine is one simulated NPU: an event queue, MMU, memory and DMA
 // engine, plus the compute-done times of the last two tiles it ran,
-// which the double-buffer waits read. Its run method is the package's
-// only tile loop; every mode drives it, on one machine or on one cold
-// machine per epoch.
+// which the double-buffer waits read, and the run's phase totals.
 type machine struct {
 	plan *workloads.Plan
 	cfg  Config
@@ -232,10 +194,13 @@ type machine struct {
 	ts      dma.TileStats // the last fetch's statistics, set by onFetch
 	fetched bool
 	onFetch func(dma.TileStats)
-	rec     *epochRun
+
+	memPhase, compute, stall sim.Cycle
+	translations, bytes      int64
+	tiles                    int
 }
 
-// newMachine builds a cold machine over the shared translation snapshot,
+// newMachine builds a fresh machine over the shared translation snapshot,
 // with cfg's observers attached to its DMA engine.
 func newMachine(plan *workloads.Plan, cfg Config, snap *vm.Snapshot) *machine {
 	q := &sim.Queue{}
@@ -245,7 +210,6 @@ func newMachine(plan *workloads.Plan, cfg Config, snap *vm.Snapshot) *machine {
 		plan: plan, cfg: cfg, q: q, mmu: mmu, mem: mem,
 		eng:  dma.New(q, mmu, mem),
 		wait: q.Register(noop),
-		rec:  &epochRun{},
 	}
 	m.onFetch = func(ts dma.TileStats) { m.ts, m.fetched = ts, true }
 	if cfg.TimelineWindow > 0 {
@@ -256,49 +220,60 @@ func newMachine(plan *workloads.Plan, cfg Config, snap *vm.Snapshot) *machine {
 	return m
 }
 
-// run simulates ep's tiles in schedule order, starting from whatever
-// state the machine's earlier epochs left behind.
-func (m *machine) run(ep epoch) error {
-	r := m.rec
-	r.durs = slices.Grow(r.durs, ep.hi-ep.lo)
-	layer := m.plan.Layers[ep.layer].Name
-	for p := ep.lo; p < ep.hi; p++ {
-		t := &ep.layerTiles[p%len(ep.layerTiles)]
-		if m.done2 > m.q.Now() {
-			m.q.Call(m.done2, m.wait, 0)
-			m.q.Run()
+// run simulates the capped schedule in order: each layer's first
+// TileCap tiles, repeated min(Times, RepeatCap) times.
+func (m *machine) run() error {
+	for li := range m.plan.Layers {
+		layer := &m.plan.Layers[li]
+		times := layer.Times()
+		if m.cfg.RepeatCap > 0 && times > m.cfg.RepeatCap {
+			times = m.cfg.RepeatCap
 		}
-		m.fetched = false
-		m.eng.FetchViews(t.Views, m.onFetch)
-		m.q.Run()
-		if !m.fetched {
-			return fmt.Errorf("npu: tile fetch deadlocked (model %s)", m.plan.Model)
+		tiles := layer.Tiles
+		if m.cfg.TileCap > 0 && len(tiles) > m.cfg.TileCap {
+			tiles = tiles[:m.cfg.TileCap]
 		}
-		ts := m.ts
-		if m.cfg.TileTrace != nil {
-			m.cfg.TileTrace(layer, t.Step, ts)
+		for p := 0; p < times*len(tiles); p++ {
+			if err := m.tile(layer.Name, &tiles[p%len(tiles)]); err != nil {
+				return err
+			}
 		}
-		d := ts.Duration()
-		cc := sim.Cycle(m.cfg.Compute.TileCycles(t.M, t.K, t.N))
-		r.durs = append(r.durs, tileDurs{d, cc})
-		r.memPhase += d
-		r.compute += cc
-		r.stall += ts.StallCycles
-		r.translations += int64(ts.Transactions)
-		r.bytes += ts.Bytes
-		m.done1, m.done2 = max(ts.End, m.done1)+cc, m.done1
 	}
 	return nil
 }
 
-// finish returns the machine's record: the per-tile phase durations and
-// totals run gathered, plus its components' statistics.
-func (m *machine) finish() *epochRun {
-	r := m.rec
-	r.tiles = len(r.durs)
-	r.events = m.q.Fired()
-	r.pageDiv = m.eng.PageDivergence()
-	r.src = counters.Sources{
+// tile fetches t once its buffer is free, then books its compute phase.
+func (m *machine) tile(layer string, t *workloads.Tile) error {
+	if m.done2 > m.q.Now() {
+		m.q.Call(m.done2, m.wait, 0)
+		m.q.Run()
+	}
+	m.fetched = false
+	m.eng.FetchViews(t.Views, m.onFetch)
+	m.q.Run()
+	if !m.fetched {
+		return fmt.Errorf("npu: tile fetch deadlocked (model %s)", m.plan.Model)
+	}
+	ts := m.ts
+	if m.cfg.TileTrace != nil {
+		m.cfg.TileTrace(layer, t.Step, ts)
+	}
+	cc := sim.Cycle(m.cfg.Compute.TileCycles(t.M, t.K, t.N))
+	m.memPhase += ts.Duration()
+	m.compute += cc
+	m.stall += ts.StallCycles
+	m.translations += int64(ts.Transactions)
+	m.bytes += ts.Bytes
+	m.tiles++
+	m.done1, m.done2 = max(ts.End, m.done1)+cc, m.done1
+	return nil
+}
+
+// result collects the Result and its audited counter bundle. The run
+// ends when both its last memory phase and its last compute phase have.
+func (m *machine) result() *Result {
+	cycles := max(m.q.Now(), m.done1)
+	src := counters.Sources{
 		MMU:    m.mmu.Stats(),
 		TLB:    m.mmu.TLBStats(),
 		Walker: m.mmu.WalkerStats(),
@@ -311,8 +286,35 @@ func (m *machine) finish() *epochRun {
 			Bytes:         m.eng.Bytes(),
 			DistinctPages: m.eng.DistinctPages(),
 		},
+		Cycles: counters.CycleStats{
+			Total:    int64(cycles),
+			MemPhase: int64(m.memPhase),
+			Compute:  int64(m.compute),
+			Stall:    int64(m.stall),
+		},
 	}
-	return r
+	return &Result{
+		Model:          m.plan.Model,
+		Batch:          m.plan.Batch,
+		Compute:        m.cfg.Compute.Name(),
+		MMUKind:        m.cfg.MMU.Kind,
+		Cycles:         cycles,
+		MemPhaseCycles: m.memPhase,
+		ComputeCycles:  m.compute,
+		StallCycles:    m.stall,
+		Tiles:          m.tiles,
+		Translations:   m.translations,
+		Events:         m.q.Fired(),
+		BytesFetched:   m.bytes,
+		PageDivergence: m.eng.PageDivergence(),
+		MMU:            src.MMU,
+		TLB:            src.TLB,
+		Walker:         src.Walker,
+		Path:           src.Path,
+		Memory:         src.Memory,
+		Counters:       counters.Collect(src),
+		Timeline:       m.eng.Timeline,
+	}
 }
 
 // RunModel is the convenience entry point: it plans the model at the given

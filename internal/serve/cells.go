@@ -147,18 +147,13 @@ type CellsRequest struct {
 }
 
 // NewCellsRequest builds the /v1/cells payload that evaluates points
-// under a harness's normalized options. The legacy flat fields are
-// always set, so legacy-shaped work keeps its pre-redesign payload
-// bytes; the effort object is added only for sampled mode, which the
-// flat fields cannot express.
+// under a harness's normalized options. The legacy flat fields express
+// every effort, so the payload bytes are the pre-redesign ones.
 func NewCellsRequest(opts exp.Options, points []exp.Point) CellsRequest {
 	e := opts.Effort
 	req := CellsRequest{
 		Points: make([]WirePoint, len(points)),
 		Quick:  e.Quick(), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-	}
-	if e.Sampled() {
-		req.Effort = &WireEffort{Mode: exp.EffortSampled, TargetCI: e.TargetCI}
 	}
 	for i, p := range points {
 		req.Points[i] = ToWire(p)
@@ -178,10 +173,6 @@ type CellLine struct {
 	// the coordinator so a merged sweep reproduces a single process's rows
 	// byte for byte.
 	Counters counters.Bundle `json:"counters"`
-	// Sampled is the sampling audit for sampled-mode cells (absent on
-	// exact cells, keeping legacy lines byte-identical), carried verbatim
-	// so the coordinator's merged rows match a single process's.
-	Sampled *SampleJSON `json:"sampled,omitempty"`
 	// Hit reports the cell was answered from this worker's cache.
 	Hit bool   `json:"hit,omitempty"`
 	Err string `json:"error,omitempty"`
@@ -191,24 +182,16 @@ type CellLine struct {
 // the per-process map hashing the cache keys on, it is a pure function of the
 // point and the normalized effort, so every coordinator (and every
 // restart) routes the same cell to the same worker. FNV-1a over the
-// canonical field encoding. Efforts the serial exact schedule serves
-// (the only kind that existed before the unified effort API) hash to
-// exactly their pre-redesign value — an upgraded coordinator keeps
-// routing legacy work to the same workers, and mixed-version fleets
-// agree on placement. Sampled efforts append a suffix with their CI
-// target; its "epoched" literal names the cold-epoch machines sampled
-// cells run on, and stays so every sampled hash keeps its value. e is a
-// normalized effort (Harness.Options) or its Identity; both hash the
-// same.
+// canonical field encoding, unchanged since before the unified effort
+// API, so an upgraded coordinator keeps routing work to the same
+// workers. e is a normalized effort (Harness.Options) or its Identity;
+// both hash the same.
 func CellHash64(p exp.Point, e exp.Effort) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		p.Kind, p.PageSize, p.Model, p.Batch,
 		p.PTWs, p.PRMBSlots, p.PTS, p.Path, p.TLBEntries,
 		e.RepeatCap, e.TileCap)
-	if e.Sampled() {
-		fmt.Fprintf(h, "|epoched|s=true|ci=%g", e.TargetCI)
-	}
 	return h.Sum64()
 }
 
@@ -220,7 +203,7 @@ func pointRow(p exp.Point, v CellValue) CellRow {
 		Model: p.Model, Batch: p.Batch,
 		MMU: p.Kind.String(), PageSize: p.PageSize.String(),
 		Cycles: v.Cycles, Translations: v.Translations, NormalizedPerf: v.Perf,
-		Counters: v.Counters, Sampled: v.Sampled,
+		Counters: v.Counters,
 	}
 }
 
@@ -345,7 +328,6 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		} else {
 			line.Cycles, line.Translations, line.Perf = v.Cycles, v.Translations, v.Perf
 			line.Counters = v.Counters
-			line.Sampled = v.Sampled
 		}
 		te := time.Now()
 		enc.Encode(line)

@@ -34,13 +34,6 @@ type storeKey struct {
 	Point     WirePoint `json:"point"`
 	RepeatCap int       `json:"repeat_cap"`
 	TileCap   int       `json:"tile_cap"`
-	// Sampled identity, omitted for exact cells so every pre-redesign
-	// store entry keeps its exact key bytes (and stays readable after
-	// the upgrade). Epoched is written from Sampled: sampled cells run on
-	// cold-epoch machines, and the field keeps their key bytes unchanged.
-	Sampled  bool    `json:"sampled,omitempty"`
-	TargetCI float64 `json:"target_ci,omitempty"`
-	Epoched  bool    `json:"epoched,omitempty"`
 }
 
 // newCellKey keys point p under a harness's normalized options: the one
@@ -53,7 +46,6 @@ func storeKeyBytes(k cellKey) []byte {
 	e := k.effort
 	b, err := json.Marshal(storeKey{
 		Point: ToWire(k.point), RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-		Sampled: e.Sampled(), TargetCI: e.TargetCI, Epoched: e.Sampled(),
 	})
 	if err != nil {
 		// Marshal of plain structs with string/int/bool fields cannot fail.
@@ -116,42 +108,17 @@ func saveCell(st *store.Store, k cellKey, v CellValue) {
 // leaf is one number of the canonical value layout.
 type leaf struct {
 	lit  string       // the bytes before the number: braces, commas, the quoted key, ':'
-	kind reflect.Kind // Int, Int64, Uint64 or Float64
+	kind reflect.Kind // Int64 or Float64
 	off  uintptr      // the field's offset in the decoded struct
 }
 
-// valueLayout is CellValue's canonical JSON: the leaves up to and
-// including the counters, then either exactEnd, or the sampled audit's
-// leaves (the first opens it) and sampledEnd.
-type valueLayout struct {
-	exact      []leaf // offsets into CellValue
-	exactEnd   string
-	sampled    []leaf // offsets into SampleJSON
-	sampledEnd string
-}
-
-var cellLayout = newValueLayout()
-
-// newValueLayout derives the layout from the json tags of CellValue,
-// counters.Bundle and SampleJSON. A field the layout cannot spell
-// exactly (untagged, omitempty, or not a number or struct of numbers)
-// panics at start-up instead of being skipped, so a new counter is
-// decoded the day it is added.
-func newValueLayout() valueLayout {
-	fs := reflect.VisibleFields(reflect.TypeOf(CellValue{}))
-	last := fs[len(fs)-1]
-	if last.Tag.Get("json") != "sampled,omitempty" || last.Type != reflect.TypeOf(&SampleJSON{}) {
-		panic("serve: CellValue must end with its optional sampled audit")
-	}
-	var l valueLayout
-	l.exact, l.exactEnd = flatten(nil, fs[:len(fs)-1], 0, "")
-	// The audit follows the counters' closing brace and comes before the
-	// value's own.
-	l.sampled, l.sampledEnd = flatten(nil, reflect.VisibleFields(last.Type.Elem()), 0,
-		strings.TrimSuffix(l.exactEnd, "}")+`,"sampled":`)
-	l.sampledEnd += "}"
-	return l
-}
+// cellLeaves and cellEnd are CellValue's canonical JSON: its leaves in
+// order, then the closing braces. They are derived from the json tags of
+// CellValue and counters.Bundle. A field the layout cannot spell exactly
+// (untagged, omitempty, or not a number or struct of numbers) panics at
+// start-up instead of being skipped, so a new counter is decoded the day
+// it is added.
+var cellLeaves, cellEnd = flatten(nil, reflect.VisibleFields(reflect.TypeOf(CellValue{})), 0, "")
 
 // flatten appends the leaves of the struct whose fields are fs, at
 // offset off, with lit the bytes before its opening brace. It returns
@@ -173,7 +140,7 @@ func flatten(leaves []leaf, fs []reflect.StructField, off uintptr, lit string) (
 		switch k := f.Type.Kind(); k {
 		case reflect.Struct:
 			leaves, lit = flatten(leaves, reflect.VisibleFields(f.Type), off+f.Offset, lit)
-		case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		case reflect.Int64, reflect.Float64:
 			leaves = append(leaves, leaf{lit, k, off + f.Offset})
 			lit = ""
 		default:
@@ -188,56 +155,33 @@ func flatten(leaves []leaf, fs []reflect.StructField, off uintptr, lit string) (
 // present. A number may be any JSON number its field's type accepts, and
 // is read as encoding/json reads it (strconv semantics), so whatever
 // decodeCell accepts, json.Unmarshal decodes to the same value
-// (FuzzLoadCell). Any other bytes are refused.
+// (FuzzLoadCell). Any other bytes are refused. The offsets and kinds
+// come from reflection over CellValue, so every store is to a field of
+// the right type.
 func decodeCell(b []byte) (CellValue, bool) {
 	var v CellValue
-	b, ok := decodeLeaves(b, unsafe.Pointer(&v), cellLayout.exact)
-	if !ok {
-		return CellValue{}, false
-	}
-	if string(b) == cellLayout.exactEnd {
-		return v, true
-	}
-	s := new(SampleJSON)
-	if b, ok = decodeLeaves(b, unsafe.Pointer(s), cellLayout.sampled); !ok || string(b) != cellLayout.sampledEnd {
-		return CellValue{}, false
-	}
-	v.Sampled = s
-	return v, true
-}
-
-// decodeLeaves reads leaves from the front of b into the struct at base
-// and returns the rest of b. The offsets and kinds come from reflection
-// over that struct's type, so every store is to a field of the right
-// type.
-func decodeLeaves(b []byte, base unsafe.Pointer, leaves []leaf) ([]byte, bool) {
-	for _, f := range leaves {
+	for _, f := range cellLeaves {
 		if len(b) < len(f.lit) || string(b[:len(f.lit)]) != f.lit {
-			return nil, false
+			return CellValue{}, false
 		}
 		b = b[len(f.lit):]
-		p := unsafe.Add(base, f.off)
+		p := unsafe.Add(unsafe.Pointer(&v), f.off)
 		var n int
 		var ok bool
-		switch f.kind {
-		case reflect.Float64:
+		if f.kind == reflect.Float64 {
 			n, ok = parseFloat(b, (*float64)(p))
-		case reflect.Uint64:
-			n, ok = parseUint(b, (*uint64)(p))
-		case reflect.Int64:
+		} else {
 			n, ok = parseInt(b, (*int64)(p))
-		case reflect.Int:
-			var x int64
-			n, ok = parseInt(b, &x)
-			*(*int)(p) = int(x)
-			ok = ok && int64(int(x)) == x
 		}
 		if !ok {
-			return nil, false
+			return CellValue{}, false
 		}
 		b = b[n:]
 	}
-	return b, true
+	if string(b) != cellEnd {
+		return CellValue{}, false
+	}
+	return v, true
 }
 
 // The number readers read the number at the front of b into *x and
@@ -265,21 +209,6 @@ func parseInt(b []byte, x *int64) (int, bool) {
 	if neg {
 		*x = -*x
 	}
-	return n, true
-}
-
-// parseUint reads a JSON integer without a sign, in uint64 range.
-func parseUint(b []byte, x *uint64) (int, bool) {
-	u, n, ok := digits(b, 0)
-	if !ok {
-		return 0, false
-	}
-	if n > maxFastDigits {
-		v, err := strconv.ParseUint(string(b[:n]), 10, 64)
-		*x = v
-		return n, err == nil
-	}
-	*x = u
 	return n, true
 }
 

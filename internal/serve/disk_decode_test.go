@@ -14,10 +14,10 @@ import (
 )
 
 // genCell builds a CellValue from fuzz inputs: counters drawn from seed,
-// mixing the int64 extremes with random magnitudes, and the floats as
-// given (negative zero and exponent-form floats come in through the
-// seed corpus).
-func genCell(seed int64, sampled bool, perf, ci, rel float64) CellValue {
+// mixing the int64 extremes with random magnitudes, and perf as given
+// (negative zero and exponent-form floats come in through the seed
+// corpus).
+func genCell(seed int64, perf float64) CellValue {
 	r := rand.New(rand.NewSource(seed))
 	ints := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
 	next := func() int64 {
@@ -30,15 +30,6 @@ func genCell(seed int64, sampled bool, perf, ci, rel float64) CellValue {
 	b := reflect.ValueOf(&v.Counters).Elem()
 	for i := 0; i < b.NumField(); i++ {
 		b.Field(i).SetInt(next())
-	}
-	if sampled {
-		v.Sampled = &SampleJSON{
-			Population: int(next()), Simulated: int(next()), Seed: r.Uint64(),
-			TargetCI: ci, RelCI95: rel, CyclesLo: next(), CyclesHi: next(),
-		}
-		if r.Intn(4) == 0 {
-			v.Sampled.Seed = math.MaxUint64
-		}
 	}
 	return v
 }
@@ -56,25 +47,25 @@ func sameCell(t *testing.T, got, want CellValue) {
 }
 
 // FuzzLoadCell pins loadCell's value decoder to encoding/json from both
-// sides: the canonical bytes of any CellValue, exact or sampled, decode
-// to that value, and any bytes at all are either refused or decode to
+// sides: the canonical bytes of any CellValue decode to that value, and any bytes at all are either refused or decode to
 // exactly what json.Unmarshal makes of them.
 func FuzzLoadCell(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	for _, v := range []CellValue{
-		genCell(1, false, 0.5, 0, 0),
-		genCell(2, true, negZero, 1e-7, 1e21),
-		genCell(3, true, 5e-324, math.MaxFloat64, 0.05),
+		genCell(1, 0.5),
+		genCell(2, negZero),
+		genCell(3, 5e-324),
+		genCell(4, math.MaxFloat64),
 	} {
 		b, err := json.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b, int64(0), false, 1.0, 0.0, 0.0)
+		f.Add(b, int64(0), 1.0)
 	}
-	f.Add([]byte(`{"cycles":-0}`), int64(4), true, 1.5e-300, negZero, 123456789.0)
-	f.Add([]byte(`{"cycles":1e3,"translations":01}`), int64(5), false, math.Inf(1), 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, raw []byte, seed int64, sampled bool, perf, ci, rel float64) {
+	f.Add([]byte(`{"cycles":-0}`), int64(4), 1.5e-300)
+	f.Add([]byte(`{"cycles":1e3,"translations":01}`), int64(5), math.Inf(1))
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64, perf float64) {
 		if got, ok := decodeCell(raw); ok {
 			var want CellValue
 			if err := json.Unmarshal(raw, &want); err != nil {
@@ -82,7 +73,7 @@ func FuzzLoadCell(f *testing.F) {
 			}
 			sameCell(t, got, want)
 		}
-		v := genCell(seed, sampled, perf, ci, rel)
+		v := genCell(seed, perf)
 		b, err := json.Marshal(v)
 		if err != nil {
 			return // NaN or ±Inf: json.Marshal refuses them, so no store holds them
@@ -97,9 +88,10 @@ func FuzzLoadCell(f *testing.F) {
 
 // TestDecodeCellRefusesOtherLayouts: valid JSON for the same value in
 // any layout but json.Marshal's is a miss, and so is an entry missing a
-// counter (an older schema).
+// counter or carrying the sampled audit older builds wrote (an older
+// schema).
 func TestDecodeCellRefusesOtherLayouts(t *testing.T) {
-	canon, _ := json.Marshal(genCell(7, true, 0.25, 0.05, 0.01))
+	canon, _ := json.Marshal(genCell(7, 0.25))
 	if _, ok := decodeCell(canon); !ok {
 		t.Fatalf("refused canonical %s", canon)
 	}
@@ -109,7 +101,7 @@ func TestDecodeCellRefusesOtherLayouts(t *testing.T) {
 		"indented":        indented.Bytes(),
 		"trailing space":  append(append([]byte(nil), canon...), ' '),
 		"missing counter": bytes.Replace(canon, []byte(`"faults":`), []byte(`"faultz":`), 1),
-		"sampled null":    []byte(`{"cycles":1,"translations":1,"perf":1,"counters":{},"sampled":null}`),
+		"sampled audit":   append(append([]byte(nil), canon[:len(canon)-1]...), `,"sampled":{"population":4,"simulated":2,"seed":1,"target_ci":0.05,"rel_ci95":0.01,"cycles_lo":1,"cycles_hi":2}}`...),
 		"empty":           nil,
 	} {
 		if _, ok := decodeCell(b); ok {

@@ -44,12 +44,12 @@ func TestLegacyGoldenRequests(t *testing.T) {
 			effort: `{"points":[{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}],"effort":{"repeat_cap":1,"tile_cap":2}}`,
 		},
 		{
-			// An explicit mode replaces the legacy quick flag: the sampled
+			// An explicit mode replaces the legacy quick flag: the exact
 			// run keeps the default caps, not quick's 2/6.
 			name:   "explicit mode wins",
 			path:   "/v1/sim",
-			legacy: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"quick":true,"effort":{"mode":"sampled"}}`,
-			effort: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"effort":{"mode":"sampled"}}`,
+			legacy: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"quick":true,"effort":{"mode":"exact"}}`,
+			effort: `{"models":["CNN-1"],"batches":[1],"mmus":["iommu"],"effort":{"mode":"exact"}}`,
 			mixed:  true,
 		},
 		{
@@ -122,6 +122,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown mmu", "POST", "/v1/sweep", `{"models":["CNN-1"],"batches":[1],"mmus":["tlb-only"]}`, 400, ErrCodeBadRequest, "tlb-only"},
 		{"unknown effort mode", "POST", "/v1/sweep", `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"turbo"}}`, 400, ErrCodeBadRequest, "unknown effort mode"},
 		{"target_ci out of range", "POST", "/v1/sweep", `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"sampled","target_ci":1.5}}`, 400, ErrCodeBadRequest, "target_ci"},
+		{"negative target_ci", "POST", "/v1/sim", `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"sampled","target_ci":-0.1}}`, 400, ErrCodeBadRequest, "target_ci"},
+		{"target_ci with exact", "POST", "/v1/cells", `{"points":[{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}],"effort":{"mode":"exact","target_ci":0.05}}`, 400, ErrCodeBadRequest, "sampled"},
+		{"figure target_ci without sampled", "GET", "/v1/figures/fig8?target_ci=0.05", "", 400, ErrCodeBadRequest, "sampled"},
 		{"target_ci without sampled", "POST", "/v1/sweep", `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"target_ci":0.05}}`, 400, ErrCodeBadRequest, "sampled"},
 		{"negative workers", "POST", "/v1/sweep", `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"intra_cell_workers":-1}}`, 400, ErrCodeBadRequest, "intra_cell_workers"},
 		{"sim grid", "POST", "/v1/sim", `{"models":["CNN-1","RNN-1"],"batches":[1],"mmus":["neummu"],"quick":true}`, 400, ErrCodeBadRequest, "exactly one cell"},
@@ -171,72 +174,87 @@ type responseMeta struct {
 	contentType string
 }
 
-// --- sampled mode through the HTTP API ---
+// --- the retired sampled mode ---
 
-// TestSampledSweepRows: a sampled-effort sweep must carry the sampling
-// audit on every row, bracket the estimate with its CI, and occupy a
-// cache entry distinct from the exact cell at the same point.
+// TestSampledSweepRows: "mode":"sampled" is a deprecated alias of exact.
+// On every endpoint, a request that names it (with or without
+// an in-range target_ci) is answered with the bytes of the same request
+// in exact mode, plus the deprecation header, and its cell is the exact
+// cell's cache entry. Each spelling gets its own cold server, so the
+// hit marks on /v1/cells lines cannot differ between them.
 func TestSampledSweepRows(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	req := `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"sampled","repeat_cap":2,"tile_cap":4}}`
-	resp, body := post(t, ts, "/v1/sweep", req)
-	if resp.StatusCode != 200 {
-		t.Fatalf("sampled sweep status = %d: %s", resp.StatusCode, body)
+	const point = `{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}`
+	cases := []struct {
+		name, path, exact string
+		sampled           []string
+	}{
+		{
+			name:  "sweep",
+			path:  "/v1/sweep",
+			exact: `{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":1,"tile_cap":2}}`,
+			sampled: []string{
+				`{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"sampled","repeat_cap":1,"tile_cap":2}}`,
+				`{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"mode":"sampled","repeat_cap":1,"tile_cap":2,"target_ci":0.05}}`,
+			},
+		},
+		{
+			name:    "sim",
+			path:    "/v1/sim",
+			exact:   `{"models":["RNN-1"],"batches":[1],"mmus":["iommu"],"effort":{"repeat_cap":1,"tile_cap":2}}`,
+			sampled: []string{`{"models":["RNN-1"],"batches":[1],"mmus":["iommu"],"effort":{"mode":"sampled","repeat_cap":1,"tile_cap":2,"target_ci":0.05}}`},
+		},
+		{
+			name:    "cells",
+			path:    "/v1/cells",
+			exact:   `{"points":[` + point + `],"effort":{"repeat_cap":1,"tile_cap":2}}`,
+			sampled: []string{`{"points":[` + point + `],"effort":{"mode":"sampled","repeat_cap":1,"tile_cap":2,"target_ci":0.05}}`},
+		},
+		{
+			name:    "figure",
+			exact:   "/v1/figures/fig8?repeat_cap=1&tile_cap=2",
+			sampled: []string{"/v1/figures/fig8?mode=sampled&target_ci=0.05&repeat_cap=1&tile_cap=2"},
+		},
 	}
-	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 1 row + summary: %s", len(lines), body)
+	send := func(ts *httptest.Server, path, req string) (*http.Response, []byte) {
+		if path == "" {
+			return get(t, ts, req)
+		}
+		return post(t, ts, path, req)
 	}
-	var row CellRow
-	if err := json.Unmarshal([]byte(lines[0]), &row); err != nil {
-		t.Fatal(err)
-	}
-	s := row.Sampled
-	if s == nil {
-		t.Fatal("sampled-effort row has no sampled block")
-	}
-	if s.Simulated < 1 || s.Simulated > s.Population {
-		t.Errorf("simulated %d of population %d out of range", s.Simulated, s.Population)
-	}
-	if s.Simulated >= s.Population {
-		t.Errorf("sampled mode simulated the whole population (%d)", s.Population)
-	}
-	if s.TargetCI != 0.05 {
-		t.Errorf("target_ci = %g, want the 0.05 default", s.TargetCI)
-	}
-	if s.CyclesLo > row.Cycles || row.Cycles > s.CyclesHi {
-		t.Errorf("cycles %d outside CI [%d, %d]", row.Cycles, s.CyclesLo, s.CyclesHi)
-	}
-	if s.Seed == 0 {
-		t.Error("sampling seed not reported")
-	}
-
-	// Determinism: the same request again returns byte-identical rows
-	// (same seed, same subset) — and from cache.
-	resp2, body2 := post(t, ts, "/v1/sweep", req)
-	if got := resp2.Header.Get("X-Neuserve-Cache"); got != "hits=1 misses=0" {
-		t.Errorf("repeat sampled sweep cache = %q, want hits=1 misses=0", got)
-	}
-	if string(body2) != string(body) {
-		t.Error("repeated sampled sweep is not byte-identical")
-	}
-
-	// Distinct identity: the exact cell at the same point is a different
-	// cache entry (a miss, simulated fresh) with no sampled block.
-	resp3, body3 := post(t, ts, "/v1/sweep",
-		`{"models":["CNN-1"],"batches":[1],"mmus":["neummu"],"effort":{"repeat_cap":2,"tile_cap":4}}`)
-	if resp3.StatusCode != 200 {
-		t.Fatalf("exact sweep status = %d: %s", resp3.StatusCode, body3)
-	}
-	if got := resp3.Header.Get("X-Neuserve-Cache"); got != "hits=0 misses=1" {
-		t.Errorf("exact sweep after sampled = cache %q, want hits=0 misses=1 (distinct cells)", got)
-	}
-	var exact CellRow
-	if err := json.Unmarshal([]byte(strings.Split(strings.TrimSpace(string(body3)), "\n")[0]), &exact); err != nil {
-		t.Fatal(err)
-	}
-	if exact.Sampled != nil {
-		t.Error("exact row carries a sampled block")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, exactTS := newTestServer(t, Config{Workers: 2})
+			resp, want := send(exactTS, tc.path, tc.exact)
+			if resp.StatusCode != 200 {
+				t.Fatalf("exact status = %d: %s", resp.StatusCode, want)
+			}
+			if got := resp.Header.Get(DeprecationHeader); got != "" {
+				t.Errorf("exact request carries %s: %q", DeprecationHeader, got)
+			}
+			for _, req := range tc.sampled {
+				_, ts := newTestServer(t, Config{Workers: 2})
+				resp, got := send(ts, tc.path, req)
+				if resp.StatusCode != 200 {
+					t.Fatalf("%s: status = %d: %s", req, resp.StatusCode, got)
+				}
+				if string(got) != string(want) {
+					t.Errorf("%s: body differs from exact:\n got  %s\n want %s", req, got, want)
+				}
+				if resp.Header.Get(DeprecationHeader) == "" {
+					t.Errorf("%s: no %s header", req, DeprecationHeader)
+				}
+				// The exact request now finds the sampled request's cell.
+				resp, again := send(ts, tc.path, tc.exact)
+				cache := resp.Header.Get("X-Neuserve-Cache")
+				hit := cache == "hit" || cache == "hits=1 misses=0"
+				if tc.name == "cells" { // /v1/cells marks hits on its lines
+					hit = strings.Contains(string(again), `"hit":true`)
+				}
+				if !hit {
+					t.Errorf("%s: the exact request after it missed the cache (%q): %s", req, cache, again)
+				}
+			}
+		})
 	}
 }
 

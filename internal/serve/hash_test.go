@@ -71,18 +71,6 @@ func FuzzCellHash64(f *testing.F) {
 			CellHash64(p, exp.Effort{RepeatCap: repeatCap, TileCap: tileCap + 1}) == h {
 			t.Fatalf("effort caps not part of the cell identity for %+v", p)
 		}
-		// Sampled-ness is part of the identity: a sampled cell may never
-		// alias the exact cell, and its CI target keys it too.
-		sampled := exp.Effort{Mode: exp.EffortSampled, RepeatCap: repeatCap, TileCap: tileCap, TargetCI: 0.05}
-		hs := CellHash64(p, sampled)
-		if hs == h {
-			t.Fatalf("exact and sampled efforts alias for %+v", p)
-		}
-		ci := sampled
-		ci.TargetCI = 0.1
-		if CellHash64(p, ci) == hs {
-			t.Fatalf("sampled CI target not part of the cell identity for %+v", p)
-		}
 	})
 }
 

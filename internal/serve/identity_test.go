@@ -42,11 +42,13 @@ func TestCellIdentityPinned(t *testing.T) {
 			cells: `{"points":[` + wire + `],"quick":true,"repeat_cap":2,"tile_cap":6}`,
 		},
 		{
+			// The retired sampled mode is an alias of exact: the cell is
+			// the exact one, byte for byte.
 			name:  "sampled",
-			we:    &WireEffort{Mode: exp.EffortSampled, TargetCI: 0.05},
-			file:  "cell-36d9081bd4b7ec79.neu",
-			key:   `{"point":` + wire + `,"repeat_cap":3,"tile_cap":0,"sampled":true,"target_ci":0.05,"epoched":true}`,
-			cells: `{"points":[` + wire + `],"repeat_cap":3,"effort":{"mode":"sampled","target_ci":0.05}}`,
+			we:    &WireEffort{Mode: "sampled", TargetCI: 0.05},
+			file:  "cell-ad6b17793f5b46cd.neu",
+			key:   `{"point":` + wire + `,"repeat_cap":3,"tile_cap":0}`,
+			cells: `{"points":[` + wire + `],"repeat_cap":3}`,
 		},
 		{
 			// The retired intra_cell_workers knob is ignored: the cell is
@@ -127,7 +129,7 @@ func TestHarnessCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(CellValue{Cycles: int64(res.Cycles), Translations: res.Translations,
-			Perf: perf, Counters: res.Counters, Sampled: sampleJSON(res.Sampled)})
+			Perf: perf, Counters: res.Counters})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,7 +165,6 @@ func (l local) Resolve(ctx context.Context, traceID string, h *exp.Harness, poin
 					Translations: res.Translations,
 					Perf:         perf,
 					Counters:     res.Counters,
-					Sampled:      sampleJSON(res.Sampled),
 				}
 				saveCell(s.cfg.Store, key, v)
 				return v, nil

@@ -312,13 +312,23 @@ func TestHealthzAndFigureList(t *testing.T) {
 
 // TestFigureByteIdenticalColdAndWarm is the service's core guarantee: the
 // figure body equals the offline renderer's bytes on a cold cache (miss)
-// and stays byte-identical on a warm one (hit).
+// and stays byte-identical on a warm one (hit). The offline render runs
+// on all CPUs and as the serial reference (Workers: 1, the bytes of
+// `paperfigs -quick -workers 1 -fig fig8`), and both must match.
 func TestFigureByteIdenticalColdAndWarm(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	h := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}})
-	var want bytes.Buffer
-	if err := figures.Render(h, &want, "fig8"); err != nil {
-		t.Fatal(err)
+	var want, serial bytes.Buffer
+	for _, r := range []struct {
+		workers int
+		out     *bytes.Buffer
+	}{{0, &want}, {1, &serial}} {
+		h := exp.New(exp.Options{Workers: r.workers, Effort: exp.Effort{Mode: exp.EffortQuick}})
+		if err := figures.Render(h, r.out, "fig8"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(serial.Bytes(), want.Bytes()) {
+		t.Errorf("serial render differs from the parallel one:\n serial: %q\nparallel: %q", serial.Bytes(), want.Bytes())
 	}
 
 	resp, cold := get(t, ts, "/v1/figures/fig8?quick=1")

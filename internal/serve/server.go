@@ -175,10 +175,6 @@ type CellValue struct {
 	Translations int64           `json:"translations"`
 	Perf         float64         `json:"perf"`
 	Counters     counters.Bundle `json:"counters"`
-	// Sampled is the sampling audit for cells simulated in sampled mode;
-	// nil (and omitted on disk) for exact cells, so pre-redesign store
-	// entries decode unchanged and exact entries encode unchanged.
-	Sampled *SampleJSON `json:"sampled,omitempty"`
 }
 
 // cellEntryCost estimates a cell cache entry's footprint: the value
@@ -345,8 +341,8 @@ func (s *Server) handleFigureList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // parseEffort reads the figure endpoint's effort query parameters: the
-// effort object's fields (mode, repeat_cap, tile_cap, target_ci, and the
-// ignored intra_cell_workers) plus the legacy quick flag, folded through
+// effort object's fields (mode, repeat_cap, tile_cap, and the ignored
+// target_ci and intra_cell_workers) plus the legacy quick flag, folded through
 // the same requestEffort path the JSON endpoints use so the two surfaces
 // can never diverge on validation, defaults or deprecation.
 func parseEffort(r *http.Request) (exp.Effort, bool, error) {
@@ -482,9 +478,6 @@ type CellRow struct {
 	NormalizedPerf float64 `json:"normalized_perf"`
 	// Counters is the cell's audited counter bundle (internal/counters).
 	Counters counters.Bundle `json:"counters"`
-	// Sampled is the sampling audit, present only for sampled-mode cells
-	// (exact rows are byte-identical to pre-redesign ones).
-	Sampled *SampleJSON `json:"sampled,omitempty"`
 }
 
 // SweepSummary is the final NDJSON line of a sweep response. Counters is

@@ -45,14 +45,6 @@ type Tile struct {
 	// studies use it to attribute per-tile fetch statistics to decode
 	// steps.
 	Step int
-	// Epoch tags the natural scheduling barrier this tile belongs to
-	// within its layer: the weight/KV-stationary outer block for conv,
-	// GEMM and encoder attention, the decode step for autoregressive
-	// attention, 0 for single-pass layers. Tiles of one epoch form a
-	// contiguous run in schedule order; sampled mode (internal/npu)
-	// draws its sample from these runs and simulates each on its own
-	// event queue.
-	Epoch int
 }
 
 // Bytes returns the tile's fetched data volume.
@@ -68,12 +60,7 @@ func (t Tile) Bytes() int64 {
 type PlannedLayer struct {
 	Name   string
 	Repeat int
-	// WeightReuse records whether the layer's repeats share one weight
-	// set (RNN timesteps, autoregressive decode projections). Repeats
-	// that do NOT reuse weights are independent passes and may be split
-	// into separate simulation epochs; reusing repeats stay together.
-	WeightReuse bool
-	Tiles       []Tile
+	Tiles  []Tile
 }
 
 // Times returns the effective repeat count (at least 1).
@@ -142,7 +129,6 @@ func BuildPlan(m Model, batch int, cfg TileConfig) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s/%s: %w", m.Name, spec.Name, err)
 		}
-		pl.WeightReuse = spec.WeightReuse || spec.Kind == RNNCell
 		plan.Layers = append(plan.Layers, pl)
 	}
 	return plan, nil
@@ -188,7 +174,7 @@ func planConv(l LayerSpec, batch int, cfg TileConfig, space *vm.Space) (PlannedL
 	}
 
 	var tiles []Tile
-	for kb, epoch := 0, 0; kb < l.K; kb, epoch = kb+kt, epoch+1 {
+	for kb := 0; kb < l.K; kb += kt {
 		kHi := min(kb+kt, l.K)
 		for hb := 0; hb < oh; hb += ht {
 			hHi := min(hb+ht, oh)
@@ -202,10 +188,9 @@ func planConv(l LayerSpec, batch int, cfg TileConfig, space *vm.Space) (PlannedL
 				inHi = l.H
 			}
 			t := Tile{
-				M:     int64(batch) * int64(hHi-hb) * int64(ow),
-				K:     int64(l.C) * int64(l.R) * int64(l.S),
-				N:     int64(kHi - kb),
-				Epoch: epoch,
+				M: int64(batch) * int64(hHi-hb) * int64(ow),
+				K: int64(l.C) * int64(l.R) * int64(l.S),
+				N: int64(kHi - kb),
 			}
 			t.Views = append(t.Views, tensor.ViewOf(ia,
 				tensor.Full(batch), tensor.Full(l.C),
@@ -249,11 +234,11 @@ func planGEMM(l LayerSpec, batch int, cfg TileConfig, space *vm.Space) (PlannedL
 	mt := clampRows(cfg.IABudget/(int64(l.KDim)*int64(es)), rows)
 
 	var tiles []Tile
-	for nb, epoch := 0, 0; nb < l.N; nb, epoch = nb+nt, epoch+1 {
+	for nb := 0; nb < l.N; nb += nt {
 		nHi := min(nb+nt, l.N)
 		for mb := 0; mb < rows; mb += mt {
 			mHi := min(mb+mt, rows)
-			t := Tile{M: int64(mHi - mb), K: int64(l.KDim), N: int64(nHi - nb), Epoch: epoch}
+			t := Tile{M: int64(mHi - mb), K: int64(l.KDim), N: int64(nHi - nb)}
 			if !iaFits || nb == 0 {
 				t.Views = append(t.Views, tensor.ViewOf(ia,
 					tensor.Range{Lo: mb, Hi: mHi}, tensor.Full(l.KDim)))
@@ -303,15 +288,14 @@ func planAttention(l LayerSpec, batch int, cfg TileConfig, space *vm.Space) (Pla
 	ct := clampRows(cfg.WBudget/(int64(batch)*2*int64(d)*int64(es)), ctx)
 
 	var tiles []Tile
-	for cb, epoch := 0, 0; cb < ctx; cb, epoch = cb+ct, epoch+1 {
+	for cb := 0; cb < ctx; cb += ct {
 		cHi := min(cb+ct, ctx)
 		for sb := 0; sb < seq; sb += st {
 			sHi := min(sb+st, seq)
 			t := Tile{
-				M:     int64(batch) * int64(sHi-sb),
-				K:     int64(cHi - cb),
-				N:     2 * int64(d),
-				Epoch: epoch,
+				M: int64(batch) * int64(sHi-sb),
+				K: int64(cHi - cb),
+				N: 2 * int64(d),
 			}
 			t.Views = append(t.Views, tensor.ViewOf(q,
 				tensor.Full(batch), tensor.Range{Lo: sb, Hi: sHi}, tensor.Full(d)))
@@ -355,11 +339,10 @@ func planDecodeAttention(l LayerSpec, batch int, cfg TileConfig, space *vm.Space
 		for cb := 0; cb < ctxNow; cb += ct {
 			cHi := min(cb+ct, ctxNow)
 			t := Tile{
-				M:     int64(batch),
-				K:     int64(cHi - cb),
-				N:     2 * int64(d),
-				Step:  i,
-				Epoch: i,
+				M:    int64(batch),
+				K:    int64(cHi - cb),
+				N:    2 * int64(d),
+				Step: i,
 			}
 			t.Views = append(t.Views, tensor.ViewOf(kv,
 				tensor.Full(batch), tensor.Range{Lo: cb, Hi: cHi}, tensor.Full(2*d)))

@@ -19,8 +19,8 @@ import (
 	"neummu/internal/vm"
 )
 
-// This file is the counter-based self-refutation suite (ROADMAP item 5,
-// after CounterPoint's discipline): every simulation emits the audited
+// This file is the counter-based self-refutation suite (in the spirit of
+// CounterPoint, PAPERS.md): every simulation emits the audited
 // bundle of internal/counters, and these tests cross-check it against
 // analytical invariants that are independent of the simulator's event
 // plumbing — conservation laws, exact decompositions, walk-depth

@@ -101,9 +101,8 @@ const (
 	GatherDemandPagingMosaic = numa.DemandPagingMosaic
 )
 
-// Effort is the unified simulation-effort knob: mode ("exact",
-// "sampled", "quick"), schedule caps and the sampled-mode CI target. The
-// same type is threaded through Options,
+// Effort is the unified simulation-effort knob: mode ("exact" or
+// "quick") and schedule caps. The same type is threaded through Options,
 // HarnessOptions, the neuserve request schema, and the cluster wire
 // protocol; see docs/API.md for the request form.
 type Effort = exp.Effort
@@ -112,19 +111,10 @@ type Effort = exp.Effort
 const (
 	// EffortExact fully simulates every cell (the default).
 	EffortExact = exp.EffortExact
-	// EffortSampled simulates a seeded, stratified subset of each cell's
-	// epochs and scales the totals up with 95% confidence intervals
-	// (Result.Sampled carries the audit).
-	EffortSampled = exp.EffortSampled
 	// EffortQuick shrinks harness sweep grids (models, batches, caps) for
 	// smoke and benchmark use; cells still simulate exactly.
 	EffortQuick = exp.EffortQuick
 )
-
-// SampleStats is the sampling audit attached to a sampled-mode Result:
-// population and simulated epoch counts, the derivable seed, and the
-// confidence interval around the cycle estimate.
-type SampleStats = npu.SampleStats
 
 // Options tunes a Simulate call.
 type Options struct {
@@ -133,13 +123,10 @@ type Options struct {
 	// SpatialNPU switches the compute model from the TPU-style systolic
 	// array to the DaDianNao/Eyeriss-style spatial grid (§VI-B).
 	SpatialNPU bool
-	// Effort selects the simulation mode and caps. The zero value
-	// simulates exactly: every epoch in order on one machine, the only
-	// exact schedule. Effort.RepeatCap and Effort.TileCap truncate
-	// repeated layers / per-layer tiles to bound simulation time; zero
-	// simulates everything. EffortSampled simulates a seeded epoch subset,
-	// each epoch on a cold machine, and fills Result.Sampled with the
-	// scaling audit.
+	// Effort selects the simulation caps. Every run is the serial
+	// schedule on one machine. Effort.RepeatCap and Effort.TileCap
+	// truncate repeated layers / per-layer tiles to bound simulation
+	// time; zero simulates everything.
 	Effort Effort
 }
 
@@ -177,13 +164,11 @@ func Simulate(model string, batch int, kind MMUKind, opts Options) (*Result, err
 		mcfg = core.Config{Kind: core.Oracle, PageSize: ps}
 	}
 	cfg := npu.Config{
-		MMU:            mcfg,
-		Memory:         memsys.Baseline(),
-		Compute:        systolic.Baseline(),
-		RepeatCap:      opts.Effort.RepeatCap,
-		TileCap:        opts.Effort.TileCap,
-		Sampled:        opts.Effort.Sampled(),
-		SampleTargetCI: opts.Effort.TargetCI,
+		MMU:       mcfg,
+		Memory:    memsys.Baseline(),
+		Compute:   systolic.Baseline(),
+		RepeatCap: opts.Effort.RepeatCap,
+		TileCap:   opts.Effort.TileCap,
 	}
 	if opts.SpatialNPU {
 		cfg.Compute = spatial.Baseline()

@@ -38,6 +38,15 @@ func TestSimulateUnknownModel(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsSampledMode: the retired sampled mode is an
+// unknown effort mode to the library, never exact results labeled as it.
+func TestSimulateRejectsSampledMode(t *testing.T) {
+	_, err := Simulate("CNN-1", 1, OracleMMU, Options{Effort: Effort{Mode: "sampled", TileCap: 1}})
+	if err == nil || !strings.Contains(err.Error(), "unknown effort mode") {
+		t.Fatalf("Simulate with mode sampled: %v, want an unknown effort mode error", err)
+	}
+}
+
 func TestSimulateSpatialOption(t *testing.T) {
 	res, err := Simulate("CNN-1", 1, ThroughputNeuMMU, Options{Effort: Effort{TileCap: 2}, SpatialNPU: true})
 	if err != nil {
