@@ -5,7 +5,7 @@
 // Usage:
 //
 //	neusim -model CNN-1 -batch 4 -mmu neummu -pages 4KB
-//	neusim -model RNN-3 -batch 1 -mmu iommu -ptws 8 -prmb 0
+//	neusim -model RNN-3 -batch 1 -mmu iommu -tlb 512
 //	neusim -model CNN-3 -batch 8 -mmu custom -ptws 128 -prmb 32 -tpreg
 //	neusim -model TF-2 -batch 1 -mmu iommu -repeat-cap 3
 //	neusim -model CNN-1,RNN-1,TF-1 -batches 1,4,8 -mmu iommu -parallel
@@ -15,7 +15,10 @@
 // decoder with KV-cache streaming, TF-3 BERT-large at training batch).
 //
 // The -mmu flag selects oracle, iommu, neummu, or custom; custom builds
-// the walker from the -ptws/-prmb/-tpreg/-tlb flags. A comma-separated
+// the walker from the -ptws/-prmb/-tpreg flags, and -tlb sizes the TLB
+// of every non-oracle kind. The flags are parsed and validated as the
+// wire form of a design point (serve.WirePoint), so neusim accepts
+// exactly the points neuserve does. A comma-separated
 // -model or a -batches list switches to sweep mode: every (model, batch)
 // cell runs on the design-space sweep engine, fanned out over all CPUs by
 // default; -workers N bounds the pool and -workers 1 gives the serial
@@ -38,10 +41,9 @@ import (
 	"neummu/internal/memsys"
 	"neummu/internal/npu"
 	"neummu/internal/profiling"
+	"neummu/internal/serve"
 	"neummu/internal/spatial"
 	"neummu/internal/systolic"
-	"neummu/internal/tlb"
-	"neummu/internal/vm"
 	"neummu/internal/walker"
 	"neummu/internal/workloads"
 )
@@ -144,45 +146,24 @@ func parseBatches(list string, fallback int) ([]int, error) {
 	return out, nil
 }
 
-// sweepAxes maps the CLI's MMU flags onto the engine's design-space axes.
-func sweepAxes(mmuKind, pages string, ptws, prmb int, tpreg bool, tlbSize int,
-	models []string, batchList []int) (exp.Axes, error) {
-	ps, err := parsePageSize(pages)
-	if err != nil {
-		return exp.Axes{}, err
+// cellPoint parses the MMU flags into the design point of one (model,
+// batch) cell with the wire's own parser and validator.
+func cellPoint(model string, batch int, mmuKind, pages string, ptws, prmb int,
+	tpreg bool, tlbSize int) (exp.Point, error) {
+	if tlbSize < 1 {
+		return exp.Point{}, fmt.Errorf("-tlb must be at least 1 (got %d)", tlbSize)
 	}
-	ax := exp.Axes{
-		PageSizes: []vm.PageSize{ps},
-		Models:    models,
-		Batches:   batchList,
+	w := serve.WirePoint{Kind: mmuKind, PageSize: pages, Model: model, Batch: batch}
+	if mmuKind != "oracle" {
+		w.TLBEntries = tlbSize
 	}
-	switch mmuKind {
-	case "oracle":
-		ax.Kinds = []core.Kind{core.Oracle}
-	case "iommu":
-		ax.Kinds = []core.Kind{core.IOMMU}
-	case "neummu":
-		ax.Kinds = []core.Kind{core.NeuMMU}
-	case "custom":
-		if tlbSize <= 0 {
-			// The engine reserves 0 for "kind-baseline capacity", so a
-			// deliberately degenerate 0-entry TLB is single-run only.
-			return exp.Axes{}, fmt.Errorf("-tlb must be positive in sweep mode")
-		}
-		ax.Kinds = []core.Kind{core.Custom}
-		ax.PTWs = []int{ptws}
-		ax.PRMBSlots = []int{prmb}
-		ax.PTS = []bool{true}
+	if mmuKind == "custom" {
+		w.PTWs, w.PRMBSlots, w.PTS = ptws, prmb, true
 		if tpreg {
-			ax.Paths = []walker.PathKind{walker.PathTPreg}
-		} else {
-			ax.Paths = []walker.PathKind{walker.PathNone}
+			w.Path = walker.PathTPreg.String()
 		}
-		ax.TLBEntries = []int{tlbSize}
-	default:
-		return exp.Axes{}, fmt.Errorf("unknown MMU kind %q", mmuKind)
 	}
-	return ax, nil
+	return w.Point()
 }
 
 // sweepCell is the machine-readable row emitted by sweep mode with -json.
@@ -204,9 +185,15 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 	if !compare {
 		return fmt.Errorf("-oracle-baseline=false is not supported in sweep mode (every row is oracle-normalized)")
 	}
-	ax, err := sweepAxes(mmuKind, pages, ptws, prmb, tpreg, tlbSize, models, batchList)
-	if err != nil {
-		return err
+	var points []exp.Point
+	for _, m := range models {
+		for _, b := range batchList {
+			p, err := cellPoint(m, b, mmuKind, pages, ptws, prmb, tpreg, tlbSize)
+			if err != nil {
+				return err
+			}
+			points = append(points, p)
+		}
 	}
 	if repeatCap == 0 {
 		// Match single-run semantics, where 0 means "simulate every
@@ -215,11 +202,11 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 		// unlimited.
 		repeatCap = -1
 	}
-	// Models/Batches live on the Axes (sweepAxes sets them explicitly), so
-	// the Options only carry effort and parallelism knobs.
+	// The points name their models and batches, so the Options only carry
+	// effort and parallelism knobs.
 	eff.RepeatCap, eff.TileCap = repeatCap, tileCap
 	h := exp.New(exp.Options{Workers: workers, Effort: eff})
-	rows, err := h.Sweep(ax)
+	rows, err := h.SweepPoints(points)
 	if err != nil {
 		return err
 	}
@@ -251,26 +238,48 @@ func runSweep(models []string, batchList []int, mmuKind, pages string, ptws, prm
 	return nil
 }
 
+// simulate runs one cell and, when withOracle is set, its oracle
+// baseline (an oracle cell is its own baseline).
+func simulate(p exp.Point, repeatCap, tileCap int, useSpatial, withOracle bool) (res, oracle *npu.Result, err error) {
+	m, err := workloads.ByName(p.Model)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := npu.Config{
+		MMU:       p.MMU(),
+		Memory:    memsys.Baseline(),
+		Compute:   systolic.Baseline(),
+		RepeatCap: repeatCap,
+		TileCap:   tileCap,
+	}
+	if useSpatial {
+		cfg.Compute = spatial.Baseline()
+	}
+	res, err = npu.RunModel(m, p.Batch, cfg)
+	if err != nil || !withOracle {
+		return res, nil, err
+	}
+	if p.Kind == core.Oracle {
+		return res, res, nil
+	}
+	cfg.MMU = core.ConfigFor(core.Oracle, p.PageSize)
+	oracle, err = npu.RunModel(m, p.Batch, cfg)
+	return res, oracle, err
+}
+
 func run(model string, batch int, mmuKind, pages string, ptws, prmb int,
 	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial, compare bool) error {
-	m, err := workloads.ByName(model)
+	p, err := cellPoint(model, batch, mmuKind, pages, ptws, prmb, tpreg, tlbSize)
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfig(mmuKind, pages, ptws, prmb, tpreg, tlbSize,
-		repeatCap, tileCap, useSpatial)
-	if err != nil {
-		return err
-	}
-	ps := cfg.MMU.PageSize
-
-	res, err := npu.RunModel(m, batch, cfg)
+	res, oracle, err := simulate(p, repeatCap, tileCap, useSpatial, compare)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("model            %s (batch %d)\n", res.Model, res.Batch)
-	fmt.Printf("mmu              %s, %s pages\n", res.MMUKind, ps)
+	fmt.Printf("mmu              %s, %s pages\n", res.MMUKind, p.PageSize)
 	fmt.Printf("compute          %s\n", res.Compute)
 	fmt.Printf("cycles           %d\n", res.Cycles)
 	fmt.Printf("  memory phases  %d\n", res.MemPhaseCycles)
@@ -281,83 +290,24 @@ func run(model string, batch int, mmuKind, pages string, ptws, prmb int,
 	fmt.Printf("bytes fetched    %d\n", res.BytesFetched)
 	fmt.Printf("page divergence  avg %.0f max %.0f per tile\n",
 		res.PageDivergence.Mean(), res.PageDivergence.Max)
-	if res.MMUKind != core.Oracle {
-		fmt.Printf("TLB              %.1f%% hit (%d lookups)\n",
-			100*res.TLB.HitRate(), res.TLB.Lookups)
-		fmt.Printf("walks            %d started, %d redundant, %d merged\n",
-			res.Walker.WalksStarted, res.Walker.RedundantWalks, res.Walker.Merges)
-		fmt.Printf("walk DRAM reads  %d (%d levels skipped)\n",
-			res.Walker.WalkMemAccesses, res.Walker.SkippedLevels)
-		l4, l3, l2 := res.Path.Rates()
-		fmt.Printf("path cache       L4 %.1f%%  L3 %.1f%%  L2 %.1f%%\n",
-			100*l4, 100*l3, 100*l2)
+	if res.MMUKind == core.Oracle {
+		return nil
 	}
-
-	if compare && mmuKind != "oracle" {
-		ocfg := cfg
-		ocfg.MMU = core.Config{Kind: core.Oracle, PageSize: ps}
-		oracle, err := npu.RunModel(m, batch, ocfg)
-		if err != nil {
-			return err
-		}
+	fmt.Printf("TLB              %.1f%% hit (%d lookups)\n",
+		100*res.TLB.HitRate(), res.TLB.Lookups)
+	fmt.Printf("walks            %d started, %d redundant, %d merged\n",
+		res.Walker.WalksStarted, res.Walker.RedundantWalks, res.Walker.Merges)
+	fmt.Printf("walk DRAM reads  %d (%d levels skipped)\n",
+		res.Walker.WalkMemAccesses, res.Walker.SkippedLevels)
+	l4, l3, l2 := res.Path.Rates()
+	fmt.Printf("path cache       L4 %.1f%%  L3 %.1f%%  L2 %.1f%%\n",
+		100*l4, 100*l3, 100*l2)
+	if oracle != nil {
 		fmt.Printf("oracle cycles    %d\n", oracle.Cycles)
 		fmt.Printf("normalized perf  %.4f (overhead %.2f%%)\n",
 			res.NormalizedPerf(oracle), 100*res.Overhead(oracle))
 	}
 	return nil
-}
-
-func parsePageSize(pages string) (vm.PageSize, error) {
-	switch pages {
-	case "4KB", "4K", "4k":
-		return vm.Page4K, nil
-	case "2MB", "2M", "2m":
-		return vm.Page2M, nil
-	}
-	return 0, fmt.Errorf("unknown page size %q", pages)
-}
-
-// buildConfig assembles the npu configuration shared by the text and JSON
-// paths.
-func buildConfig(mmuKind, pages string, ptws, prmb int, tpreg bool,
-	tlbSize, repeatCap, tileCap int, useSpatial bool) (npu.Config, error) {
-	ps, err := parsePageSize(pages)
-	if err != nil {
-		return npu.Config{}, err
-	}
-	var mcfg core.Config
-	switch mmuKind {
-	case "oracle":
-		mcfg = core.Config{Kind: core.Oracle, PageSize: ps}
-	case "iommu":
-		mcfg = core.ConfigFor(core.IOMMU, ps)
-	case "neummu":
-		mcfg = core.ConfigFor(core.NeuMMU, ps)
-	case "custom":
-		w := walker.Config{
-			NumPTWs: ptws, PRMBSlots: prmb, UsePTS: true,
-			LevelLatency: 100, PageSize: ps, DrainPerCycle: true,
-		}
-		if tpreg {
-			w.Path = walker.PathTPreg
-		}
-		t := tlb.Baseline(ps)
-		t.Entries = tlbSize
-		mcfg = core.Config{Kind: core.Custom, PageSize: ps, TLB: t, Walker: w}
-	default:
-		return npu.Config{}, fmt.Errorf("unknown MMU kind %q", mmuKind)
-	}
-	cfg := npu.Config{
-		MMU:       mcfg,
-		Memory:    memsys.Baseline(),
-		Compute:   systolic.Baseline(),
-		RepeatCap: repeatCap,
-		TileCap:   tileCap,
-	}
-	if useSpatial {
-		cfg.Compute = spatial.Baseline()
-	}
-	return cfg, nil
 }
 
 // jsonResult is the machine-readable summary emitted by -json.
@@ -388,28 +338,17 @@ type jsonResult struct {
 
 func runJSON(model string, batch int, mmuKind, pages string, ptws, prmb int,
 	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial bool) error {
-	m, err := workloads.ByName(model)
+	p, err := cellPoint(model, batch, mmuKind, pages, ptws, prmb, tpreg, tlbSize)
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfig(mmuKind, pages, ptws, prmb, tpreg, tlbSize,
-		repeatCap, tileCap, useSpatial)
-	if err != nil {
-		return err
-	}
-	res, err := npu.RunModel(m, batch, cfg)
-	if err != nil {
-		return err
-	}
-	ocfg := cfg
-	ocfg.MMU = core.Config{Kind: core.Oracle, PageSize: cfg.MMU.PageSize}
-	oracle, err := npu.RunModel(m, batch, ocfg)
+	res, oracle, err := simulate(p, repeatCap, tileCap, useSpatial, true)
 	if err != nil {
 		return err
 	}
 	out := jsonResult{
 		Model: res.Model, Batch: res.Batch,
-		MMU: res.MMUKind.String(), PageSize: cfg.MMU.PageSize.String(),
+		MMU: res.MMUKind.String(), PageSize: p.PageSize.String(),
 		Compute:         res.Compute,
 		Cycles:          int64(res.Cycles),
 		MemPhaseCycles:  int64(res.MemPhaseCycles),

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -104,4 +106,72 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run("CNN-1", 1, "neummu", "1GB", 128, 32, true, 2048, 1, 1, false, false); err == nil {
 		t.Fatal("unknown page size accepted")
 	}
+}
+
+// TestMMUFlagsValidatedAsWirePoints: the MMU flags are checked as the
+// wire checks a point, in both modes. -tlb below 1 and a custom point
+// without walkers are errors, never a panic or a silent preset.
+func TestMMUFlagsValidatedAsWirePoints(t *testing.T) {
+	cases := []struct {
+		kind      string
+		ptws, tlb int
+	}{
+		{"custom", 32, -5},
+		{"custom", 32, 0},
+		{"neummu", 128, 0},
+		{"iommu", 128, -1},
+		{"custom", 0, 2048},
+	}
+	for _, c := range cases {
+		if err := run("CNN-1", 1, c.kind, "4KB", c.ptws, 8, true, c.tlb, 1, 1, false, true); err == nil {
+			t.Errorf("-mmu %s -ptws %d -tlb %d accepted", c.kind, c.ptws, c.tlb)
+		}
+		if err := runJSON("CNN-1", 1, c.kind, "4KB", c.ptws, 8, true, c.tlb, 1, 1, false); err == nil {
+			t.Errorf("-json -mmu %s -ptws %d -tlb %d accepted", c.kind, c.ptws, c.tlb)
+		}
+		if err := runSweep([]string{"CNN-1"}, []int{1}, c.kind, "4KB",
+			c.ptws, 8, true, c.tlb, 1, 1, 0, exp.Effort{}, false, true, false); err == nil {
+			t.Errorf("sweep -mmu %s -ptws %d -tlb %d accepted", c.kind, c.ptws, c.tlb)
+		}
+	}
+}
+
+// TestTLBFlagSizesEveryKind: -tlb resizes the TLB of the iommu and
+// neummu presets too, as tlb_entries does on the wire.
+func TestTLBFlagSizesEveryKind(t *testing.T) {
+	for _, kind := range []string{"iommu", "neummu"} {
+		small := stdout(t, func() error {
+			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 8, 1, 4, false)
+		})
+		base := stdout(t, func() error {
+			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 2048, 1, 4, false)
+		})
+		if small == base {
+			t.Errorf("%s: -tlb 8 gave the 2048-entry result:\n%s", kind, small)
+		}
+	}
+}
+
+// stdout returns what f prints to standard output.
+func stdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = saved
+	w.Close()
+	s := <-out
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

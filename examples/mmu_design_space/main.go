@@ -16,10 +16,10 @@ import (
 
 	"neummu/internal/core"
 	"neummu/internal/energy"
+	"neummu/internal/exp"
 	"neummu/internal/memsys"
 	"neummu/internal/npu"
 	"neummu/internal/systolic"
-	"neummu/internal/tlb"
 	"neummu/internal/vm"
 	"neummu/internal/walker"
 	"neummu/internal/workloads"
@@ -47,15 +47,11 @@ func main() {
 		return res
 	}
 	custom := func(ptws, slots int) core.Config {
-		return core.Config{
-			Kind: core.Custom, PageSize: vm.Page4K, TLB: tlb.Baseline(vm.Page4K),
-			Walker: walker.Config{NumPTWs: ptws, PRMBSlots: slots, UsePTS: true,
-				LevelLatency: 100, Path: walker.PathTPreg,
-				PageSize: vm.Page4K, DrainPerCycle: true},
-		}
+		return exp.Point{Kind: core.Custom, PageSize: vm.Page4K,
+			PTWs: ptws, PRMBSlots: slots, PTS: true, Path: walker.PathTPreg}.MMU()
 	}
 
-	oracle := run(core.Config{Kind: core.Oracle, PageSize: vm.Page4K})
+	oracle := run(core.ConfigFor(core.Oracle, vm.Page4K))
 	costs := energy.Default45nm()
 	fmt.Printf("workload %s b%02d — oracle: %d cycles\n\n", model, batch, oracle.Cycles)
 

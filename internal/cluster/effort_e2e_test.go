@@ -8,12 +8,12 @@ import (
 	"neummu/internal/serve"
 )
 
-// TestClusterEpochedByteIdenticalToSingleProcess: intra_cell_workers,
+// TestClusterIgnoresIntraCellWorkers: intra_cell_workers,
 // which once selected an epoch-parallel schedule, is accepted and
 // ignored. A 3-worker fleet sweep that sets it returns the bytes of the
 // single-process exact sweep without it, with the deprecation header,
 // at any count.
-func TestClusterEpochedByteIdenticalToSingleProcess(t *testing.T) {
+func TestClusterIgnoresIntraCellWorkers(t *testing.T) {
 	const exact = `{"models":["CNN-1","RNN-1"],"batches":[1,4],"mmus":["neummu","iommu"],"effort":{"repeat_cap":1,"tile_cap":2}}`
 	ref := referenceBody(t, exact)
 	w1, w2, w3 := newWorker(t, nil), newWorker(t, nil), newWorker(t, nil)

@@ -37,7 +37,7 @@ func TestNoDeadlockProperty(t *testing.T) {
 			Walker: walker.Config{
 				NumPTWs: ptws, PRMBSlots: prmb, UsePTS: usePTS,
 				QueueDepth: queue, LevelLatency: 100,
-				PageSize: vm.Page4K, DrainPerCycle: true,
+				PageSize: vm.Page4K,
 			},
 		}
 		m := New(cfg, pt, q)

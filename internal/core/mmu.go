@@ -79,25 +79,18 @@ type Config struct {
 	// presets when non-zero (sweeps tweak one knob at a time).
 	TLB    tlb.Config
 	Walker walker.Config
-	// PrefetchNext enables sequential translation prefetching: when a
-	// walk for page P completes, the MMU speculatively walks P+1 on an
-	// idle walker and fills the TLB with the result. An ablation beyond
-	// the paper (its related-work §VII cites TLB-prefetching literature);
-	// streaming DMA traffic is the best case for such a prefetcher.
-	PrefetchNext bool
 }
 
 // ConfigFor returns the canonical configuration of kind k at the given
-// page size.
+// page size. The oracle has no TLB or walkers; Custom starts from the
+// NeuMMU preset.
 func ConfigFor(k Kind, ps vm.PageSize) Config {
-	cfg := Config{Kind: k, PageSize: ps, TLB: tlb.Baseline(ps)}
-	switch k {
-	case IOMMU:
+	if k == Oracle {
+		return Config{Kind: Oracle, PageSize: ps}
+	}
+	cfg := Config{Kind: k, PageSize: ps, TLB: tlb.Baseline(ps), Walker: walker.NeuMMU(ps)}
+	if k == IOMMU {
 		cfg.Walker = walker.BaselineIOMMU(ps)
-	case NeuMMU:
-		cfg.Walker = walker.NeuMMU(ps)
-	default:
-		cfg.Walker = walker.NeuMMU(ps)
 	}
 	return cfg
 }
@@ -111,7 +104,6 @@ type Stats struct {
 	Faults     int64 // page faults surfaced to the fault handler
 	Retries    int64 // re-submissions after fault resolution
 	StallEnter int64 // times the engine asserted back-pressure
-	Prefetches int64 // speculative next-page walks issued
 	// Latency distributes per-request translation latency in cycles.
 	Latency stats.Dist
 }
@@ -162,7 +154,6 @@ type MMU struct {
 	// flight holds the pending request behind each in-flight walker
 	// submission; the slot index travels as walker.Request.Seq, so
 	// completion matching is an array read instead of a map lookup.
-	// Speculative (prefetch) walks occupy a slot with a nil done.
 	flight     []pending
 	freeFlight []int32
 
@@ -216,9 +207,6 @@ func New(cfg Config, pt *vm.PageTable, q *sim.Queue) *MMU {
 			frame += vm.PhysAddr(vm.PageBase(va, m.cfg.PageSize) - vm.PageBase(va, e.Size))
 		}
 		m.tlb.Fill(va, frame, e.Device)
-		if cfg.PrefetchNext {
-			m.prefetchNext(va)
-		}
 	}
 	m.pool.OnComplete = m.walkComplete
 	m.pool.OnFault = m.walkFault
@@ -425,41 +413,14 @@ func (m *MMU) submit(p pending) {
 	}
 }
 
-// prefetchNext issues a speculative walk for the page after va when a
-// walker is idle and the translation is not already cached. Faults on
-// speculative walks are dropped — the prefetcher must never trigger
-// demand paging.
-func (m *MMU) prefetchNext(va vm.VirtAddr) {
-	next := vm.PageBase(va, m.cfg.PageSize) + vm.VirtAddr(m.cfg.PageSize.Bytes())
-	if m.tlb.Contains(next) || m.pool.FreeWalkers() == 0 {
-		return
-	}
-	// A speculative walk occupies a flight slot with no consumer (nil
-	// done); completion and faults alike just release it.
-	seq := m.allocFlight(pending{va: next})
-	if !m.pool.Submit(walker.Request{VA: next, Seq: seq}) {
-		m.releaseFlight(seq)
-		return
-	}
-	m.stats.Prefetches++
-}
-
 func (m *MMU) walkComplete(req walker.Request, e vm.Entry, now sim.Cycle) {
 	p := m.releaseFlight(req.Seq)
-	if p.done == nil {
-		// Speculative walk: the TLB fill in OnWalkDone was the point.
-		return
-	}
 	m.stats.Latency.Add(float64(now - p.issued))
 	p.done(e, p.tag, now)
 }
 
 func (m *MMU) walkFault(req walker.Request, now sim.Cycle) {
-	p := m.releaseFlight(req.Seq)
-	if p.done == nil {
-		return
-	}
-	m.fault(p, now)
+	m.fault(m.releaseFlight(req.Seq), now)
 }
 
 func (m *MMU) fault(p pending, now sim.Cycle) {

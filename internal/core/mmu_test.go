@@ -97,7 +97,7 @@ func TestBackPressureAndUnblock(t *testing.T) {
 		PageSize: vm.Page4K,
 		TLB:      tlb.Config{Entries: 16, Ways: 4, HitLatency: 5, PageSize: vm.Page4K},
 		Walker: walker.Config{NumPTWs: 1, PRMBSlots: 0, UsePTS: true,
-			LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true},
+			LevelLatency: 100, PageSize: vm.Page4K},
 	}
 	r := newMMURig(t, cfg, 4)
 	unblocked := false
@@ -141,7 +141,7 @@ func TestTranslateWhileStalledPanics(t *testing.T) {
 		PageSize: vm.Page4K,
 		TLB:      tlb.Config{Entries: 16, Ways: 4, HitLatency: 5, PageSize: vm.Page4K},
 		Walker: walker.Config{NumPTWs: 1, PRMBSlots: 0, UsePTS: true,
-			LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true},
+			LevelLatency: 100, PageSize: vm.Page4K},
 	}
 	r := newMMURig(t, cfg, 4)
 	for i := 0; i < 3 && !r.mmu.Stalled(); i++ {

@@ -32,7 +32,9 @@ import (
 // encoded bundle is byte-stable across processes — the property the
 // cluster merge's byte-identity contract rests on.
 type Bundle struct {
-	// MMU front end (internal/core).
+	// MMU front end (internal/core). Prefetches is retired and always 0:
+	// the MMU has no prefetcher. It stays on the wire so every row,
+	// /v1/cells line and stored value keeps its bytes.
 	TranslationsIssued int64 `json:"translations_issued"`
 	OracleHits         int64 `json:"oracle_hits"`
 	Faults             int64 `json:"faults"`
@@ -127,7 +129,6 @@ func Collect(s Sources) Bundle {
 		OracleHits:         s.MMU.OracleHits,
 		Faults:             s.MMU.Faults,
 		Retries:            s.MMU.Retries,
-		Prefetches:         s.MMU.Prefetches,
 		StallEnters:        s.MMU.StallEnter,
 
 		TLBLookups:   s.TLB.Lookups,
@@ -251,8 +252,9 @@ func (b Bundle) Violations() []string {
 	if b.TLBFills != b.WalksCompleted-b.WalkFaults {
 		bad("tlb-fill-conservation", "fills != completed walks - walk faults")
 	}
-	// Walker requests come from TLB misses and speculative prefetches —
-	// nowhere else.
+	// Walker requests come from TLB misses — nowhere else. The retired
+	// prefetches field stays in the sum, so a bundle that carries one
+	// fails.
 	if b.WalkRequests != b.TLBMisses+b.Prefetches {
 		bad("miss-walk-conservation", "requests != tlb misses + prefetches")
 	}

@@ -116,7 +116,7 @@ func TestFaultGateSuppressesIssueAccounting(t *testing.T) {
 func TestCollectMapsEveryField(t *testing.T) {
 	src := Sources{
 		MMU: core.Stats{Issued: 1, OracleHits: 2, Faults: 3, Retries: 4,
-			StallEnter: 5, Prefetches: 6},
+			StallEnter: 5},
 		TLB: tlb.Stats{Lookups: 7, Hits: 8, Misses: 9, Fills: 10, Evictions: 11},
 		Walker: walker.Stats{Requests: 12, WalksStarted: 13, WalksCompleted: 14,
 			RedundantWalks: 15, Merges: 16, MergeFails: 17, Rejected: 18,
@@ -128,8 +128,7 @@ func TestCollectMapsEveryField(t *testing.T) {
 	}
 	b := Collect(src)
 	want := Bundle{
-		TranslationsIssued: 1, OracleHits: 2, Faults: 3, Retries: 4,
-		StallEnters: 5, Prefetches: 6,
+		TranslationsIssued: 1, OracleHits: 2, Faults: 3, Retries: 4, StallEnters: 5,
 		TLBLookups: 7, TLBHits: 8, TLBMisses: 9, TLBFills: 10, TLBEvictions: 11,
 		WalkRequests: 12, WalksIssued: 13, WalksCompleted: 14, RedundantWalks: 15,
 		PRMBMerges: 16, PRMBMergeFails: 17, WalkRejects: 18,

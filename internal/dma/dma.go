@@ -133,8 +133,6 @@ type Engine struct {
 	mmu *core.MMU
 	mem *memsys.Memory
 
-	// Burst is the maximum transaction size in bytes (0 = DefaultBurst).
-	Burst int64
 	// Router, when non-nil, selects the memory serving a translated
 	// access by its owning device (NUMA: device 0 is local memory, other
 	// devices are reached over the system interconnect). Nil routes
@@ -234,7 +232,7 @@ func (e *Engine) FetchViews(views []tensor.View, done func(TileStats)) {
 // gather path, whose accesses do not come from rectangular views).
 func (e *Engine) FetchSegments(segs []tensor.Segment, done func(TileStats)) {
 	ps := e.mmu.Config().PageSize
-	txns := AppendTransactions(e.txnBuf[:0], segs, ps, e.Burst)
+	txns := AppendTransactions(e.txnBuf[:0], segs, ps, DefaultBurst)
 	e.txnBuf = txns
 	e.totalSegs += int64(len(segs))
 	e.fetch(txns, ps, done)

@@ -42,8 +42,8 @@ type rigSpec struct {
 }
 
 func (s rigSpec) String() string {
-	return fmt.Sprintf("%s %s tlb %+v walker %+v prefetch %v holes %d delay %d",
-		s.mmu.Kind, s.mmu.PageSize, s.mmu.TLB, s.mmu.Walker, s.mmu.PrefetchNext, len(s.holes), s.delay)
+	return fmt.Sprintf("%s %s tlb %+v walker %+v holes %d delay %d",
+		s.mmu.Kind, s.mmu.PageSize, s.mmu.TLB, s.mmu.Walker, len(s.holes), s.delay)
 }
 
 // mode selects how a rig runs the issue chain.
@@ -219,8 +219,8 @@ func randomTile(rng *rand.Rand, ps vm.PageSize, span uint64) []tensor.Segment {
 
 // randomSpec draws a machine: any MMU kind, and for Custom a small TLB
 // and walker pool (few PTWs, small PRMBs that overflow into redundant
-// walks, shallow FIFO queues that stall, any path cache, drains per cycle
-// or at once, optional prefetch), over a span with fault holes.
+// walks, shallow FIFO queues that stall, any path cache), over a span
+// with fault holes.
 func randomSpec(rng *rand.Rand) rigSpec {
 	ps := vm.Page4K
 	if rng.Intn(4) == 0 {
@@ -233,9 +233,8 @@ func randomSpec(rng *rand.Rand) rigSpec {
 		spec.mmu.Walker = walker.Config{
 			NumPTWs: 1 + rng.Intn(8), PRMBSlots: rng.Intn(4), UsePTS: rng.Intn(2) == 0,
 			QueueDepth: rng.Intn(4), LevelLatency: int64(5 + rng.Intn(60)),
-			Path: walker.PathKind(rng.Intn(4)), DrainPerCycle: rng.Intn(3) != 0,
+			Path: walker.PathKind(rng.Intn(4)),
 		}
-		spec.mmu.PrefetchNext = rng.Intn(3) == 0
 	}
 	if rng.Intn(2) == 0 {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -330,10 +329,10 @@ func compareRigs(t *testing.T, label string, loop, ref *rig) {
 // MMU, TLB, walker and path stats, fault cycles, the timeline and the VA
 // trace must be identical. The trials must between them exercise what
 // the loop has to get right: misses routed to walkers inline, stalls and
-// unstalls, PRMB overflow into redundant walks, drains per cycle and at
-// once, faults, and a horizon that cuts the loop short.
+// unstalls, PRMB overflow into redundant walks, PRMB drains, faults, and
+// a horizon that cuts the loop short.
 func TestHorizonMatchesEventChain(t *testing.T) {
-	var stalls, redundant, drains, instant, faults, cuts, saved int64
+	var stalls, redundant, drains, faults, cuts, saved int64
 	kinds := map[core.Kind]bool{}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 150; trial++ {
@@ -342,20 +341,16 @@ func TestHorizonMatchesEventChain(t *testing.T) {
 		ws := loop.mmu.WalkerStats()
 		stalls += loop.mmu.Stats().StallEnter
 		redundant += ws.RedundantWalks
-		if loop.spec.mmu.Walker.DrainPerCycle {
-			drains += ws.PRMBReads
-		} else {
-			instant += ws.PRMBReads
-		}
+		drains += ws.PRMBReads
 		faults += int64(len(loop.faults))
 		saved += ref.q.Fired() - loop.q.Fired()
 		if loop.q.Fired() > int64(len(loop.tiles)) {
 			cuts++
 		}
 	}
-	if len(kinds) != 4 || stalls == 0 || redundant == 0 || drains == 0 || instant == 0 || faults == 0 || cuts == 0 || saved <= 0 {
-		t.Fatalf("trials did not cover the loop: kinds %v, stalls %d, redundant walks %d, drains %d/%d, faults %d, cut runs %d, events saved %d",
-			kinds, stalls, redundant, drains, instant, faults, cuts, saved)
+	if len(kinds) != 4 || stalls == 0 || redundant == 0 || drains == 0 || faults == 0 || cuts == 0 || saved <= 0 {
+		t.Fatalf("trials did not cover the loop: kinds %v, stalls %d, redundant walks %d, drains %d, faults %d, cut runs %d, events saved %d",
+			kinds, stalls, redundant, drains, faults, cuts, saved)
 	}
 }
 

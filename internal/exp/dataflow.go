@@ -44,9 +44,6 @@ func (h *Harness) DataflowStudy() ([]DataflowRow, error) {
 			}
 			run := func(kind core.Kind) (*npu.Result, error) {
 				cfg := h.npuConfig(core.ConfigFor(kind, vm.Page4K))
-				if kind == core.Oracle {
-					cfg.MMU = core.Config{Kind: core.Oracle, PageSize: vm.Page4K}
-				}
 				cfg.Compute = cm
 				cfg.Translations = snap
 				return h.runNPU(plan, cfg)

@@ -23,9 +23,7 @@ import (
 	"neummu/internal/npu"
 	"neummu/internal/sim"
 	"neummu/internal/systolic"
-	"neummu/internal/tlb"
 	"neummu/internal/vm"
-	"neummu/internal/walker"
 	"neummu/internal/workloads"
 )
 
@@ -273,7 +271,7 @@ func (h *Harness) Oracle(model string, batch int, ps vm.PageSize) (*npu.Result, 
 		ps = vm.Page4K
 	}
 	return h.oracle.get(oracleKey{model, batch, ps}, func() (*npu.Result, error) {
-		return h.Run(model, batch, core.Config{Kind: core.Oracle, PageSize: ps})
+		return h.Run(model, batch, core.ConfigFor(core.Oracle, ps))
 	})
 }
 
@@ -298,29 +296,6 @@ func (h *Harness) NormPerf(model string, batch int, mmu core.Config) (float64, *
 		return 0, nil, err
 	}
 	return res.NormalizedPerf(oracle), res, nil
-}
-
-// customMMU builds a Custom MMU config for sweeps: baseline TLB plus the
-// given walker shape.
-func customMMU(ps vm.PageSize, ptws, prmb int, usePTS bool, path walker.PathKind, tlbEntries int) core.Config {
-	t := tlb.Baseline(ps)
-	if tlbEntries > 0 {
-		t.Entries = tlbEntries
-	}
-	return core.Config{
-		Kind:     core.Custom,
-		PageSize: ps,
-		TLB:      t,
-		Walker: walker.Config{
-			NumPTWs:       ptws,
-			PRMBSlots:     prmb,
-			UsePTS:        usePTS,
-			LevelLatency:  100,
-			Path:          path,
-			PageSize:      ps,
-			DrainPerCycle: true,
-		},
-	}
 }
 
 // NormPerfGrid evaluates one MMU configuration over the whole

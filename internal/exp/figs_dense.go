@@ -390,9 +390,6 @@ func (h *Harness) SpatialNPU() ([]SpatialRow, error) {
 		run := func(kind core.Kind) (*npu.Result, error) {
 			cfg := h.npuConfig(core.ConfigFor(kind, vm.Page4K))
 			cfg.Compute = spatial.Baseline()
-			if kind == core.Oracle {
-				cfg.MMU = core.Config{Kind: core.Oracle, PageSize: vm.Page4K}
-			}
 			cfg.Translations = snap
 			return h.runNPU(plan, cfg)
 		}
@@ -456,9 +453,6 @@ func (h *Harness) Sensitivity() ([]SensitivityRow, error) {
 		snap := npu.BuildTranslations(plan, vm.Page4K)
 		run := func(kind core.Kind) (*npu.Result, error) {
 			cfg := h.npuConfig(core.ConfigFor(kind, vm.Page4K))
-			if kind == core.Oracle {
-				cfg.MMU = core.Config{Kind: core.Oracle, PageSize: vm.Page4K}
-			}
 			cfg.Translations = snap
 			return h.runNPU(plan, cfg)
 		}

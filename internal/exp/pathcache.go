@@ -118,7 +118,7 @@ func (h *Harness) BurstThrottle() ([]BurstThrottleRow, error) {
 	// (the grid itself fans out over the pool).
 	var rows []BurstThrottleRow
 	for _, d := range depths {
-		cfg := customMMU(vm.Page4K, 8, 0, false, walker.PathNone, 0)
+		cfg := Point{Kind: core.Custom, PageSize: vm.Page4K, PTWs: 8}.MMU()
 		cfg.Walker.QueueDepth = d
 		grid, _, err := h.NormPerfGrid(cfg)
 		if err != nil {

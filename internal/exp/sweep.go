@@ -144,20 +144,22 @@ type Point struct {
 	TLBEntries int
 }
 
-// MMU materializes the point's translation architecture.
+// MMU materializes the point's translation architecture: the kind's
+// preset, with a Custom point's walker shape and any TLB capacity
+// override (which the oracle, having no TLB, ignores). It is the one
+// place a design point becomes a core.Config.
 func (p Point) MMU() core.Config {
-	switch p.Kind {
-	case core.Oracle:
-		return core.Config{Kind: core.Oracle, PageSize: p.PageSize}
-	case core.Custom:
-		return customMMU(p.PageSize, p.PTWs, p.PRMBSlots, p.PTS, p.Path, p.TLBEntries)
-	default:
-		cfg := core.ConfigFor(p.Kind, p.PageSize)
-		if p.TLBEntries > 0 {
-			cfg.TLB.Entries = p.TLBEntries
+	cfg := core.ConfigFor(p.Kind, p.PageSize)
+	if p.Kind == core.Custom {
+		cfg.Walker = walker.Config{
+			NumPTWs: p.PTWs, PRMBSlots: p.PRMBSlots, UsePTS: p.PTS,
+			LevelLatency: 100, Path: p.Path, PageSize: p.PageSize,
 		}
-		return cfg
 	}
+	if p.TLBEntries > 0 {
+		cfg.TLB.Entries = p.TLBEntries
+	}
+	return cfg
 }
 
 // Label renders the point compactly for logs and error messages.

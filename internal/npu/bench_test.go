@@ -55,7 +55,7 @@ func BenchmarkRunCell(b *testing.B) {
 					Kind: core.Custom, PageSize: vm.Page4K, TLB: tlb.Baseline(vm.Page4K),
 					Walker: walker.Config{
 						NumPTWs: c.ptws, PRMBSlots: c.prmb, UsePTS: true, LevelLatency: 100,
-						Path: walker.PathTPreg, PageSize: vm.Page4K, DrainPerCycle: true,
+						Path: walker.PathTPreg, PageSize: vm.Page4K,
 					},
 				}
 			}

@@ -69,7 +69,7 @@ func goldenMMU(kind string, ps vm.PageSize) core.Config {
 			Kind: core.Custom, PageSize: ps, TLB: tlb.Baseline(ps),
 			Walker: walker.Config{
 				NumPTWs: 8, PRMBSlots: 2, UsePTS: true, LevelLatency: 100,
-				Path: walker.PathNone, PageSize: ps, DrainPerCycle: true,
+				Path: walker.PathNone, PageSize: ps,
 			},
 		}
 	case "oracle":
@@ -83,7 +83,7 @@ func goldenMMU(kind string, ps vm.PageSize) core.Config {
 		Kind: core.Custom, PageSize: ps, TLB: tlb.Baseline(ps),
 		Walker: walker.Config{
 			NumPTWs: 32, PRMBSlots: 32, UsePTS: true, LevelLatency: 100,
-			Path: walker.PathTPreg, PageSize: ps, DrainPerCycle: true,
+			Path: walker.PathTPreg, PageSize: ps,
 		},
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // This file holds the serving-layer aggregation helpers: exact percentiles
 // over float64 samples and a concurrency-safe windowed latency recorder.
-// The simulation side keeps its own machinery (Dist, TimeSeries,
-// Histogram) — these helpers exist for neuserve's /metrics endpoint and
-// any other host-side measurement that wants p50/p95/p99 without bucket
-// quantization.
+// The simulation side keeps its own machinery (Dist, TimeSeries) — these
+// helpers exist for neuserve's /metrics endpoint and any other host-side
+// measurement that wants p50/p95/p99 without bucket quantization.
 
 // Percentile returns the q-quantile (0 ≤ q ≤ 1) of samples using the
 // nearest-rank method on a sorted copy: the smallest sample v such that at

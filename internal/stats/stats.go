@@ -4,8 +4,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -152,59 +150,6 @@ func (ts *TimeSeries) Sparkline(maxWidth int) string {
 		sb.WriteRune(levels[idx])
 	}
 	return sb.String()
-}
-
-// Histogram is a fixed-bucket histogram over int64 values.
-type Histogram struct {
-	Bounds []int64 // ascending upper bounds; an implicit +inf bucket follows
-	counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with the given ascending bucket bounds.
-func NewHistogram(bounds ...int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{Bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v int64) {
-	i := sort.Search(len(h.Bounds), func(i int) bool { return v <= h.Bounds[i] })
-	h.counts[i]++
-	h.total++
-}
-
-// Counts returns per-bucket counts (the final bucket is overflow).
-func (h *Histogram) Counts() []int64 { return h.counts }
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) using the
-// bucket bounds; overflow values report the largest bound.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			return h.Bounds[len(h.Bounds)-1]
-		}
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }
 
 // Ratio returns a/b, or 0 when b is 0. It is the common guard for the

@@ -185,7 +185,7 @@ func TestPoolMatchesReference(t *testing.T) {
 					t.Parallel()
 					comparePools(t, Config{
 						NumPTWs: ptws, PRMBSlots: prmb, UsePTS: pts, LevelLatency: 100,
-						Path: PathTPreg, PageSize: vm.Page4K, DrainPerCycle: true,
+						Path: PathTPreg, PageSize: vm.Page4K,
 					}, int64(ptws*100+prmb))
 				})
 			}
@@ -345,7 +345,7 @@ func othersWalking(walking []int, vpn uint64) bool {
 // lands, with at most one drain event pending at any time.
 func TestDrainKeepsOneEventPending(t *testing.T) {
 	r := newRig(t, Config{NumPTWs: 1, PRMBSlots: 32, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}, 1)
+		PageSize: vm.Page4K}, 1)
 	const merged = 20
 	for i := 0; i <= merged; i++ {
 		if !r.pool.Submit(Request{VA: r.page(0) + vm.VirtAddr(8*i), Seq: uint64(i)}) {
@@ -373,8 +373,8 @@ func TestDrainKeepsOneEventPending(t *testing.T) {
 func TestPoolAllocFree(t *testing.T) {
 	for _, cfg := range []Config{
 		NeuMMU(vm.Page4K),
-		{NumPTWs: 2, UsePTS: false, LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true},
-		{NumPTWs: 2, PRMBSlots: 2, UsePTS: true, LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true},
+		{NumPTWs: 2, UsePTS: false, LevelLatency: 100, PageSize: vm.Page4K},
+		{NumPTWs: 2, PRMBSlots: 2, UsePTS: true, LevelLatency: 100, PageSize: vm.Page4K},
 	} {
 		r := newRig(t, cfg, 16)
 		r.pool.OnComplete = func(Request, vm.Entry, sim.Cycle) {}

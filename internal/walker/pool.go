@@ -34,23 +34,18 @@ type Config struct {
 	PathEntries int
 	// PageSize determines walk depth (4 levels for 4 KB, 3 for 2 MB).
 	PageSize vm.PageSize
-	// DrainPerCycle requests are returned from the PRMB after a walk
-	// completes at one per cycle (§IV-A); setting this false returns all
-	// merged requests instantly (used by ablation benchmarks).
-	DrainPerCycle bool
 }
 
 // BaselineIOMMU returns the paper's baseline IOMMU walker configuration:
 // 8 PTWs, no scoreboard, no merging, no path caching.
 func BaselineIOMMU(ps vm.PageSize) Config {
 	return Config{
-		NumPTWs:       8,
-		PRMBSlots:     0,
-		UsePTS:        false,
-		LevelLatency:  100,
-		Path:          PathNone,
-		PageSize:      ps,
-		DrainPerCycle: true,
+		NumPTWs:      8,
+		PRMBSlots:    0,
+		UsePTS:       false,
+		LevelLatency: 100,
+		Path:         PathNone,
+		PageSize:     ps,
 	}
 }
 
@@ -58,13 +53,12 @@ func BaselineIOMMU(ps vm.PageSize) Config {
 // 128 PTWs, 32 PRMB slots per PTW, PTS, and per-PTW TPreg.
 func NeuMMU(ps vm.PageSize) Config {
 	return Config{
-		NumPTWs:       128,
-		PRMBSlots:     32,
-		UsePTS:        true,
-		LevelLatency:  100,
-		Path:          PathTPreg,
-		PageSize:      ps,
-		DrainPerCycle: true,
+		NumPTWs:      128,
+		PRMBSlots:    32,
+		UsePTS:       true,
+		LevelLatency: 100,
+		Path:         PathTPreg,
+		PageSize:     ps,
 	}
 }
 
@@ -242,10 +236,6 @@ func (p *Pool) PathStats() PathStats {
 // Busy reports the number of walks currently in flight.
 func (p *Pool) Busy() int { return p.cfg.NumPTWs - len(p.free) }
 
-// FreeWalkers reports the number of idle walkers (prefetchers use this to
-// issue speculative walks only when capacity is spare).
-func (p *Pool) FreeWalkers() int { return len(p.free) }
-
 // Pending reports the number of requests queued or merged but not yet
 // completed (excluding walk-initiating requests).
 func (p *Pool) Pending() int {
@@ -413,14 +403,6 @@ func (p *Pool) finishWalk(w int, now sim.Cycle) {
 		return
 	}
 	pw.entry, pw.fault = entry, fault
-	if !p.cfg.DrainPerCycle {
-		for _, m := range pw.draining {
-			p.stats.PRMBReads++
-			p.deliver(m, entry, fault, now)
-		}
-		p.release(w, now)
-		return
-	}
 	// Drain merged requests one per cycle (§IV-A), then free the walker.
 	// The drains take the firing positions of one CallAfter(i+1) per
 	// request made now, but only the first is scheduled; each drain

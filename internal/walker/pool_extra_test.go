@@ -15,7 +15,7 @@ func TestLargePageTPregCapsSkip(t *testing.T) {
 	pt.Map(0x4000_0000, 0, vm.Page2M, 0)
 	pt.Map(0x4000_0000+vm.VirtAddr(vm.Page2M.Bytes()), 0x20_0000, vm.Page2M, 0)
 	cfg := Config{NumPTWs: 1, UsePTS: true, LevelLatency: 100,
-		Path: PathTPreg, PageSize: vm.Page2M, DrainPerCycle: true}
+		Path: PathTPreg, PageSize: vm.Page2M}
 	p := NewPool(cfg, pt, q)
 	var last sim.Cycle
 	p.OnComplete = func(_ Request, _ vm.Entry, now sim.Cycle) { last = now }
@@ -39,7 +39,7 @@ func TestLargePageTPregCapsSkip(t *testing.T) {
 
 func TestDrainOrderPreservesMergeOrder(t *testing.T) {
 	cfg := Config{NumPTWs: 1, PRMBSlots: 8, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	q := &sim.Queue{}
 	pt := vm.NewPageTable()
 	pt.Map(0x1000, 0x9000, vm.Page4K, 0)
@@ -62,7 +62,7 @@ func TestDrainOrderPreservesMergeOrder(t *testing.T) {
 func TestWalkerReusePrefersLIFO(t *testing.T) {
 	// Freed walkers are reused LIFO so a hot walker's TPreg stays warm.
 	cfg := Config{NumPTWs: 4, UsePTS: true, LevelLatency: 100,
-		Path: PathTPreg, PageSize: vm.Page4K, DrainPerCycle: true}
+		Path: PathTPreg, PageSize: vm.Page4K}
 	q := &sim.Queue{}
 	pt := vm.NewPageTable()
 	for i := 0; i < 16; i++ {
@@ -88,7 +88,7 @@ func TestSpillToWalkerWhenPRMBFull(t *testing.T) {
 	// §IV-A: blocking happens only when walkers AND merge slots are all
 	// full; a full PRMB with idle walkers spills into a redundant walk.
 	cfg := Config{NumPTWs: 4, PRMBSlots: 1, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	q := &sim.Queue{}
 	pt := vm.NewPageTable()
 	pt.Map(0x1000, 0x9000, vm.Page4K, 0)

@@ -46,7 +46,7 @@ func (r *testRig) page(i int) vm.VirtAddr {
 }
 
 func TestSingleWalkLatency(t *testing.T) {
-	r := newRig(t, Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true}, 4)
+	r := newRig(t, Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page4K}, 4)
 	if !r.pool.Submit(Request{VA: r.page(0)}) {
 		t.Fatal("submit rejected on idle pool")
 	}
@@ -71,7 +71,7 @@ func TestLargePageWalkIsThreeLevels(t *testing.T) {
 	q := &sim.Queue{}
 	pt := vm.NewPageTable()
 	pt.Map(0x4000_0000, 0, vm.Page2M, 0)
-	cfg := Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page2M, DrainPerCycle: true}
+	cfg := Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page2M}
 	p := NewPool(cfg, pt, q)
 	var at sim.Cycle
 	p.OnComplete = func(_ Request, _ vm.Entry, now sim.Cycle) { at = now }
@@ -84,7 +84,7 @@ func TestLargePageWalkIsThreeLevels(t *testing.T) {
 
 func TestPTSMergesSamePage(t *testing.T) {
 	cfg := Config{NumPTWs: 2, PRMBSlots: 4, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 4)
 	va := r.page(0)
 	for i := 0; i < 3; i++ {
@@ -112,7 +112,7 @@ func TestPTSMergesSamePage(t *testing.T) {
 
 func TestPRMBFullBlocks(t *testing.T) {
 	cfg := Config{NumPTWs: 1, PRMBSlots: 1, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 4)
 	va := r.page(0)
 	if !r.pool.Submit(Request{VA: va}) || !r.pool.Submit(Request{VA: va + 64}) {
@@ -129,7 +129,7 @@ func TestPRMBFullBlocks(t *testing.T) {
 
 func TestAllPTWsBusyBlocksWithPTS(t *testing.T) {
 	cfg := Config{NumPTWs: 2, PRMBSlots: 4, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 8)
 	if !r.pool.Submit(Request{VA: r.page(0)}) || !r.pool.Submit(Request{VA: r.page(1)}) {
 		t.Fatal("two distinct pages should occupy two PTWs")
@@ -144,7 +144,7 @@ func TestAllPTWsBusyBlocksWithPTS(t *testing.T) {
 
 func TestOnCapacityFiresAfterRejection(t *testing.T) {
 	cfg := Config{NumPTWs: 1, PRMBSlots: 0, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 4)
 	fired := false
 	r.pool.OnCapacity = func(now sim.Cycle) {
@@ -189,7 +189,7 @@ func TestBaselineRedundantWalks(t *testing.T) {
 
 func TestBaselineFIFOQueue(t *testing.T) {
 	cfg := Config{NumPTWs: 1, QueueDepth: 2, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 8)
 	// One walking + two queued = 3 accepted, 4th rejected.
 	for i := 0; i < 3; i++ {
@@ -220,7 +220,7 @@ func TestBaselineFIFOQueue(t *testing.T) {
 
 func TestTPregSkipsLevels(t *testing.T) {
 	cfg := Config{NumPTWs: 1, UsePTS: true, LevelLatency: 100,
-		Path: PathTPreg, PageSize: vm.Page4K, DrainPerCycle: true}
+		Path: PathTPreg, PageSize: vm.Page4K}
 	r := newRig(t, cfg, 4)
 	// First walk: cold TPreg, full 4 accesses. Second walk to the
 	// adjacent page shares L4/L3/L2, so only the leaf is read.
@@ -245,7 +245,7 @@ func TestTPregSkipsLevels(t *testing.T) {
 func TestFaultPath(t *testing.T) {
 	q := &sim.Queue{}
 	pt := vm.NewPageTable() // nothing mapped
-	cfg := Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true}
+	cfg := Config{NumPTWs: 1, LevelLatency: 100, PageSize: vm.Page4K}
 	p := NewPool(cfg, pt, q)
 	faulted := false
 	p.OnComplete = func(Request, vm.Entry, sim.Cycle) { t.Fatal("unmapped VA completed") }
@@ -264,7 +264,7 @@ func TestMergedRequestsShareFaultOutcome(t *testing.T) {
 	q := &sim.Queue{}
 	pt := vm.NewPageTable()
 	cfg := Config{NumPTWs: 1, PRMBSlots: 4, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	p := NewPool(cfg, pt, q)
 	faults := 0
 	p.OnComplete = func(Request, vm.Entry, sim.Cycle) { t.Fatal("unexpected complete") }
@@ -277,27 +277,11 @@ func TestMergedRequestsShareFaultOutcome(t *testing.T) {
 	}
 }
 
-func TestInstantDrainMode(t *testing.T) {
-	cfg := Config{NumPTWs: 1, PRMBSlots: 4, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: false}
-	r := newRig(t, cfg, 2)
-	va := r.page(0)
-	r.pool.Submit(Request{VA: va})
-	r.pool.Submit(Request{VA: va + 64})
-	r.pool.Submit(Request{VA: va + 128})
-	r.q.Run()
-	for _, d := range r.done {
-		if d.at != 400 {
-			t.Fatalf("instant drain completed at %v, want 400", d.at)
-		}
-	}
-}
-
 func TestPoolThroughputScalesWithPTWs(t *testing.T) {
 	// 64 distinct pages: 8 PTWs take 8 rounds (3200 cy), 64 PTWs one round.
 	run := func(ptws int) sim.Cycle {
 		cfg := Config{NumPTWs: ptws, PRMBSlots: 4, UsePTS: true,
-			LevelLatency: 100, PageSize: vm.Page4K, DrainPerCycle: true}
+			LevelLatency: 100, PageSize: vm.Page4K}
 		r := newRig(t, cfg, 64)
 		pending := make([]Request, 0, 64)
 		for i := 0; i < 64; i++ {
@@ -327,7 +311,7 @@ func TestPoolThroughputScalesWithPTWs(t *testing.T) {
 
 func TestStatsConservation(t *testing.T) {
 	cfg := Config{NumPTWs: 4, PRMBSlots: 8, UsePTS: true, LevelLatency: 100,
-		PageSize: vm.Page4K, DrainPerCycle: true}
+		PageSize: vm.Page4K}
 	r := newRig(t, cfg, 32)
 	accepted := 0
 	for i := 0; i < 200; i++ {

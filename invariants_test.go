@@ -274,16 +274,24 @@ func TestInvariantWalkDepthAcrossPageSizes(t *testing.T) {
 }
 
 // TestInvariantServeSweepCountersConserve drives a sweep through the HTTP
-// service and audits the wire: every NDJSON row carries a law-abiding
-// bundle, the summary line is their exact sum, and /metrics aggregates
-// the same totals.
+// service and audits the wire, for an oracle mix and an iommu+neummu
+// mix: every NDJSON row carries a law-abiding bundle with translations
+// and DMA transactions, the summary line is their exact sum, and
+// /metrics aggregates the same totals.
 func TestInvariantServeSweepCountersConserve(t *testing.T) {
+	for _, mmus := range []string{`"oracle","neummu"`, `"iommu","neummu"`} {
+		t.Run(strings.ReplaceAll(mmus, `"`, ""), func(t *testing.T) {
+			serveSweepCountersConserve(t, `{"models":["CNN-1"],"batches":[1,4],"mmus":[`+mmus+`],"quick":true}`)
+		})
+	}
+}
+
+func serveSweepCountersConserve(t *testing.T, body string) {
 	srv := NewServer(ServerConfig{Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body := `{"models":["CNN-1"],"batches":[1,4],"mmus":["oracle","neummu"],"quick":true}`
 	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +327,7 @@ func TestInvariantServeSweepCountersConserve(t *testing.T) {
 	for _, row := range rows {
 		label := fmt.Sprintf("%s/%s/b%d", row.Model, row.MMU, row.Batch)
 		auditBundle(t, label, row.Counters)
-		if row.Counters.TranslationsIssued == 0 {
+		if row.Counters.TranslationsIssued == 0 || row.Counters.DMATransactions == 0 {
 			t.Errorf("%s: row carries an empty counter bundle", label)
 		}
 		if row.MMU == "neummu" && row.Counters.TLBLookups == 0 {

@@ -159,12 +159,8 @@ func Simulate(model string, batch int, kind MMUKind, opts Options) (*Result, err
 	if ps == 0 {
 		ps = Page4K
 	}
-	mcfg := core.ConfigFor(kind, ps)
-	if kind == core.Oracle {
-		mcfg = core.Config{Kind: core.Oracle, PageSize: ps}
-	}
 	cfg := npu.Config{
-		MMU:       mcfg,
+		MMU:       core.ConfigFor(kind, ps),
 		Memory:    memsys.Baseline(),
 		Compute:   systolic.Baseline(),
 		RepeatCap: opts.Effort.RepeatCap,

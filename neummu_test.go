@@ -82,6 +82,31 @@ func TestSimulateSparseModes(t *testing.T) {
 	}
 }
 
+// TestSimulateMatchesHarnessPoint pins the one builder: Simulate and
+// the harness running SweepPoint{Kind, PageSize}.MMU() build the same
+// machine for every kind at both page sizes, so at equal caps they return
+// the same cycles and counter bundle.
+func TestSimulateMatchesHarnessPoint(t *testing.T) {
+	eff := Effort{RepeatCap: 1, TileCap: 4}
+	h := NewHarness(HarnessOptions{Effort: eff, Workers: 1})
+	for _, kind := range []MMUKind{OracleMMU, BaselineIOMMU, ThroughputNeuMMU, CustomMMU} {
+		for _, ps := range []PageSize{Page4K, Page2M} {
+			got, err := Simulate("CNN-1", 1, kind, Options{PageSize: ps, Effort: eff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := h.Run("CNN-1", 1, SweepPoint{Kind: kind, PageSize: ps}.MMU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cycles != want.Cycles || got.Counters != want.Counters {
+				t.Errorf("%s %s: Simulate = %d cycles %+v, harness = %d cycles %+v",
+					kind, ps, got.Cycles, got.Counters, want.Cycles, want.Counters)
+			}
+		}
+	}
+}
+
 func TestModelLists(t *testing.T) {
 	if len(DenseModels()) != 6 || len(SparseModels()) != 2 {
 		t.Fatal("model lists wrong")
