@@ -8,7 +8,7 @@
 //	neusim -model RNN-3 -batch 1 -mmu iommu -tlb 512
 //	neusim -model CNN-3 -batch 8 -mmu custom -ptws 128 -prmb 32 -tpreg
 //	neusim -model TF-2 -batch 1 -mmu iommu -repeat-cap 3
-//	neusim -model CNN-1,RNN-1,TF-1 -batches 1,4,8 -mmu iommu -parallel
+//	neusim -model CNN-1,RNN-1,TF-1 -batches 1,4,8 -mmu iommu
 //
 // Workloads cover the paper's dense suite (CNN-1..3, RNN-1..3) and the
 // post-paper transformer family (TF-1 BERT-base encoder, TF-2 GPT-2-style
@@ -65,7 +65,6 @@ func main() {
 		useSpat   = flag.Bool("spatial", false, "use the spatial-array compute model instead of systolic")
 		compare   = flag.Bool("oracle-baseline", true, "also run the oracle and report normalized performance")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of text")
-		parallel  = flag.Bool("parallel", false, "sweep mode: fan cells out over all CPUs (the default; kept for explicitness)")
 		workers   = flag.Int("workers", 0, "sweep mode: exact worker count (0 = all CPUs, 1 = serial reference)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (hot-path diagnosis)")
@@ -100,11 +99,7 @@ func main() {
 		batchList, err := parseBatches(*batches, *batch)
 		if err == nil {
 			// Workers follows exp.Options semantics: 0 selects GOMAXPROCS,
-			// 1 is the serial reference run. -parallel is an explicit alias
-			// for -workers 0, so combining it with a bound is contradictory.
-			if *parallel && *workers != 0 {
-				fail(fmt.Errorf("-parallel (all CPUs) conflicts with -workers %d", *workers))
-			}
+			// 1 is the serial reference run.
 			err = runSweep(models, batchList, *mmuKind, *pages, *ptws, *prmb,
 				*tpreg, *tlbSize, *repeatCap, *tileCap, *workers, eff, *useSpat, *compare, *asJSON)
 		}
@@ -120,7 +115,7 @@ func main() {
 	}
 	if *asJSON {
 		if err := runJSON(*model, *batch, *mmuKind, *pages, *ptws, *prmb, *tpreg,
-			*tlbSize, *repeatCap, *tileCap, *useSpat); err != nil {
+			*tlbSize, *repeatCap, *tileCap, *useSpat, *compare); err != nil {
 			fail(err)
 		}
 		return
@@ -147,21 +142,17 @@ func parseBatches(list string, fallback int) ([]int, error) {
 }
 
 // cellPoint parses the MMU flags into the design point of one (model,
-// batch) cell with the wire's own parser and validator.
+// batch) cell with the wire's own parser and validator, which drops the
+// flags the kind does not use (exp.Point.Canonical).
 func cellPoint(model string, batch int, mmuKind, pages string, ptws, prmb int,
 	tpreg bool, tlbSize int) (exp.Point, error) {
 	if tlbSize < 1 {
 		return exp.Point{}, fmt.Errorf("-tlb must be at least 1 (got %d)", tlbSize)
 	}
-	w := serve.WirePoint{Kind: mmuKind, PageSize: pages, Model: model, Batch: batch}
-	if mmuKind != "oracle" {
-		w.TLBEntries = tlbSize
-	}
-	if mmuKind == "custom" {
-		w.PTWs, w.PRMBSlots, w.PTS = ptws, prmb, true
-		if tpreg {
-			w.Path = walker.PathTPreg.String()
-		}
+	w := serve.WirePoint{Kind: mmuKind, PageSize: pages, Model: model, Batch: batch,
+		PTWs: ptws, PRMBSlots: prmb, PTS: true, TLBEntries: tlbSize}
+	if tpreg {
+		w.Path = walker.PathTPreg.String()
 	}
 	return w.Point()
 }
@@ -332,17 +323,19 @@ type jsonResult struct {
 	Merges          int64   `json:"merges"`
 	WalkMemAccesses int64   `json:"walk_mem_accesses"`
 	SkippedLevels   int64   `json:"skipped_levels"`
-	OracleCycles    int64   `json:"oracle_cycles"`
-	NormalizedPerf  float64 `json:"normalized_perf"`
+	// The oracle fields are set only when the oracle baseline runs
+	// (-oracle-baseline, the default).
+	OracleCycles   *int64   `json:"oracle_cycles,omitempty"`
+	NormalizedPerf *float64 `json:"normalized_perf,omitempty"`
 }
 
 func runJSON(model string, batch int, mmuKind, pages string, ptws, prmb int,
-	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial bool) error {
+	tpreg bool, tlbSize, repeatCap, tileCap int, useSpatial, compare bool) error {
 	p, err := cellPoint(model, batch, mmuKind, pages, ptws, prmb, tpreg, tlbSize)
 	if err != nil {
 		return err
 	}
-	res, oracle, err := simulate(p, repeatCap, tileCap, useSpatial, true)
+	res, oracle, err := simulate(p, repeatCap, tileCap, useSpatial, compare)
 	if err != nil {
 		return err
 	}
@@ -365,8 +358,10 @@ func runJSON(model string, batch int, mmuKind, pages string, ptws, prmb int,
 		Merges:          res.Walker.Merges,
 		WalkMemAccesses: res.Walker.WalkMemAccesses,
 		SkippedLevels:   res.Walker.SkippedLevels,
-		OracleCycles:    int64(oracle.Cycles),
-		NormalizedPerf:  res.NormalizedPerf(oracle),
+	}
+	if oracle != nil {
+		cycles, perf := int64(oracle.Cycles), res.NormalizedPerf(oracle)
+		out.OracleCycles, out.NormalizedPerf = &cycles, &perf
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"strings"
@@ -31,13 +32,13 @@ func TestRunSpatial(t *testing.T) {
 }
 
 func TestRunJSON(t *testing.T) {
-	if err := runJSON("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false); err != nil {
+	if err := runJSON("CNN-1", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := runJSON("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false); err == nil {
+	if err := runJSON("VGG", 1, "neummu", "4KB", 128, 32, true, 2048, 1, 2, false, true); err == nil {
 		t.Fatal("unknown model accepted by JSON path")
 	}
-	if err := runJSON("CNN-1", 1, "neummu", "3MB", 128, 32, true, 2048, 1, 2, false); err == nil {
+	if err := runJSON("CNN-1", 1, "neummu", "3MB", 128, 32, true, 2048, 1, 2, false, true); err == nil {
 		t.Fatal("bad page size accepted by JSON path")
 	}
 }
@@ -126,7 +127,7 @@ func TestMMUFlagsValidatedAsWirePoints(t *testing.T) {
 		if err := run("CNN-1", 1, c.kind, "4KB", c.ptws, 8, true, c.tlb, 1, 1, false, true); err == nil {
 			t.Errorf("-mmu %s -ptws %d -tlb %d accepted", c.kind, c.ptws, c.tlb)
 		}
-		if err := runJSON("CNN-1", 1, c.kind, "4KB", c.ptws, 8, true, c.tlb, 1, 1, false); err == nil {
+		if err := runJSON("CNN-1", 1, c.kind, "4KB", c.ptws, 8, true, c.tlb, 1, 1, false, true); err == nil {
 			t.Errorf("-json -mmu %s -ptws %d -tlb %d accepted", c.kind, c.ptws, c.tlb)
 		}
 		if err := runSweep([]string{"CNN-1"}, []int{1}, c.kind, "4KB",
@@ -141,14 +142,41 @@ func TestMMUFlagsValidatedAsWirePoints(t *testing.T) {
 func TestTLBFlagSizesEveryKind(t *testing.T) {
 	for _, kind := range []string{"iommu", "neummu"} {
 		small := stdout(t, func() error {
-			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 8, 1, 4, false)
+			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 8, 1, 4, false, true)
 		})
 		base := stdout(t, func() error {
-			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 2048, 1, 4, false)
+			return runJSON("CNN-1", 1, kind, "4KB", 128, 32, true, 2048, 1, 4, false, true)
 		})
 		if small == base {
 			t.Errorf("%s: -tlb 8 gave the 2048-entry result:\n%s", kind, small)
 		}
+	}
+}
+
+// TestJSONHonorsOracleBaselineFlag: -json -oracle-baseline=false runs
+// the cell alone and prints no oracle fields; the default keeps them.
+func TestJSONHonorsOracleBaselineFlag(t *testing.T) {
+	run := func(compare bool) map[string]any {
+		out := stdout(t, func() error {
+			return runJSON("CNN-1", 1, "iommu", "4KB", 128, 32, true, 2048, 1, 2, false, compare)
+		})
+		var m map[string]any
+		if err := json.Unmarshal([]byte(out), &m); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return m
+	}
+	with, without := run(true), run(false)
+	for _, key := range []string{"oracle_cycles", "normalized_perf"} {
+		if _, ok := with[key]; !ok {
+			t.Errorf("default -json output lacks %q", key)
+		}
+		if _, ok := without[key]; ok {
+			t.Errorf("-oracle-baseline=false -json output has %q", key)
+		}
+	}
+	if with["cycles"] != without["cycles"] {
+		t.Errorf("cycles = %v with the oracle baseline, %v without", with["cycles"], without["cycles"])
 	}
 }
 

@@ -47,7 +47,6 @@ func main() {
 		out        = flag.String("out", "", "write each figure to <dir>/<name>.txt instead of stdout")
 		quick      = flag.Bool("quick", false, "reduced sweep for smoke testing")
 		effort     = flag.String("effort", "", "effort mode: exact or quick; empty = exact (-quick is the legacy spelling of quick)")
-		parallel   = flag.Bool("parallel", false, "fan sweeps out over all CPUs (the default; kept for explicitness)")
 		workers    = flag.Int("workers", 0, "exact simulation-worker count (0 = all CPUs, 1 = serial reference)")
 		clusterURL = flag.String("cluster", "", "delegate sweep evaluation to a neuserve cluster coordinator at this base URL (remote-safe figures only)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (hot-path diagnosis)")
@@ -74,13 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Workers follows exp.Options semantics: 0 selects GOMAXPROCS, 1 is
-	// the serial reference run that parallel output is validated against.
-	// -parallel is an explicit alias for -workers 0, so combining it with
-	// a bound is contradictory.
-	if *parallel && *workers != 0 {
-		fail(fmt.Errorf("-parallel (all CPUs) conflicts with -workers %d", *workers))
-	}
 	// The effort flags assemble the same exp.Effort the library and
 	// service APIs take; -quick is the legacy spelling of -effort quick,
 	// so it cannot be combined with another mode.
@@ -94,6 +86,8 @@ func main() {
 	if err := eff.Validate(); err != nil {
 		fail(err)
 	}
+	// Workers follows exp.Options semantics: 0 selects GOMAXPROCS, 1 is
+	// the serial reference run that parallel output is validated against.
 	opts := exp.Options{Workers: *workers, Effort: eff}
 	if *clusterURL != "" {
 		opts.Remote = cluster.SweepFunc(*clusterURL, nil)

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// docFiles are the markdown documents whose links CI's docs job keeps
+// docFiles are the markdown documents whose links the tests keep
 // honest (the acceptance contract behind docs/ARCHITECTURE.md: every
 // internal link must resolve).
 var docFiles = []string{"README.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md", "docs/API.md"}

@@ -96,13 +96,14 @@ func (ax Axes) points(opts Options) []Point {
 	ax = ax.normalized(opts)
 	var pts []Point
 	for _, kind := range ax.Kinds {
+		// Axes that Point.Canonical zeroes for this kind collapse to one
+		// value, so the grid holds no duplicate points.
 		tlbs, ptws, prmbs, ptss, paths := ax.TLBEntries, ax.PTWs, ax.PRMBSlots, ax.PTS, ax.Paths
 		if kind != core.Custom {
-			// Walker shape is fixed by the kind; collapse those axes.
-			ptws, prmbs, ptss, paths = []int{0}, []int{0}, []bool{false}, []walker.PathKind{walker.PathNone}
-			if kind == core.Oracle {
-				tlbs = []int{0} // the oracle has no TLB to resize
-			}
+			ptws, prmbs, ptss, paths = ptws[:1], prmbs[:1], ptss[:1], paths[:1]
+		}
+		if kind == core.Oracle {
+			tlbs = tlbs[:1]
 		}
 		for _, ps := range ax.PageSizes {
 			for _, entries := range tlbs {
@@ -116,7 +117,7 @@ func (ax Axes) points(opts Options) []Point {
 											Kind: kind, PageSize: ps, Model: m, Batch: b,
 											PTWs: nptw, PRMBSlots: slots, PTS: pts2,
 											Path: path, TLBEntries: entries,
-										})
+										}.Canonical())
 									}
 								}
 							}
@@ -142,6 +143,22 @@ type Point struct {
 	Path      walker.PathKind
 	// TLBEntries overrides the TLB capacity; 0 keeps the kind baseline.
 	TLBEntries int
+}
+
+// Canonical returns the point's one spelling: the named kinds carry no
+// walker shape (their walker is part of the kind) and the oracle no TLB
+// override (it has no TLB). Points that differ only in those fields
+// simulate the same machine, so every path that makes a point from
+// outside input canonicalizes it, and they share one cell hash, cache
+// entry and store file.
+func (p Point) Canonical() Point {
+	if p.Kind != core.Custom {
+		p.PTWs, p.PRMBSlots, p.PTS, p.Path = 0, 0, false, walker.PathNone
+	}
+	if p.Kind == core.Oracle {
+		p.TLBEntries = 0
+	}
+	return p
 }
 
 // MMU materializes the point's translation architecture: the kind's

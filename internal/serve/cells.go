@@ -96,7 +96,8 @@ func parsePath(name string) (walker.PathKind, error) {
 
 // Point converts the wire form back to a design point, validating every
 // field a bogus request could abuse (the same checks ExpandSweep applies
-// to axes-shaped requests).
+// to axes-shaped requests). The point is canonical (exp.Point.Canonical),
+// as every point ExpandSweep makes is.
 func (w WirePoint) Point() (exp.Point, error) {
 	var p exp.Point
 	kind, err := parseKind(w.Kind)
@@ -128,7 +129,7 @@ func (w WirePoint) Point() (exp.Point, error) {
 		Kind: kind, PageSize: ps, Model: w.Model, Batch: w.Batch,
 		PTWs: w.PTWs, PRMBSlots: w.PRMBSlots, PTS: w.PTS, Path: path,
 		TLBEntries: w.TLBEntries,
-	}, nil
+	}.Canonical(), nil
 }
 
 // CellsRequest is the POST /v1/cells payload: an explicit point list plus

@@ -800,6 +800,54 @@ func TestCellsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCellsCanonicalPoint: a wire point that spells a field its kind
+// ignores (a walker shape on a named kind, a TLB size on the oracle) is
+// the canonical cell: the same CellHash64, and a cache hit once the
+// canonical spelling has been served.
+func TestCellsCanonicalPoint(t *testing.T) {
+	cases := []struct{ canonical, spelled string }{
+		{`{"kind":"oracle","page_size":"4KB","model":"CNN-1","batch":1}`,
+			`{"kind":"oracle","page_size":"4KB","model":"CNN-1","batch":1,"tlb_entries":64}`},
+		{`{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1}`,
+			`{"kind":"neummu","page_size":"4KB","model":"CNN-1","batch":1,"ptws":8,"prmb_slots":4,"pts":true,"path":"TPC"}`},
+	}
+	e := exp.New(exp.Options{Effort: exp.Effort{Mode: exp.EffortQuick}}).Options().Effort
+	for _, c := range cases {
+		var cw, sw WirePoint
+		if err := json.Unmarshal([]byte(c.canonical), &cw); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(c.spelled), &sw); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := cw.Point()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := sw.Point()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if CellHash64(sp, e) != CellHash64(cp, e) {
+			t.Errorf("%s: CellHash64 %016x, canonical %s hashes %016x",
+				c.spelled, CellHash64(sp, e), c.canonical, CellHash64(cp, e))
+		}
+
+		s, ts := newTestServer(t, Config{Workers: 1})
+		post(t, ts, "/v1/cells", `{"quick":true,"points":[`+c.canonical+`]}`)
+		resp, body := post(t, ts, "/v1/cells", `{"quick":true,"points":[`+c.spelled+`]}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status = %d: %s", c.spelled, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Neuserve-Cache"); got != "hits=1 misses=0" {
+			t.Errorf("%s after the canonical point: cache header = %q, want one hit", c.spelled, got)
+		}
+		if sim := s.Metrics().CellsSimulated; sim != 1 {
+			t.Errorf("%s: simulated %d cells, want 1", c.spelled, sim)
+		}
+	}
+}
+
 func TestCellsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxCellsPerRequest: 2})
 	cases := []struct {
